@@ -484,11 +484,12 @@ def run_batch(args) -> int:
         except (KeyError, TypeError, ValueError):
             raise ParseError(
                 f"grid row {idx} must have integer q, integer N, and coeffs")
-    if args.jobs > 1:
+    workers = min(args.jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(batch_row, items))
         except OSError:
             results = [batch_row(item) for item in items]

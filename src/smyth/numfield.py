@@ -4,17 +4,18 @@ equality-case extraction, and the lattice-rounding certificate pipeline.
 Scope is quadratic fields. Rank at most 2 keeps every geometric step exact:
 the covering radius comes from the circumradius formula on a Lagrange-reduced
 superbase, closest points are found by exhaustive comparison of rational
-squared distances, and eigenvalue claims are settled by fraction-free
-elimination. Nothing in a pass/fail path rounds.
+squared distances, and eigenvalue claims are settled by an exact eigen
+identity with a nonzero witness. Nothing in a pass/fail path rounds.
 
 The pipeline for tuples (1, ..., 1, -alpha):
 
     lattice_rounding_step -> perron_bridge -> birkhoff_decompose
-        -> verify_numfield_certificate
 
 builds a nonnegative integer matrix with row sums n-1 and exact eigenvalue
-alpha, rebalances it to equal column sums, splits it into n-1 permutation
-matrices, and certifies det(sum P_i - alpha*I) = 0.
+alpha, rebalances it to equal column sums, and splits it into n-1
+permutation matrices. The nonzero eigenvector v with (sum P_i) v = alpha*v
+that travels with the split proves det(sum P_i - alpha*I) = 0;
+verify_numfield_certificate decides the same claim without a witness.
 """
 from __future__ import annotations
 
@@ -806,11 +807,7 @@ def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
     balanced = BalancedMultiset.make(coeffs, members, validate=True)
     cert = certificate_from_balanced(balanced.coeffs, balanced)
     dim = cert.m
-    D = [[0] * dim for _ in range(dim)]
-    for p in cert.perms[:-1]:
-        for k in range(dim):
-            D[k][p[k]] += 1
-    D = tuple(map(tuple, D))
+    D = permutation_sum(cert.perms[:-1], dim)
     vec_out = cert.kernel
     if any(sum(row) != n - 1 for row in D):
         raise BridgeError("rebalanced rows do not sum to n-1", matrix=matrix)
@@ -822,13 +819,54 @@ def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
     return BridgeResult(matrix=D, eigenvector=tuple(vec_out), strategy="sink-class")
 
 
+def permutation_sum(perms: Sequence[Sequence[int]], size: int) -> IntMatrix:
+    """The sum of the permutation matrices of perms: row k has a 1 at p[k]."""
+    rows = [[0] * size for _ in range(size)]
+    for p in perms:
+        for k, image in enumerate(p):
+            rows[k][image] += 1
+    return tuple(map(tuple, rows))
+
+
+def _augment(support: list[list[int]], match_col: list[int], root: int) -> bool:
+    """Kuhn's augmenting path from root, depth first on an explicit stack.
+
+    support[r] lists the columns open to row r in ascending order. Columns
+    are tried in the order the recursive formulation tries them, so the
+    matching is the same. Each frame is [row, next index into support[row]].
+    """
+    visited: set = set()
+    stack = [[root, 0]]
+    while stack:
+        frame = stack[-1]
+        r, i = frame
+        cols = support[r]
+        while i < len(cols) and cols[i] in visited:
+            i += 1
+        if i == len(cols):
+            stack.pop()
+            continue
+        c = cols[i]
+        frame[1] = i + 1
+        visited.add(c)
+        owner = match_col[c]
+        if owner == -1:
+            for row, nxt in stack:
+                match_col[support[row][nxt - 1]] = row
+            return True
+        stack.append([owner, 0])
+    return False
+
+
 def birkhoff_decompose(D: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Split a doubly regular nonnegative integer matrix into permutations.
 
     Repeatedly extracts a perfect matching on the positive entries (it exists
     at every stage by Hall's condition for regular bipartite multigraphs) and
     subtracts it. Rows and candidate columns are scanned in ascending order,
-    so the output is deterministic.
+    so the output is deterministic; augmenting paths are followed with an
+    explicit stack, so no dimension the bridge admits reaches the recursion
+    limit.
     """
     size = len(D)
     work = [list(row) for row in D]
@@ -842,26 +880,19 @@ def birkhoff_decompose(D: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
         raise ValueError("row and column sums must all be equal")
     s = sums.pop()
     perms = []
+    support = [[c for c, v in enumerate(row) if v > 0] for row in work]
     for _ in range(s):
         match_col = [-1] * size
-
-        def assign(r: int, visited: set) -> bool:
-            for c in range(size):
-                if work[r][c] > 0 and c not in visited:
-                    visited.add(c)
-                    if match_col[c] == -1 or assign(match_col[c], visited):
-                        match_col[c] = r
-                        return True
-            return False
-
         for r in range(size):
-            if not assign(r, set()):
+            if not _augment(support, match_col, r):
                 raise ValueError("no perfect matching on positive entries")
         perm = [0] * size
         for c, r in enumerate(match_col):
             perm[r] = c
         for r, c in enumerate(perm):
             work[r][c] -= 1
+            if not work[r][c]:
+                support[r].remove(c)
         perms.append(tuple(perm))
     return perms
 
@@ -902,7 +933,14 @@ def _det_is_zero(matrix: list[list[Entry]]) -> bool:
 
 def verify_numfield_certificate(alpha: Entry, n: int,
                                 perms: Sequence[Sequence[int]]) -> bool:
-    """Check det(sum of permutation matrices - alpha*I) = 0 exactly."""
+    """Check det(S - alpha*I) = 0 exactly, S the sum of the permutation matrices.
+
+    Needs no witness and runs over the integers. For rational alpha the
+    matrix is S - alpha*I itself. Otherwise it is f(S) with f(x) = x^2 -
+    tr(alpha)*x + N(alpha) the minimal polynomial of alpha: det f(S) is
+    Norm(det(S - alpha*I)), which vanishes exactly when det(S - alpha*I)
+    does. S^2 is accumulated as the sum of the products P_i P_j.
+    """
     perms = [tuple(p) for p in perms]
     if len(perms) != n - 1:
         raise ValueError(f"expected {n - 1} permutations, got {len(perms)}")
@@ -910,17 +948,20 @@ def verify_numfield_certificate(alpha: Entry, n: int,
     for p in perms:
         if len(p) != size or sorted(p) != list(range(size)):
             raise ValueError("malformed permutation")
-    S = [[0] * size for _ in range(size)]
-    for p in perms:
-        for k, image in enumerate(p):
-            S[k][image] += 1
-    if isinstance(alpha, QuadInt):
-        K = alpha.field
-        mat = [[K.element(S[i][j]) - (alpha if i == j else K.zero)
-                for j in range(size)] for i in range(size)]
+    if isinstance(alpha, QuadInt) and not alpha.is_rational:
+        mat = [[0] * size for _ in range(size)]
+        trace = alpha.trace()
+        for p in perms:
+            for k, image in enumerate(p):
+                mat[k][image] -= trace
+                for q in perms:
+                    mat[k][q[image]] += 1
+        diagonal = alpha.norm()
     else:
-        mat = [[S[i][j] - (alpha if i == j else 0)
-                for j in range(size)] for i in range(size)]
+        mat = [list(row) for row in permutation_sum(perms, size)]
+        diagonal = -alpha.x if isinstance(alpha, QuadInt) else -alpha
+    for k in range(size):
+        mat[k][k] += diagonal
     return _det_is_zero(mat)
 
 
@@ -960,7 +1001,10 @@ def numfield_pipeline(K: QuadField, alpha: Entry, n: int = 3,
             last_error = err
             continue
         perms = birkhoff_decompose(bridge.matrix)
-        if not verify_numfield_certificate(alpha, n, perms):
+        # perron_bridge checked the eigen identity; a nonzero eigenvector of
+        # the matrix the split sums back to proves the determinant vanishes
+        if (permutation_sum(perms, len(bridge.matrix)) != bridge.matrix
+                or not any(bridge.eigenvector)):
             last_error = BridgeError("decomposed certificate failed verification",
                                      matrix=bridge.matrix)
             continue

@@ -7,8 +7,11 @@ the document itself:
                membership, balance, and certificate binding are all re-derived
   certificate  permutation certificate; kernel relations and row sums re-checked
   extremal     extremal triple; order-bound arithmetic recomputed from scratch
-  numfield     doubly regular matrix over a quadratic field; permutation split,
-               eigen identity, and singularity re-checked exactly
+  numfield     doubly regular matrix over a quadratic field; permutation split
+               and eigen identity with a nonzero witness re-checked exactly
+
+Singularity is never re-derived: the nonzero kernel vector or eigenvector a
+document carries, checked against the defining equations, is its proof.
 
 Emission is canonical (sorted keys, fixed indentation, deterministic list
 orders), so serialize -> parse -> serialize is byte-stable.
@@ -26,12 +29,11 @@ from .core import (
     BalancedMultiset,
     CoeffTuple,
     PermutationCertificate,
-    balanced_from_certificate,
     certificate_from_balanced,
     verify_certificate,
 )
-from .errors import NoRelationError, ParseError
-from .numfield import NumfieldCertificate, matrix_fixes, verify_numfield_certificate
+from .errors import ParseError
+from .numfield import NumfieldCertificate, matrix_fixes, permutation_sum
 from .quadratic import QuadField, format_quadint, parse_quadint
 
 VERIFIABLE_KINDS = ("balanced", "certificate", "extremal", "numfield")
@@ -167,10 +169,6 @@ def _verify_fqt_multiset(doc: dict) -> bool:
             return False
         if certificate_from_balanced(a.coeffs, b) != cert:
             return False
-        try:
-            balanced_from_certificate(a, cert.perms)
-        except NoRelationError:
-            return False
     return True
 
 
@@ -249,23 +247,14 @@ def _verify_numfield(doc: dict) -> bool:
     if any(len(row) != dim for row in matrix):
         return False
     perms = _zero_based(doc["permutations"], dim)
-    if perms is None or len(perms) != n - 1:
+    if not perms or len(perms) != n - 1:
         return False
-    summed = [[0] * dim for _ in range(dim)]
-    for p in perms:
-        for k, image in enumerate(p):
-            summed[k][image] += 1
-    if tuple(map(tuple, summed)) != matrix:
+    if permutation_sum(perms, dim) != matrix:
         return False
     vec = tuple(parse_quadint(K, s) for s in doc["eigenvector"])
     if len(vec) != dim or not any(bool(v) for v in vec):
         return False
-    if not matrix_fixes(matrix, vec, alpha):
-        return False
-    try:
-        return verify_numfield_certificate(alpha, n, perms)
-    except ValueError:
-        return False
+    return matrix_fixes(matrix, vec, alpha)
 
 
 def verify_doc(doc: dict) -> bool:

@@ -1,4 +1,6 @@
 """End-to-end command line tests through main()."""
+import concurrent.futures
+import io
 import json
 import os
 
@@ -226,6 +228,27 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "/nonexistent/cert.json")
         assert code == 2
 
+    def test_dimension_1030_numfield_certificate(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "numfield", "--m", "-1", "--alpha", "1+w",
+                           "--n", "5")
+        assert code == 0
+        assert json.loads(out)["dimension"] == 1030
+        path = tmp_path / "numfield.json"
+        path.write_text(out)
+        code, out2, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert json.loads(out2)["verified"] is True
+
+    def test_dimension_511_certificate_from_stdin(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "certify", "--q", "2",
+                           "--coeffs", "1;t;t+1", "--N", "5")
+        assert code == 0
+        assert json.loads(out)["m"] == 511
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        code, out2, _ = run(capsys, "verify", "-")
+        assert code == 0
+        assert json.loads(out2)["verified"] is True
+
 
 class TestBatch:
     def grid(self, tmp_path, rows):
@@ -257,6 +280,36 @@ class TestBatch:
         _, out2, _ = run(capsys, "batch", "--grid", path, "--format", "csv",
                          "--jobs", "2")
         assert out1 == out2
+
+    @pytest.mark.parametrize("cpus,rows,expected", [(8, 3, 3), (2, 4, 2), (None, 4, None)])
+    def test_jobs_capped_by_rows_and_cpus(self, capsys, tmp_path, monkeypatch,
+                                          cpus, rows, expected):
+        started = []
+
+        class RecordingPool:
+            """Runs rows in this process and records the requested pool size."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        path = self.grid(tmp_path, ["2,1,1;t;t+1", "2,2,1;t;t+1", "3,1,1;t;t+1",
+                                    "2,1,1;1;t"][:rows])
+        _, sequential, _ = run(capsys, "batch", "--grid", path, "--format", "csv")
+        _, capped, _ = run(capsys, "batch", "--grid", path, "--format", "csv",
+                           "--jobs", "1000000")
+        assert started == ([expected] if expected else [])
+        assert capped == sequential
 
 
 class TestBudgetEnv:

@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smyth.core import BalancedMultiset
 from smyth.errors import (
@@ -10,12 +12,14 @@ from smyth.errors import (
     TupleArityError,
 )
 from smyth.numfield import (
+    _det_is_zero,
     birkhoff_decompose,
     covering_radius_squared,
     frac_sqrt_upper,
     lattice_rounding_step,
     matrix_fixes,
     numfield_pipeline,
+    permutation_sum,
     perron_bridge,
     rou_relation_search,
     rou_twist,
@@ -23,13 +27,58 @@ from smyth.numfield import (
     unimodular_extract,
     verify_numfield_certificate,
 )
-from smyth.quadratic import QuadField
+from smyth.quadratic import QuadField, parse_quadint
 
 GAUSS = QuadField(-1)
 M7 = QuadField(-7)
 M15 = QuadField(-15)
 M2 = QuadField(-2)
 REAL2 = QuadField(2)
+
+
+def recursive_birkhoff(D):
+    """Reference split: Kuhn's matching by recursion, columns in ascending order."""
+    size = len(D)
+    work = [list(row) for row in D]
+    perms = []
+    for _ in range(sum(work[0])):
+        match_col = [-1] * size
+
+        def assign(r, visited):
+            for c in range(size):
+                if work[r][c] > 0 and c not in visited:
+                    visited.add(c)
+                    if match_col[c] == -1 or assign(match_col[c], visited):
+                        match_col[c] = r
+                        return True
+            return False
+
+        for r in range(size):
+            assert assign(r, set())
+        perm = [0] * size
+        for c, r in enumerate(match_col):
+            perm[r] = c
+        for r, c in enumerate(perm):
+            work[r][c] -= 1
+        perms.append(tuple(perm))
+    return perms
+
+
+def quadint_det_verdict(alpha, perms):
+    """Reference for verify_numfield_certificate: Bareiss on S - alpha*I
+    over the quadratic ring itself."""
+    K = alpha.field
+    size = len(perms[0])
+    S = permutation_sum(perms, size)
+    return _det_is_zero([[K.element(S[i][j]) - (alpha if i == j else K.zero)
+                          for j in range(size)] for i in range(size)])
+
+
+@st.composite
+def permutation_sets(draw, max_size=7, min_count=1, max_count=4):
+    size = draw(st.integers(1, max_size))
+    count = draw(st.integers(min_count, max_count))
+    return [tuple(draw(st.permutations(range(size)))) for _ in range(count)]
 
 
 class TestStrongCriteria:
@@ -266,6 +315,23 @@ class TestBirkhoff:
         with pytest.raises(ValueError):
             birkhoff_decompose(((2, -1), (-1, 2)))
 
+    def test_augmenting_path_longer_than_recursion_limit(self):
+        # the last row's first open column, 0, is taken, and freeing it
+        # shifts every other row by one: an augmenting path through all rows
+        n = 1200
+        D = [[0] * n for _ in range(n)]
+        for i in range(n):
+            D[i][i] = D[i][(i + 1) % n] = 1
+        perms = birkhoff_decompose(D)
+        assert perms[0] == tuple(range(1, n)) + (0,)
+        assert permutation_sum(perms, n) == tuple(map(tuple, D))
+
+    @given(permutation_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_recursive_reference(self, perms):
+        D = permutation_sum(perms, len(perms[0]))
+        assert birkhoff_decompose(D) == recursive_birkhoff(D)
+
 
 class TestVerifyNumfieldCertificate:
     def test_integer_eigenvalue_two(self):
@@ -282,6 +348,30 @@ class TestVerifyNumfieldCertificate:
     def test_perm_count_guard(self):
         with pytest.raises(ValueError):
             verify_numfield_certificate(2, 4, ((0, 1), (0, 1)))
+
+    @given(st.sampled_from([-1, -2, -3, -7, -15, 2, 3, 5]), st.integers(-3, 3),
+           st.integers(-3, 3), permutation_sets(max_size=6, min_count=2))
+    # irrational eigenvalues: 1 + i and 1 + w (w a sixth root of unity) from
+    # a cycle plus the identity; -w (w the golden ratio) from a 5-cycle
+    # plus its inverse
+    @example(-1, 1, 1, [(1, 2, 3, 0), (0, 1, 2, 3)])
+    @example(-3, 1, 1, [(1, 2, 3, 4, 5, 0), (0, 1, 2, 3, 4, 5)])
+    @example(5, 0, -1, [(1, 2, 3, 4, 0), (4, 0, 1, 2, 3)])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_quadint_reference(self, m, x, y, perms):
+        alpha = QuadField(m).element(x, y)
+        assert (verify_numfield_certificate(alpha, len(perms) + 1, perms)
+                == quadint_det_verdict(alpha, perms))
+
+    @pytest.mark.parametrize("m,alpha,n", [(-3, "w", 3), (-7, "w", 3), (-7, "w", 4),
+                                           (-1, "w", 3), (2, "w", 5)])
+    def test_pipeline_outputs_match_quadint_reference(self, m, alpha, n):
+        K = QuadField(m)
+        cert = numfield_pipeline(K, parse_quadint(K, alpha), n=n)
+        for a in (cert.alpha, cert.alpha.conj(), cert.alpha + 1):
+            verdict = verify_numfield_certificate(a, n, cert.perms)
+            assert verdict == quadint_det_verdict(a, cert.perms)
+            assert verdict == (a != cert.alpha + 1)
 
 
 class TestPipeline:

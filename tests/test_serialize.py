@@ -8,7 +8,7 @@ from smyth.bounds import construct_extremal_fqt, construct_extremal_int
 from smyth.core import BalancedMultiset, CoeffTuple, balanced_multiset
 from smyth.errors import ParseError
 from smyth.numfield import numfield_pipeline
-from smyth.quadratic import QuadField
+from smyth.quadratic import QuadField, format_quadint, parse_quadint
 from smyth.serialize import (
     canonical_json,
     csv_table,
@@ -153,11 +153,84 @@ class TestNumfieldRoundTrip:
         doc["alpha"] = "1+w"
         assert verify_doc(doc) is False
 
+    def test_no_permutations_fails(self):
+        # a zero matrix fixes any vector with alpha = 0, but the split of a
+        # certificate has n - 1 >= 1 permutations
+        doc = {"kind": "numfield", "m": -1, "omega": "sqrt", "alpha": "0", "n": 1,
+               "matrix": [[0, 0], [0, 0]], "permutations": [],
+               "eigenvector": ["1", "0"]}
+        assert verify_doc(doc) is False
+
     def test_wrong_omega_label_fails(self):
         K = QuadField(-7)
         doc = json.loads(canonical_json(numfield_doc(numfield_pipeline(K, K.omega, n=3))))
         doc["omega"] = "sqrt"
         assert verify_doc(doc) is False
+
+
+def _witness_docs():
+    F3 = FieldParams(3)
+    int_b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)], validate=True)
+    a3 = CoeffTuple.make(F3, [parse_poly(F3, s) for s in ("2", "t", "2*t+1")])
+    return [
+        pytest.param(fqt_doc(N=2, kind="balanced"), id="fqt-q2-balanced"),
+        pytest.param(fqt_doc(N=2, kind="certificate"), id="fqt-q2-certificate"),
+        pytest.param(multiset_doc(balanced_multiset(a3, 2), kind="certificate", N=2),
+                     id="fqt-q3-certificate"),
+        pytest.param(multiset_doc(int_b, kind="balanced"), id="int-balanced"),
+        pytest.param(numfield_doc(numfield_pipeline(QuadField(-7), QuadField(-7).omega, n=3)),
+                     id="numfield-m-7"),
+        pytest.param(numfield_doc(numfield_pipeline(QuadField(-1), QuadField(-1).omega, n=4)),
+                     id="numfield-m-1-n4"),
+    ]
+
+
+def _shifted(doc, value):
+    """value plus one, in the ring of the document."""
+    if doc["kind"] == "numfield":
+        return format_quadint(parse_quadint(QuadField(doc["m"]), value) + 1)
+    if doc["ring"] == "int":
+        return value + 1
+    field = FieldParams(doc["q"])
+    return str(parse_poly(field, value) + field.one)
+
+
+def _single_field_tampers(doc):
+    """Every one-field edit of each kind the witness checks must catch."""
+    if doc["kind"] == "numfield":
+        bad = json.loads(canonical_json(doc))
+        bad["alpha"] = _shifted(doc, doc["alpha"])
+        yield "alpha", bad
+        for k, value in enumerate(doc["eigenvector"]):
+            bad = json.loads(canonical_json(doc))
+            bad["eigenvector"][k] = _shifted(doc, value)
+            yield f"eigenvector[{k}]", bad
+    else:
+        for k, value in enumerate(doc["kernel_vector"]):
+            bad = json.loads(canonical_json(doc))
+            bad["kernel_vector"][k] = _shifted(doc, value)
+            yield f"kernel_vector[{k}]", bad
+        for r, row in enumerate(doc["tuples"]):
+            for i, value in enumerate(row):
+                bad = json.loads(canonical_json(doc))
+                bad["tuples"][r][i] = _shifted(doc, value)
+                yield f"tuples[{r}][{i}]", bad
+    for i, perm in enumerate(doc["permutations"]):
+        for k in range(len(perm) - 1):
+            bad = json.loads(canonical_json(doc))
+            row = bad["permutations"][i]
+            row[k], row[k + 1] = row[k + 1], row[k]
+            yield f"permutations[{i}] swap {k}", bad
+
+
+class TestWitnessTampers:
+    @pytest.mark.parametrize("doc", _witness_docs())
+    def test_every_single_field_tamper_fails(self, doc):
+        assert verify_doc(parse_json(canonical_json(doc))) is True
+        tampers = list(_single_field_tampers(doc))
+        assert tampers
+        for label, bad in tampers:
+            assert verify_doc(bad) is False, label
 
 
 class TestCsvTable:
