@@ -3,9 +3,9 @@ equality-case extraction, and the lattice-rounding certificate pipeline.
 
 Scope is quadratic fields. Rank at most 2 keeps every geometric step exact:
 the covering radius comes from the circumradius formula on a Lagrange-reduced
-superbase, closest points are found by exhaustive comparison of rational
-squared distances, and eigenvalue claims are settled by an exact eigen
-identity with a nonzero witness. Nothing in a pass/fail path rounds.
+superbase, closest points by exact comparison among the lattice points within
+the covering radius, and eigenvalue claims by an exact eigen identity with a
+nonzero witness. Nothing in a pass/fail path rounds.
 
 The pipeline for tuples (1, ..., 1, -alpha):
 
@@ -461,30 +461,41 @@ def _alpha_abs_upper(alpha: QuadInt) -> Fraction:
     return abs(u) + abs(v) * frac_sqrt_upper(Fraction(K.m))
 
 
-def _ball_points(K: QuadField, alpha: QuadInt, r_squared: Fraction) -> list[QuadInt]:
-    """All points of Z[alpha] with ambient form at most r_squared, sorted."""
-    one = K.one
-    q1 = Fraction(one.abs_squared())
-    if alpha.is_rational:
-        kmax = math.isqrt(math.floor(r_squared / q1))
-        pts = [K.element(k) for k in range(-kmax, kmax + 1)]
-    else:
-        g01 = _inner(one, alpha)
-        g11 = Fraction(alpha.abs_squared())
-        det = q1 * g11 - g01 * g01
-        smax = math.isqrt(math.floor(r_squared * q1 / det))
-        pts = []
-        for s in range(-smax, smax + 1):
-            disc = r_squared * q1 - det * s * s
-            up = frac_sqrt_upper(disc)
-            p_lo = math.ceil((-g01 * s - up) / q1)
-            p_hi = math.floor((-g01 * s + up) / q1)
-            for p in range(p_lo, p_hi + 1):
-                z = K.element(p + s * alpha.x, s * alpha.y)
-                if z.abs_squared() <= r_squared:
-                    pts.append(z)
-    pts.sort(key=lambda z: (z.abs_squared(), z.sort_key))
-    return pts
+def _points_near(K: QuadField, alpha: QuadInt, r_squared: Fraction):
+    """Lister of the points of Z[alpha] within ambient distance^2 r_squared of a centre.
+
+    The returned function maps a centre tx + ty*w = a + b*alpha to entries
+    (distance^2, sort_key, point), whose order is the (distance, sort_key)
+    order. Completing the square of the form in the basis (1, alpha) bounds
+    the rows s of the points p + s*alpha, then p on each row; frac_sqrt_upper
+    only widens the bounds and the exact filter drops what they let through.
+    In rank 1 (rational alpha) the only row is s = 0 and ty must be 0.
+    """
+    q1 = Fraction(K.one.abs_squared())
+    width = r_squared * q1
+    ax, ay = alpha.x, alpha.y
+    g01 = _inner(K.one, alpha)
+    det = q1 * alpha.abs_squared() - g01 * g01
+    s_half = frac_sqrt_upper(width / det) if ay else 0
+
+    def near(tx: Fraction, ty: Fraction) -> list[tuple[Fraction, tuple[int, int], QuadInt]]:
+        b = Fraction(ty, ay) if ay else Fraction(0)
+        a = tx - b * ax
+        found = []
+        for s in range(math.ceil(b - s_half), math.floor(b + s_half) + 1):
+            disc = width - det * (s - b) ** 2
+            if disc < 0:
+                continue
+            mid = a - g01 * (s - b) / q1
+            up = frac_sqrt_upper(disc) / q1
+            for p in range(math.ceil(mid - up), math.floor(mid + up) + 1):
+                x, y = p + s * ax, s * ay
+                dist = K.ambient_q(tx - x, ty - y)
+                if dist <= r_squared:
+                    found.append((dist, (x, y), K.element(x, y)))
+        return found
+
+    return near
 
 
 @dataclass(frozen=True)
@@ -506,6 +517,9 @@ def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
     upper(|alpha|)/(n-1)*R + (n-2)*upper(M) < R, which guarantees both the
     rounded point z_1 and the remainder z_2 = alpha*z - (n-2)*z_1 stay in
     the ball. radius_factor doubles R that many extra times for retries.
+    z_1 is nearest to t = alpha*z/(n-1), ties broken by sort_key. Every
+    nearest point lies within M of t and |t| + M < R, so comparing the few
+    points of Z[alpha] within M of t finds what a scan of the ball would.
     Rows are built as (n-2) units on z_1 plus one on z_2 and the identity
     C.z = alpha*z is asserted entry by entry.
     """
@@ -535,27 +549,22 @@ def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
     k += radius_factor
     radius = Fraction(2) ** k
     r_squared = radius * radius
-    points = _ball_points(K, alpha, r_squared)
+    points = [z for _, _, z in sorted(_points_near(K, alpha, r_squared)(0, 0))]
     index = {z: i for i, z in enumerate(points)}
     size = len(points)
+    nearest = _points_near(K, alpha, m_squared)
     rows = []
     for z in points:
         w = alpha * z
-        tx = Fraction(w.x, n - 1)
-        ty = Fraction(w.y, n - 1)
-        best = None
-        for cand in points:
-            dist = K.ambient_q(tx - cand.x, ty - cand.y)
-            key = (dist, cand.sort_key)
-            if best is None or key < best[0]:
-                best = (key, cand)
-        z1 = best[1]
+        _, _, z1 = min(nearest(Fraction(w.x, n - 1), Fraction(w.y, n - 1)))
         z2 = w - (n - 2) * z1
-        j2 = index.get(z2)
+        j1, j2 = index.get(z1), index.get(z2)
+        if j1 is None:
+            raise AssertionError("rounded point escaped the ball")
         if j2 is None:
             raise AssertionError("remainder point escaped the ball")
         row = [0] * size
-        row[index[z1]] += n - 2
+        row[j1] += n - 2
         row[j2] += 1
         rows.append(tuple(row))
     matrix = tuple(rows)
@@ -944,6 +953,8 @@ def verify_numfield_certificate(alpha: Entry, n: int,
     perms = [tuple(p) for p in perms]
     if len(perms) != n - 1:
         raise ValueError(f"expected {n - 1} permutations, got {len(perms)}")
+    if not perms or not perms[0]:
+        raise ValueError("need at least one nonempty permutation")
     size = len(perms[0])
     for p in perms:
         if len(p) != size or sorted(p) != list(range(size)):

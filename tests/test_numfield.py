@@ -1,8 +1,9 @@
 """Number field pipeline tests: criteria, relations, lattices, certificates."""
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from smyth.core import BalancedMultiset
@@ -12,7 +13,9 @@ from smyth.errors import (
     TupleArityError,
 )
 from smyth.numfield import (
+    LatticeStep,
     _det_is_zero,
+    _inner,
     birkhoff_decompose,
     covering_radius_squared,
     frac_sqrt_upper,
@@ -27,7 +30,7 @@ from smyth.numfield import (
     unimodular_extract,
     verify_numfield_certificate,
 )
-from smyth.quadratic import QuadField, parse_quadint
+from smyth.quadratic import QuadField, SqrtSum, parse_quadint, quadint_abs
 
 GAUSS = QuadField(-1)
 M7 = QuadField(-7)
@@ -72,6 +75,48 @@ def quadint_det_verdict(alpha, perms):
     S = permutation_sum(perms, size)
     return _det_is_zero([[K.element(S[i][j]) - (alpha if i == j else K.zero)
                           for j in range(size)] for i in range(size)])
+
+
+def reference_ball_points(K, alpha, r_squared):
+    """Reference ball: the points of Z[alpha] with ambient form at most
+    r_squared, row by row about 0, sorted by (form, sort_key)."""
+    one = K.one
+    q1 = Fraction(one.abs_squared())
+    if alpha.is_rational:
+        kmax = math.isqrt(math.floor(r_squared / q1))
+        pts = [K.element(k) for k in range(-kmax, kmax + 1)]
+    else:
+        g01 = _inner(one, alpha)
+        det = q1 * Fraction(alpha.abs_squared()) - g01 * g01
+        smax = math.isqrt(math.floor(r_squared * q1 / det))
+        pts = []
+        for s in range(-smax, smax + 1):
+            up = frac_sqrt_upper(r_squared * q1 - det * s * s)
+            for p in range(math.ceil((-g01 * s - up) / q1),
+                           math.floor((-g01 * s + up) / q1) + 1):
+                z = K.element(p + s * alpha.x, s * alpha.y)
+                if z.abs_squared() <= r_squared:
+                    pts.append(z)
+    pts.sort(key=lambda z: (z.abs_squared(), z.sort_key))
+    return pts
+
+
+def scan_rounding_step(K, alpha, n, r_squared):
+    """Reference for lattice_rounding_step: each nearest point found by
+    scanning every ball point, O(P^2) comparisons."""
+    points = reference_ball_points(K, alpha, r_squared)
+    index = {z: i for i, z in enumerate(points)}
+    rows = []
+    for z in points:
+        w = alpha * z
+        tx, ty = Fraction(w.x, n - 1), Fraction(w.y, n - 1)
+        z1 = min(points, key=lambda c: (K.ambient_q(tx - c.x, ty - c.y), c.sort_key))
+        row = [0] * len(points)
+        row[index[z1]] += n - 2
+        row[index[w - (n - 2) * z1]] += 1
+        rows.append(tuple(row))
+    return LatticeStep(matrix=tuple(rows), points=tuple(points), radius_squared=r_squared,
+                       covering_radius_squared=covering_radius_squared(K, alpha), n=n)
 
 
 @st.composite
@@ -257,6 +302,26 @@ class TestLatticeRoundingStep:
                 acc = acc + e * step.points[j]
             assert acc == alpha * step.points[i]
 
+    # real fields (the golden ratio among them), half-integer rings and
+    # rational alpha; |alpha| <= n - 2 keeps the ball, and the scan, small
+    @given(st.sampled_from([2, 5, -1, -2, -3, -7, -15]), st.integers(-2, 2),
+           st.integers(-1, 1), st.integers(3, 4), st.integers(0, 1))
+    @example(5, 0, 1, 4, 0)
+    @example(2, 0, 1, 4, 0)
+    @example(-3, 0, 1, 3, 1)
+    @example(-15, 0, 1, 4, 0)
+    @example(-7, 0, 1, 4, 0)
+    @example(-7, -2, 0, 4, 1)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_scan_reference(self, m, x, y, n, radius_factor):
+        K = QuadField(m)
+        alpha = K.element(x, y)
+        assume(alpha and all(quadint_abs(alpha, place) <= SqrtSum.rational(n - 2)
+                             for place in range(K.places)))
+        step = lattice_rounding_step(K, alpha, n, radius_factor)
+        assume(len(step.points) <= 120)
+        assert step == scan_rounding_step(K, alpha, n, step.radius_squared)
+
 
 class TestPerronBridge:
     def test_as_given_when_doubly_regular(self):
@@ -348,6 +413,11 @@ class TestVerifyNumfieldCertificate:
     def test_perm_count_guard(self):
         with pytest.raises(ValueError):
             verify_numfield_certificate(2, 4, ((0, 1), (0, 1)))
+
+    @pytest.mark.parametrize("n,perms", [(1, ()), (2, ((),)), (3, ((), ()))])
+    def test_no_permutation_entries_rejected(self, n, perms):
+        with pytest.raises(ValueError):
+            verify_numfield_certificate(2, n, perms)
 
     @given(st.sampled_from([-1, -2, -3, -7, -15, 2, 3, 5]), st.integers(-3, 3),
            st.integers(-3, 3), permutation_sets(max_size=6, min_count=2))
