@@ -1,4 +1,4 @@
-"""Exact arithmetic over F_q[t] and F_q(t), plus integer factoring utilities.
+"""Exact arithmetic over F_q[t], fraction-free elimination, and integer factoring.
 
 Polynomials are held as dense coefficient tuples in ascending degree with no
 trailing zeros, so each residue class has exactly one representation and
@@ -246,6 +246,11 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
+    def exact_div(self, other: "Poly") -> "Poly | None":
+        """self / other when other divides self, else None."""
+        quot, rem = divmod(self, other)
+        return None if rem else quot
+
     def monic(self) -> "Poly":
         if self.is_zero or self.lc == 1:
             return self
@@ -289,6 +294,8 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(t(?:\^(\d+))?)?$")
 
 def parse_poly(field: FieldParams, text: str) -> Poly:
     """Parse polynomial text in any term order, e.g. '1+t+1*t^2'."""
+    if not isinstance(text, str):
+        raise ParseError(f"polynomial text must be a string, not {type(text).__name__}")
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty polynomial text")
@@ -317,11 +324,6 @@ def parse_poly(field: FieldParams, text: str) -> Poly:
     for k, c in coeffs.items():
         out[k] = c
     return Poly(field, _trim(out))
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder with deg r < deg b."""
-    return divmod(a, b)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -514,135 +516,73 @@ def _random_irreducible(field: FieldParams, degree: int, rng: random.Random) -> 
             return f
 
 
-@dataclass(frozen=True, slots=True)
-class RatFunc:
-    """Reduced fraction of polynomials with a monic denominator."""
-
-    num: Poly
-    den: Poly
-
-    @classmethod
-    def make(cls, num: Poly, den: Poly) -> "RatFunc":
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            return cls(num, num.field.one)
-        g = poly_gcd(num, den)
-        num, den = num // g, den // g
-        inv = pow(den.lc, -1, den.field.q)
-        c = den.field.constant(inv)
-        return cls(num * c, den * c)
-
-    @classmethod
-    def of(cls, p) -> "RatFunc":
-        if isinstance(p, RatFunc):
-            return p
-        return cls(p, p.field.one) if not p.is_zero else cls(p, p.field.one)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __bool__(self) -> bool:
-        return not self.num.is_zero
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc.make(self.num * other.den, self.den * other.num)
-
-    def __str__(self) -> str:
-        if self.den.is_one:
-            return format_poly(self.num)
-        return f"({format_poly(self.num)})/({format_poly(self.den)})"
+def _exact_div(a, b):
+    """a / b where b divides a in their ring; ArithmeticError otherwise."""
+    if isinstance(a, int):
+        quot, rem = divmod(a, b)
+        if rem:
+            raise ArithmeticError("inexact integer division in elimination")
+        return quot
+    quot = a.exact_div(b)
+    if quot is None:
+        raise ArithmeticError("inexact ring division in elimination")
+    return quot
 
 
-def _as_ratfunc_matrix(matrix: Sequence[Sequence]) -> list[list[RatFunc]]:
-    rows = [[RatFunc.of(e) if not isinstance(e, RatFunc) else e for e in row] for row in matrix]
-    m = len(rows)
-    if any(len(r) != m for r in rows):
-        raise ValueError("matrix must be square")
-    return rows
+def kernel_basis(matrix: Sequence[Sequence]) -> list[list]:
+    """A basis of the right kernel of a matrix over Z, F_q[t] or a quadratic ring.
 
-
-def ff_kernel(matrix: Sequence[Sequence]) -> list[RatFunc] | None:
-    """One nonzero kernel vector of a square matrix over F_q(t), or None.
-
-    Entries may be Poly or RatFunc. Deterministic: reduced row echelon form
-    with the first free column set to 1.
+    Fraction-free throughout: Bareiss elimination (Math. Comp. 1968) brings
+    the rows to echelon form, each entry then a minor of the input, and back
+    substitution solves for one vector per free column, whose entries are
+    minors again by Cramer's rule, so every division is exact. The vector
+    for free column f is zero at the other free columns and at the pivot
+    columns after f; its entry at f is the leading minor on the pivots
+    before f, so f is its last nonzero entry. Returns [] when the columns
+    are independent. Entries share one ring, with ints mixing in freely.
     """
-    rows = _as_ratfunc_matrix(matrix)
-    m = len(rows)
-    if m == 0:
+    rows = [list(row) for row in matrix]
+    if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
-    field = rows[0][0].num.field
-    one = RatFunc.of(field.one)
-    zero = RatFunc.of(field.zero)
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("matrix rows must have equal length")
+    sample = next((e for row in rows for e in row if not isinstance(e, int)), 0)
+    zero = sample * 0
+    one = zero + 1
+    rows = [[zero + e for e in row] for row in rows]
     pivots: list[int] = []
-    r = 0
-    for col in range(m):
-        pivot_row = None
-        for i in range(r, m):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    prev = one
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = one / rows[r][col]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    if r == m:
-        return None
-    free = next(c for c in range(m) if c not in pivots)
-    v = [zero] * m
-    v[free] = one
-    for prow, pcol in enumerate(pivots):
-        v[pcol] = -rows[prow][free]
-    return v
-
-
-def rf_det(matrix: Sequence[Sequence]) -> RatFunc:
-    """Determinant over F_q(t) by Gaussian elimination."""
-    rows = _as_ratfunc_matrix(matrix)
-    m = len(rows)
-    field = rows[0][0].num.field
-    det = RatFunc.of(field.one)
-    for col in range(m):
-        pivot_row = None
-        for i in range(col, m):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return RatFunc.of(field.zero)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        p = rows[col][col]
-        det = det * p
-        for i in range(col + 1, m):
-            if rows[i][col]:
-                f = rows[i][col] / p
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return det
+        rows[r], rows[found] = rows[found], rows[r]
+        top = rows[r]
+        p = top[c]
+        for row in rows[r + 1:]:
+            f = row[c]
+            for j in range(c + 1, ncols):
+                num = row[j] * p - f * top[j]
+                row[j] = _exact_div(num, prev) if r else num
+            row[c] = zero
+        pivots.append(c)
+        prev = p
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        t = sum(1 for c in pivots if c < free)
+        v = [zero] * ncols
+        v[free] = rows[t - 1][pivots[t - 1]] if t else one
+        for k in range(t - 1, -1, -1):
+            s = zero
+            for c in pivots[k + 1:t] + [free]:
+                s = s + rows[k][c] * v[c]
+            v[pivots[k]] = _exact_div(-s, rows[k][pivots[k]])
+        basis.append(v)
+    return basis
 
 
 def _floyd_split(n: int) -> int:

@@ -26,7 +26,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import FieldParams, Poly, many_gcd, poly_lcm, ff_kernel
+from .algebra import FieldParams, Poly, kernel_basis, many_gcd
 from .errors import (
     BudgetExceededError,
     NotSmythTupleError,
@@ -401,15 +401,18 @@ def combination_matrix(a: CoeffTuple, perms: Sequence[Sequence[int]]) -> list[li
     return rows
 
 
-def verify_certificate(a: CoeffTuple, cert: PermutationCertificate) -> bool:
+def verify_certificate(a, cert: PermutationCertificate) -> bool:
     """Recheck a certificate from scratch.
 
-    The row relations are verified exactly. A nonzero kernel vector that
+    a is a CoeffTuple or a plain coefficient tuple over any exact ring. The
+    row relations are verified exactly. A nonzero kernel vector that
     satisfies them is itself the proof that sum(a_i X_i) is singular, so no
     determinant is computed.
     """
-    if len(cert.perms) != a.n:
-        raise ValueError(f"certificate has {len(cert.perms)} permutations, tuple has arity {a.n}")
+    coeffs = a.coeffs if isinstance(a, CoeffTuple) else tuple(a)
+    if len(cert.perms) != len(coeffs):
+        raise ValueError(f"certificate has {len(cert.perms)} permutations, "
+                         f"tuple has arity {len(coeffs)}")
     m = cert.m
     if len(cert.kernel) != m:
         raise ValueError("kernel vector length differs from certificate dimension")
@@ -419,40 +422,30 @@ def verify_certificate(a: CoeffTuple, cert: PermutationCertificate) -> bool:
     if not any(bool(v) for v in cert.kernel):
         return False
     v = cert.kernel
-    for k in range(m):
-        s = 0
-        for i in range(a.n):
-            s = s + a.coeffs[i] * v[cert.perms[i][k]]
-        if s:
-            return False
-    return True
+    return all(relation_holds(coeffs, [v[p[k]] for p in cert.perms]) for k in range(m))
 
 
 def balanced_from_certificate(a: CoeffTuple, perms: Sequence[Sequence[int]]) -> BalancedMultiset:
     """Rebuild a balanced multiset from permutations alone.
 
-    Finds a nonzero kernel vector of sum(a_i X_i) by exact elimination,
-    clears denominators, reads off rows v_i = X_i v, and drops all-zero
+    Takes the first kernel vector of sum(a_i X_i) from fraction-free
+    elimination, divides out the gcd of its entries and makes its last
+    nonzero entry monic, reads off rows v_i = X_i v, and drops all-zero
     rows. Raises NoRelationError when the matrix is nonsingular.
     """
     if len(perms) != a.n:
         raise ValueError(f"got {len(perms)} permutations for arity {a.n}")
     m = len(perms[0])
     _validate_perms(perms, m)
-    matrix = combination_matrix(a, perms)
-    kv = ff_kernel(matrix)
-    if kv is None:
+    basis = kernel_basis(combination_matrix(a, perms))
+    if not basis:
         raise NoRelationError(
             "sum(a_i X_i) is nonsingular: these permutations witness no relation"
         )
-    common = kv[0].den
-    for e in kv[1:]:
-        common = poly_lcm(common, e.den)
-    cleared = [kv[k].num * (common // kv[k].den) for k in range(m)]
-    nonzero = [w for w in cleared if not w.is_zero]
-    g = many_gcd(nonzero)
-    if not g.is_one:
-        cleared = [w // g for w in cleared]
+    v = basis[0]
+    g = many_gcd([w for w in v if w])
+    unit = pow(next(w for w in reversed(v) if w).lc, -1, a.field.q)
+    cleared = [w // g * unit for w in v]
     members = []
     for k in range(m):
         row = tuple(cleared[p[k]] for p in perms)

@@ -131,7 +131,6 @@ def p_n_closed_form(q: int, d: int, n: int, N: int,
 
 def model_rate(q: int, d: int, n: int, N: int) -> float:
     """Modelled per-trial success probability q^(-(N+d)*q^N) as a float."""
-    del n
     return math.exp(-(N + d) * q ** N * math.log(q))
 
 

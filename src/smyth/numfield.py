@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 
-from .algebra import euler_phi
+from .algebra import euler_phi, kernel_basis
 from .core import (
     DEFAULT_BUDGET,
     BalancedMultiset,
@@ -652,38 +652,6 @@ def _sccs(nodes: set, succ: dict) -> list[set]:
     return out
 
 
-def _fraction_kernel(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    mat = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, m) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    pivot_of = {c: i for i, c in enumerate(pivots)}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_of:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for c, i in pivot_of.items():
-            v[c] = -mat[i][free]
-        basis.append(v)
-    return basis
-
-
 def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
                   z: Sequence[QuadInt]) -> BridgeResult:
     """Rebalance a row-regular rounding matrix to equal column sums.
@@ -762,9 +730,9 @@ def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
         j1, j2 = decomp[i]
         sub[pos[i]][pos[j1]] += n - 2
         sub[pos[i]][pos[j2]] += 1
-    eig = [[Fraction(sub[c][r]) - (n - 1 if r == c else 0)
+    eig = [[sub[c][r] - (n - 1 if r == c else 0)
             for c in range(len(order))] for r in range(len(order))]
-    basis = _fraction_kernel(eig)
+    basis = kernel_basis(eig)
     if len(basis) != 1:
         raise BridgeError(
             f"left eigenspace has dimension {len(basis)}, expected 1",
@@ -774,14 +742,8 @@ def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
         vec = [-x for x in vec]
     if not all(x > 0 for x in vec):
         raise BridgeError("left eigenvector is not positive", matrix=matrix)
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    mult = {i: ints[pos[i]] // g for i in order}
+    g = math.gcd(*vec)
+    mult = {i: vec[pos[i]] // g for i in order}
 
     member_source = []
     for i in order:
@@ -910,41 +872,12 @@ def birkhoff_decompose(D: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 # certificate verification
 
 
-def _exact_div_entry(a: Entry, b: Entry) -> Entry:
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact integer division in elimination")
-        return q
-    q = a.exact_div(b)
-    if q is None:
-        raise ArithmeticError("inexact ring division in elimination")
-    return q
-
-
-def _det_is_zero(matrix: list[list[Entry]]) -> bool:
-    size = len(matrix)
-    mat = [row[:] for row in matrix]
-    prev: Entry = 1
-    for k in range(size - 1):
-        if not mat[k][k]:
-            swap = next((i for i in range(k + 1, size) if mat[i][k]), None)
-            if swap is None:
-                return True
-            mat[k], mat[swap] = mat[swap], mat[k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
-                mat[i][j] = num if prev == 1 else _exact_div_entry(num, prev)
-        prev = mat[k][k]
-    return not mat[size - 1][size - 1]
-
-
 def verify_numfield_certificate(alpha: Entry, n: int,
                                 perms: Sequence[Sequence[int]]) -> bool:
     """Check det(S - alpha*I) = 0 exactly, S the sum of the permutation matrices.
 
-    Needs no witness and runs over the integers. For rational alpha the
+    Needs no witness: the integer matrix below is singular exactly when
+    kernel_basis finds a kernel vector. For rational alpha the
     matrix is S - alpha*I itself. Otherwise it is f(S) with f(x) = x^2 -
     tr(alpha)*x + N(alpha) the minimal polynomial of alpha: det f(S) is
     Norm(det(S - alpha*I)), which vanishes exactly when det(S - alpha*I)
@@ -973,7 +906,7 @@ def verify_numfield_certificate(alpha: Entry, n: int,
         diagonal = -alpha.x if isinstance(alpha, QuadInt) else -alpha
     for k in range(size):
         mat[k][k] += diagonal
-    return _det_is_zero(mat)
+    return bool(kernel_basis(mat))
 
 
 # ---------------------------------------------------------------------------

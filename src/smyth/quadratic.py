@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .algebra import euler_phi, integer_factor
+from .algebra import integer_factor
 from .errors import ParseError, PrecisionError
 
 Rational = Union[int, Fraction]
@@ -240,6 +240,8 @@ _QTERM_RE = re.compile(r"^(?:(-?\d+)\*?)?(w)?$")
 
 def parse_quadint(field: QuadField, text: str) -> QuadInt:
     """Parse x+y*w text, any term order, e.g. 'w-1' or '-3+2*w'."""
+    if not isinstance(text, str):
+        raise ParseError(f"quadratic integer text must be a string, not {type(text).__name__}")
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty quadratic integer text")
@@ -453,7 +455,6 @@ class CycInt:
 
     @classmethod
     def make(cls, order: int, coeffs: Sequence[Rational]) -> "CycInt":
-        phi = euler_phi(order) if order > 1 else 1
         work = [Fraction(c) for c in coeffs]
         modulus = cyclotomic_poly(order)
         deg = len(modulus) - 1
@@ -464,7 +465,6 @@ class CycInt:
                     work[i - deg + j] -= c * mc
         work = work[:deg]
         work += [Fraction(0)] * (deg - len(work))
-        del phi
         return cls(order, tuple(_norm_coeff(c) for c in work))
 
     @classmethod

@@ -1,5 +1,8 @@
 """Polynomial and integer arithmetic tests."""
+import itertools
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +12,15 @@ from smyth.algebra import (
     FieldParams,
     ModElement,
     Poly,
-    RatFunc,
+    _exact_div,
     element_order,
     euler_phi,
-    ff_kernel,
     format_poly,
     integer_factor,
     is_irreducible,
     is_probable_prime,
+    kernel_basis,
+    many_gcd,
     mod_inverse,
     monic_irreducibles,
     monic_polys,
@@ -26,9 +30,17 @@ from smyth.algebra import (
     poly_gcd,
     poly_lcm,
     random_irreducible,
-    rf_det,
 )
-from smyth.errors import NonUnitError, ParseError
+from smyth.core import (
+    BalancedMultiset,
+    CoeffTuple,
+    balanced_from_certificate,
+    balanced_multiset,
+    certificate_from_balanced,
+    combination_matrix,
+)
+from smyth.errors import NonUnitError, NoRelationError, ParseError
+from smyth.quadratic import QuadField
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -209,6 +221,108 @@ class TestModularArithmetic:
         assert multiplicative_order_int(-12 * pow(13, -1, 19) % 19, 19) == 18
 
 
+@dataclass(frozen=True)
+class RatFunc:
+    """Reference field F_q(t): reduced fractions with a monic denominator."""
+
+    num: Poly
+    den: Poly
+
+    @classmethod
+    def make(cls, num, den):
+        if num.is_zero:
+            return cls(num, num.field.one)
+        g = poly_gcd(num, den)
+        num, den = num // g, den // g
+        inv = pow(den.lc, -1, den.field.q)
+        return cls(num * inv, den * inv)
+
+    @classmethod
+    def of(cls, p):
+        return cls(p, p.field.one)
+
+    def __bool__(self):
+        return not self.num.is_zero
+
+    def __sub__(self, other):
+        return RatFunc.make(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __neg__(self):
+        return RatFunc(-self.num, self.den)
+
+    def __mul__(self, other):
+        return RatFunc.make(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        return RatFunc.make(self.num * other.den, self.den * other.num)
+
+
+def gauss_jordan_kernel(matrix, one):
+    """Reference for kernel_basis over a field (Fraction for Z, RatFunc for
+    F_q[t]): reduced row echelon form, then one vector per free column
+    with that column set to one."""
+    rows = [list(row) for row in matrix]
+    zero = one - one
+    ncols = len(rows[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = one / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [zero] * ncols
+        v[free] = one
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][free]
+        basis.append(v)
+    return basis
+
+
+def reference_balanced_from_certificate(a, perms):
+    """The F_q(t) route: first kernel vector over RatFunc, denominators
+    cleared by their lcm, then the gcd of the numerators divided out."""
+    matrix = [[RatFunc.of(e) for e in row] for row in combination_matrix(a, perms)]
+    basis = gauss_jordan_kernel(matrix, RatFunc.of(a.field.one))
+    if not basis:
+        raise NoRelationError("nonsingular")
+    kv = basis[0]
+    common = kv[0].den
+    for e in kv[1:]:
+        common = poly_lcm(common, e.den)
+    cleared = [e.num * (common // e.den) for e in kv]
+    g = many_gcd([w for w in cleared if w])
+    cleared = [w // g for w in cleared]
+    members = [tuple(cleared[p[k]] for p in perms) for k in range(len(cleared))]
+    return BalancedMultiset.make(a.coeffs, [m for m in members if any(m)])
+
+
+def annihilates(matrix, v):
+    return all(not sum((e * x for e, x in zip(row, v)), 0 * v[0]) for row in matrix)
+
+
+def proportional(v, ref, free):
+    """v = v[free] * ref entrywise, ref being a field-valued vector with 1 at free."""
+    return all(x == v[free] * y for x, y in zip(v, ref))
+
+
+def low_rank_matrix(left, right):
+    """The product of a rows x k and a k x cols matrix: rank at most k."""
+    return [[sum((x * y for x, y in zip(row, col)), 0 * row[0]) for col in zip(*right)]
+            for row in left]
+
+
 class TestKernelAndDet:
     def test_planted_kernel(self):
         # rows are chosen so (1, t, 0) is in the kernel
@@ -218,26 +332,24 @@ class TestKernelAndDet:
             [t * t, t, one],
             [F2.zero, F2.zero, one],
         ]
-        kv = ff_kernel(m)
-        assert kv is not None
-        for row in m:
-            acc = RatFunc.of(F2.zero)
-            for entry, x in zip(row, kv):
-                acc = acc + RatFunc.of(entry) * x
-            assert acc.is_zero
+        basis = kernel_basis(m)
+        assert basis == [[one, t, F2.zero]]
+        assert annihilates(m, basis[0])
 
     def test_nonsingular_returns_none(self):
         m = [[F2.one, F2.zero], [F2.zero, F2.one]]
-        assert ff_kernel(m) is None
+        assert kernel_basis(m) == []
 
     def test_det_of_identity(self):
         m = [[F3.one, F3.zero], [F3.zero, F3.one]]
-        assert not rf_det(m).is_zero
+        assert kernel_basis(m) == []
 
     def test_det_of_singular(self):
         t = F3.t
         m = [[t, t], [t, t]]
-        assert rf_det(m).is_zero
+        basis = kernel_basis(m)
+        assert basis == [[-t, t]]
+        assert annihilates(m, basis[0])
 
     @given(st.integers(0, 2 ** 9 - 1))
     @settings(max_examples=40, deadline=None)
@@ -247,8 +359,137 @@ class TestKernelAndDet:
         r1 = entries[:3]
         r2 = [e * F2.t for e in entries]
         r3 = [x + y for x, y in zip(r1, r2)]
-        kv = ff_kernel([r1, r2, r3])
-        assert kv is not None
+        basis = kernel_basis([r1, r2, r3])
+        assert basis
+        assert all(annihilates([r1, r2, r3], v) for v in basis)
+
+
+small_ints = st.integers(-4, 4)
+
+
+@st.composite
+def int_low_rank(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, cols - 1))
+    left = [[draw(small_ints) for _ in range(k)] for _ in range(rows)]
+    right = [[draw(small_ints) for _ in range(cols)] for _ in range(k)]
+    return low_rank_matrix(left, right) if k else [[0] * cols for _ in range(rows)]
+
+
+@st.composite
+def fqt_low_rank(draw):
+    field = draw(st.sampled_from([F2, F3]))
+    entry = st.lists(st.integers(0, field.q - 1), max_size=3).map(field.poly)
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k = draw(st.integers(1, cols))
+    left = [[draw(entry) for _ in range(k)] for _ in range(rows)]
+    right = [[draw(entry) for _ in range(cols)] for _ in range(k)]
+    return low_rank_matrix(left, right)
+
+
+class TestKernelBasis:
+    @given(int_low_rank())
+    @settings(max_examples=100, deadline=None)
+    def test_integers_match_fraction_gauss_jordan(self, matrix):
+        basis = kernel_basis(matrix)
+        ref = gauss_jordan_kernel([[Fraction(e) for e in row] for row in matrix], Fraction(1))
+        assert basis
+        assert len(basis) == len(ref)
+        for v, r in zip(basis, ref):
+            assert all(isinstance(x, int) for x in v)
+            free = max(c for c, x in enumerate(v) if x)
+            assert r[free] == 1 and proportional(v, r, free)
+            assert annihilates(matrix, v)
+
+    @given(fqt_low_rank())
+    @settings(max_examples=60, deadline=None)
+    def test_fqt_matches_ratfunc_gauss_jordan(self, matrix):
+        field = next(e.field for row in matrix for e in row)
+        basis = kernel_basis(matrix)
+        ref = gauss_jordan_kernel([[RatFunc.of(e) for e in row] for row in matrix],
+                                  RatFunc.of(field.one))
+        assert len(basis) == len(ref)
+        for v, r in zip(basis, ref):
+            assert all(isinstance(x, Poly) for x in v)
+            free = max(c for c, x in enumerate(v) if x)
+            assert r[free] == RatFunc.of(field.one)
+            assert all(RatFunc.of(x) == RatFunc.of(v[free]) * y for x, y in zip(v, r))
+            assert annihilates(matrix, v)
+
+    def test_zero_one_by_one_poly_matrix(self):
+        assert kernel_basis([[F2.zero]]) == [[F2.one]]
+        assert isinstance(kernel_basis([[F2.zero]])[0][0], Poly)
+
+    def test_rank_zero_keeps_the_ring(self):
+        basis = kernel_basis([[F3.zero] * 3] * 2)
+        assert basis == [[F3.one if i == j else F3.zero for j in range(3)] for i in range(3)]
+        assert all(isinstance(x, Poly) for v in basis for x in v)
+        K = QuadField(-1)
+        assert kernel_basis([[K.zero, K.zero]]) == [[K.one, K.zero], [K.zero, K.one]]
+        assert kernel_basis([[0]]) == [[1]]
+
+    def test_quadratic_ring(self):
+        K = QuadField(-1)
+        w = K.omega
+        # the second row is (1 - w) times the first
+        basis = kernel_basis([[1 + w, 2], [2, 2 - 2 * w]])
+        assert basis == [[K.element(-2), 1 + w]]
+
+    def test_rejects_empty_and_ragged(self):
+        with pytest.raises(ValueError):
+            kernel_basis([])
+        with pytest.raises(ValueError):
+            kernel_basis([[1, 2], [3]])
+
+    def test_inexact_division_is_an_error(self):
+        with pytest.raises(ArithmeticError):
+            _exact_div(3, 2)
+        with pytest.raises(ArithmeticError):
+            _exact_div(F2.t, F2.t + 1)
+
+
+def canonical_perms(field, text, N):
+    a = CoeffTuple.make(field, [parse_poly(field, s) for s in text.split(";")])
+    return a, certificate_from_balanced(a.coeffs, balanced_multiset(a, N)).perms
+
+
+def swapped(perms, i, j, k):
+    """perms with the images j and k of permutation i exchanged."""
+    p = list(perms[i])
+    p[j], p[k] = p[k], p[j]
+    return perms[:i] + (tuple(p),) + perms[i + 1:]
+
+
+def assert_matches_ratfunc_route(a, perms):
+    try:
+        expected = reference_balanced_from_certificate(a, perms)
+    except NoRelationError:
+        with pytest.raises(NoRelationError):
+            balanced_from_certificate(a, perms)
+        return
+    assert balanced_from_certificate(a, perms) == expected
+
+
+class TestBalancedFromCertificate:
+    # a swap moves the kernel off the canonical vector; over F_3 the last
+    # nonzero entry then often needs the monic scaling
+    @pytest.mark.parametrize("field, text, N", [
+        (F2, "1;t;t+1", 2), (F2, "1;t;t;t+1", 1), (F3, "2;t;2*t+1", 1), (F3, "1;t;2*t+2", 1),
+    ])
+    def test_every_single_swap_matches_ratfunc_route(self, field, text, N):
+        a, perms = canonical_perms(field, text, N)
+        assert_matches_ratfunc_route(a, perms)
+        for i in range(len(perms) - 1):
+            for j, k in itertools.combinations(range(len(perms[0])), 2):
+                assert_matches_ratfunc_route(a, swapped(perms, i, j, k))
+
+    @given(st.sampled_from(["2;t;2*t+1", "1;t;2*t+2"]), st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_drawn_swaps_match_ratfunc_route(self, text, data):
+        a, perms = canonical_perms(F3, text, 2)
+        i = data.draw(st.integers(0, len(perms) - 2))
+        j, k = data.draw(st.lists(st.integers(0, len(perms[0]) - 1), min_size=2, max_size=2))
+        assert_matches_ratfunc_route(a, swapped(perms, i, j, k))
 
 
 class TestIntegerHelpers:

@@ -198,6 +198,10 @@ class TestNumfield:
         assert json.loads(out)["size"] == 6
 
 
+FQT_CERTIFY = ("certify", "--q", "2", "--coeffs", "1;t;t+1", "--N", "2")
+NUMFIELD_M7 = ("numfield", "--m", "-7", "--alpha", "w")
+
+
 class TestVerify:
     def test_round_trip_via_file(self, capsys, tmp_path):
         code, out, _ = run(capsys, "certify", "--q", "2",
@@ -223,6 +227,27 @@ class TestVerify:
         path.write_text("{]")
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("argv, path", [
+        (FQT_CERTIFY, ("coeffs", 0)),
+        (FQT_CERTIFY, ("kernel_vector", 0)),
+        (FQT_CERTIFY, ("tuples", 0, 0)),
+        (NUMFIELD_M7, ("alpha",)),
+        (NUMFIELD_M7, ("eigenvector", 0)),
+    ], ids=["coeffs", "kernel_vector", "tuples", "alpha", "eigenvector"])
+    def test_non_string_entry_exit_two(self, capsys, tmp_path, argv, path):
+        _, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify", str(bad))
+        assert code == 2
+        assert out2 == ""
+        assert err.startswith("error:") and "must be a string" in err
 
     def test_missing_file_exit_two(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/cert.json")

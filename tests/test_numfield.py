@@ -14,7 +14,6 @@ from smyth.errors import (
 )
 from smyth.numfield import (
     LatticeStep,
-    _det_is_zero,
     _inner,
     birkhoff_decompose,
     covering_radius_squared,
@@ -67,13 +66,37 @@ def recursive_birkhoff(D):
     return perms
 
 
+def bareiss_det_is_zero(matrix):
+    """Reference singularity test: Bareiss on a square matrix over a
+    quadratic ring, pivoting only when the diagonal entry vanishes."""
+    size = len(matrix)
+    mat = [row[:] for row in matrix]
+    prev = 1
+    for k in range(size - 1):
+        if not mat[k][k]:
+            swap = next((i for i in range(k + 1, size) if mat[i][k]), None)
+            if swap is None:
+                return True
+            mat[k], mat[swap] = mat[swap], mat[k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
+                if prev != 1:
+                    quot = num.exact_div(prev)
+                    assert quot is not None, "inexact division in elimination"
+                    num = quot
+                mat[i][j] = num
+        prev = mat[k][k]
+    return not mat[size - 1][size - 1]
+
+
 def quadint_det_verdict(alpha, perms):
     """Reference for verify_numfield_certificate: Bareiss on S - alpha*I
     over the quadratic ring itself."""
     K = alpha.field
     size = len(perms[0])
     S = permutation_sum(perms, size)
-    return _det_is_zero([[K.element(S[i][j]) - (alpha if i == j else K.zero)
+    return bareiss_det_is_zero([[K.element(S[i][j]) - (alpha if i == j else K.zero)
                           for j in range(size)] for i in range(size)])
 
 

@@ -206,6 +206,9 @@ def _single_field_tampers(doc):
             bad["eigenvector"][k] = _shifted(doc, value)
             yield f"eigenvector[{k}]", bad
     else:
+        bad = json.loads(canonical_json(doc))
+        bad["n"] = doc["n"] + 1
+        yield "n", bad
         for k, value in enumerate(doc["kernel_vector"]):
             bad = json.loads(canonical_json(doc))
             bad["kernel_vector"][k] = _shifted(doc, value)
