@@ -151,6 +151,10 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
+    def __hash__(self) -> int:
+        # equality still compares the field; only the hash leaves it out
+        return hash(self.coeffs)
+
     def _coerce(self, other) -> "Poly | None":
         if isinstance(other, Poly):
             if other.field != self.field:

@@ -249,7 +249,13 @@ def check_criteria_int(coeffs: Sequence[int]) -> bool:
 
 
 def verify_extremal(inst: ExtremalInstance) -> bool:
-    """Recheck an extremal instance from its triple alone."""
+    """Recheck an extremal instance from its triple alone.
+
+    order, group_order, generator_flag and claimed_min must match the bound
+    recomputed from the triple, and over F_q[t] the order must be q^D - 1.
+    Only the integer triple (1, 1, 2) is degenerate. Integer D is not
+    checked: its prime comes from a floating-point e^D.
+    """
     a, b, c = inst.triple
     if inst.ring == "fqt":
         cert = order_bound_fqt(a, b, c)
@@ -265,7 +271,11 @@ def verify_extremal(inst: ExtremalInstance) -> bool:
         expected = inst.claimed_min
     else:
         raise ValueError(f"unknown ring {inst.ring!r}")
+    if inst.degenerate != (inst.ring == "int" and inst.triple == (1, 1, 2)):
+        return False
     if cert.order != inst.certificate.order or cert.order != inst.claimed_min:
+        return False
+    if cert.group_order != inst.certificate.group_order:
         return False
     if inst.ring == "fqt" and cert.order != expected:
         return False

@@ -29,7 +29,6 @@ from .core import (
     BalancedMultiset,
     CoeffTuple,
     balanced_multiset,
-    certificate_from_balanced,
     check_criteria,
     enumerate_solutions,
 )
@@ -202,7 +201,7 @@ def run_certify(args) -> int:
     doc = serialize.multiset_doc(b, kind="certificate", N=args.N)
     lines = [
         f"certificate for {a}, size {b.size}",
-        f"kernel: {', '.join(str(v) for v in certificate_from_balanced(a.coeffs, b).kernel)}",
+        f"kernel: {', '.join(doc['kernel_vector'])}",
     ]
     _emit(args, doc, lines)
     return 0

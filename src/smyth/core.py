@@ -19,10 +19,21 @@ Conventions used throughout:
 * A permutation p_i is stored as the tuple of 0-based images with the
   defining property (X_i v)[k] = v[p_i[k]]; the certificate contract is
   sum_i a_i * v[p_i[k]] = 0 for every row k, with p_n the identity.
+* T_N is the kernel of the F_q-linear map V_N^n -> V_{N+d},
+  (x_i) -> sum(a_i x_i), with d the height. Enumeration takes a kernel
+  basis by Gauss-Jordan over F_q and works on packed rows: a row is one
+  int of nN digits, w bits each (w = 1 for q = 2, else bit_length(q) + 1),
+  and coefficient k of x_i is digit (n - i) * N + k (1-based i), so x_1
+  holds the most significant digits and integer order is the lexicographic
+  order of the value indices. Rows are added digit-wise mod q: XOR for
+  q = 2, a SWAR add with one conditional subtract of q per digit otherwise.
+  Products a_i * x for the relation check are packed the same way (Kronecker
+  substitution), N + d digits each.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,13 +61,6 @@ def poly_from_index(field: FieldParams, k: int) -> Poly:
 def vn_elements(field: FieldParams, N: int) -> list[Poly]:
     """V_N, all q^N polynomials of degree < N, in canonical order."""
     return [poly_from_index(field, k) for k in range(field.q**N)]
-
-
-def vn_index(p: Poly) -> int:
-    acc = 0
-    for c in reversed(p.coeffs):
-        acc = acc * p.field.q + c
-    return acc
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,14 +143,79 @@ def check_criteria(a: CoeffTuple) -> CriteriaReport:
     return CriteriaReport(True, True, True)
 
 
-def _padded(p: Poly, length: int) -> tuple[int, ...]:
-    return p.coeffs + (0,) * (length - len(p.coeffs))
+def _digit_width(q: int) -> int:
+    # an odd-q digit holds a sum of two residues plus the bias 2^(w-1) - q
+    return 1 if q == 2 else q.bit_length() + 1
 
 
-def _solution_pool(a: CoeffTuple, N: int, budget: int) -> list[tuple[Poly, ...]]:
-    # Enumerates V_N^{n-1} freely; the last coordinate is read off a lookup
-    # table keyed by -(a_n x_n), which settles divisibility and the degree
-    # bound in one dict probe.
+def _pack(digits: Sequence[int], w: int) -> int:
+    """Digits, least significant first, as one int of w-bit fields."""
+    acc = 0
+    for d in reversed(digits):
+        acc = acc << w | d
+    return acc
+
+
+def _digit_adder(q: int, ndigits: int):
+    """Digit-wise addition mod q of packed vectors of at most ndigits digits.
+
+    XOR for q = 2. For odd q the digits of x + y lie in [0, 2q - 2]; adding
+    2^(w-1) - q sets a digit's top bit exactly when it is >= q, and q is
+    subtracted from those digits. No step carries across a digit boundary.
+    """
+    if q == 2:
+        return operator.xor
+    w = _digit_width(q)
+    ones = _pack([1] * ndigits, w)
+    bias = ones * ((1 << (w - 1)) - q)
+    top = ones << (w - 1)
+
+    def add(x: int, y: int) -> int:
+        s = x + y
+        return s - (((s + bias) & top) >> (w - 1)) * q
+
+    return add
+
+
+def _shifted(p: Poly, k: int) -> Poly:
+    """t^k * p for nonzero p."""
+    return Poly(p.field, (0,) * k + p.coeffs)
+
+
+def _echelon(columns: Sequence[Poly], length: int, q: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan over F_q on the matrix whose columns are the coefficient
+    vectors (length entries each) of the given polynomials.
+
+    Returns the nonzero rows of the reduced echelon form and their pivot
+    columns.
+    """
+    rows = [[c.coeffs[r] if r < len(c.coeffs) else 0 for c in columns]
+            for r in range(length)]
+    pivots: list[int] = []
+    for col in range(len(columns)):
+        top = len(pivots)
+        found = next((i for i in range(top, length) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[top], rows[found] = rows[found], rows[top]
+        inv = pow(rows[top][col], -1, q)
+        pivot_row = rows[top] = [v * inv % q for v in rows[top]]
+        for i in range(length):
+            f = rows[i][col]
+            if f and i != top:
+                rows[i] = [(u - f * v) % q for u, v in zip(rows[i], pivot_row)]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def _kernel_indices(a: CoeffTuple, N: int, budget: int) -> tuple[list[Poly], list[list[int]]]:
+    """T_N as V_N and, per coordinate, the V_N index of every row's value.
+
+    Rows run in lexicographic order of their value indices, the zero tuple
+    first. T_N is the kernel of x -> sum(a_i x_i) on V_N^n; each kernel
+    vector is a packed row, and the q^k rows are the sums of multiples of
+    the k basis vectors.
+    """
     field = a.field
     q = field.q
     n = a.n
@@ -156,29 +225,35 @@ def _solution_pool(a: CoeffTuple, N: int, budget: int) -> list[tuple[Poly, ...]]
             f"enumeration needs {candidates} candidates, budget is {budget}",
             required=candidates,
         )
+    width = n * N
+    w = _digit_width(q)
+    columns = [_shifted(a.coeffs[n - 1 - p // N], p % N) for p in range(width)]
+    reduced, pivots = _echelon(columns, N + a.height, q)
+    add = _digit_adder(q, width)
+    rows = [0]
+    for free in sorted(set(range(width)) - set(pivots)):
+        vec = [0] * width
+        vec[free] = 1
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[free] % q
+        multiples = [_pack([c * v % q for v in vec], w) for c in range(1, q)]
+        rows += [add(r, b) for b in multiples for r in rows]
+    rows.sort()
     vn = vn_elements(field, N)
-    length = N + max(a.height, 0)
-    prods = [[_padded(a.coeffs[i] * x, length) for x in vn] for i in range(n - 1)]
-    lookup = {_padded(-(a.coeffs[n - 1] * x), length): x for x in vn}
-    sols: list[tuple[Poly, ...]] = []
-    zero_acc = (0,) * length
+    index_of = {_pack(x.coeffs, w): k for k, x in enumerate(vn)}
+    mask = (1 << (w * N)) - 1
+    return vn, [[index_of[(r >> (w * N * (n - 1 - i))) & mask] for r in rows]
+                for i in range(n)]
 
-    def descend(i: int, acc: tuple[int, ...], chosen: tuple[Poly, ...]):
-        row = prods[i]
-        if i == n - 2:
-            for j, x in enumerate(vn):
-                p = row[j]
-                key = tuple((u + v) % q for u, v in zip(acc, p))
-                xn = lookup.get(key)
-                if xn is not None:
-                    sols.append(chosen + (x, xn))
-            return
-        for j, x in enumerate(vn):
-            p = row[j]
-            descend(i + 1, tuple((u + v) % q for u, v in zip(acc, p)), chosen + (x,))
 
-    descend(0, zero_acc, ())
-    return sols
+def _check_N(a: CoeffTuple, N: int) -> None:
+    if N < 1 or N < a.height:
+        raise ValueError(f"N must be >= the height {a.height} and >= 1, got {N}")
+
+
+def _solution_pool(a: CoeffTuple, N: int, budget: int) -> list[tuple[Poly, ...]]:
+    vn, coords = _kernel_indices(a, N, budget)
+    return list(zip(*([vn[k] for k in idx] for idx in coords)))
 
 
 def enumerate_solutions(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> list[tuple[Poly, ...]]:
@@ -187,8 +262,7 @@ def enumerate_solutions(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> 
     Returned in lexicographic order of the free coordinates. When the
     criteria pass, |T_N| = q^(N(n-1)-d) with d the height.
     """
-    if N < 1 or N < a.height:
-        raise ValueError(f"N must be >= the height {a.height} and >= 1, got {N}")
+    _check_N(a, N)
     return _solution_pool(a, N, budget)
 
 
@@ -196,15 +270,15 @@ def fiber_count(a: CoeffTuple, N: int, j: int, x: Poly, budget: int = DEFAULT_BU
     """Number of solutions in T_N whose j-th coordinate (1-based) equals x.
 
     Independent of j and x when the criteria pass, where it equals
-    q^(N(n-2)-d).
+    q^(N(n-2)-d). The fiber solves sum_{i != j} a_i x_i = -a_j x, so it is
+    empty when the column a_j x is a pivot column after the others, and
+    otherwise has q^(number of free columns among the others) elements.
     """
-    field = a.field
-    q = field.q
+    q = a.field.q
     n = a.n
     if not 1 <= j <= n:
         raise ValueError(f"coordinate j must be in 1..{n}, got {j}")
-    if N < 1 or N < a.height:
-        raise ValueError(f"N must be >= the height {a.height} and >= 1, got {N}")
+    _check_N(a, N)
     if x.degree >= N:
         raise ValueError(f"{x} is outside V_{N}")
     candidates = q ** (N * (n - 2))
@@ -213,35 +287,12 @@ def fiber_count(a: CoeffTuple, N: int, j: int, x: Poly, budget: int = DEFAULT_BU
             f"fiber count needs {candidates} candidates, budget is {budget}",
             required=candidates,
         )
-    jj = j - 1
-    pivot = n - 1 if jj != n - 1 else n - 2
-    free = [i for i in range(n) if i not in (jj, pivot)]
-    vn = vn_elements(field, N)
-    length = N + max(a.height, 0)
-    base = _padded(a.coeffs[jj] * x, length)
-    prods = [[_padded(a.coeffs[i] * y, length) for y in vn] for i in free]
-    lookup = {_padded(-(a.coeffs[pivot] * y), length): None for y in vn}
-
-    count = 0
-    last = len(free) - 1
-
-    def descend(i: int, acc: tuple[int, ...]):
-        nonlocal count
-        row = prods[i]
-        if i == last:
-            for p in row:
-                key = tuple((u + v) % q for u, v in zip(acc, p))
-                if key in lookup:
-                    count += 1
-            return
-        for p in row:
-            descend(i + 1, tuple((u + v) % q for u, v in zip(acc, p)))
-
-    if free:
-        descend(0, base)
-    else:
-        count = 1 if base in lookup else 0
-    return count
+    columns = [_shifted(a.coeffs[i], k) for i in range(n) if i != j - 1 for k in range(N)]
+    columns.append(a.coeffs[j - 1] * x)
+    _, pivots = _echelon(columns, N + a.height, q)
+    if pivots and pivots[-1] == len(columns) - 1:
+        return 0
+    return q ** (len(columns) - len(pivots) - 1)
 
 
 def sort_key_of(value):
@@ -335,9 +386,36 @@ def balanced_multiset(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> Ba
             f"finite places ok: {report.finite_places_ok}); "
             "no balanced multiset exists for such a tuple"
         )
-    pool = enumerate_solutions(a, N, budget)
-    members = [m for m in pool if any(bool(v) for v in m)]
-    return BalancedMultiset.make(a.coeffs, members, validate=True)
+    _check_N(a, N)
+    vn, coords = _kernel_indices(a, N, budget)
+    coords = [idx[1:] for idx in coords]  # drop the zero tuple, which sorts first
+    q = a.field.q
+    w = _digit_width(q)
+    add = _digit_adder(q, N + a.height)
+    # every row meets the relation, checked on products made by Poly
+    # multiplication, apart from the elimination that produced the row
+    sums = [0] * len(coords[0])
+    for c, idx in zip(a.coeffs, coords):
+        products = [_pack((c * x).coeffs, w) for x in vn]
+        sums = list(map(add, sums, map(products.__getitem__, idx)))
+    for k, s in enumerate(sums):
+        if s:
+            member = tuple(vn[idx[k]] for idx in coords)
+            raise RelationViolationError(
+                f"member {tuple(str(v) for v in member)} violates the linear relation",
+                member=member)
+    counters = [Counter(idx) for idx in coords]
+    if any(c != counters[0] for c in counters[1:]):
+        raise ValueError("coordinate value multisets differ: not balanced")
+    # BalancedMultiset.make's order, by the rank of each value's sort_key
+    order = sorted(range(len(vn)), key=lambda k: vn[k].sort_key)
+    rank = [0] * len(vn)
+    for r, k in enumerate(order):
+        rank[k] = r
+    ranked = sorted(zip(*(map(rank.__getitem__, idx) for idx in coords)))
+    by_rank = [vn[k] for k in order]
+    return BalancedMultiset(a.coeffs, tuple(zip(*(map(by_rank.__getitem__, idx)
+                                                  for idx in zip(*ranked)))))
 
 
 def is_one_factor(b: BalancedMultiset) -> bool:
@@ -374,11 +452,9 @@ def certificate_from_balanced(a: CoeffTuple, b: BalancedMultiset) -> Permutation
         last_slots.setdefault(row[n - 1], []).append(k)
     perms = []
     for i in range(n):
-        avail = {v: deque(idxs) for v, idxs in last_slots.items()}
-        p = []
-        for k in range(m):
-            p.append(avail[rows[k][i]].popleft())
-        perms.append(tuple(p))
+        # balance gives each value as many rows in coordinate i as slots
+        avail = {v: iter(idxs) for v, idxs in last_slots.items()}
+        perms.append(tuple([next(avail[row[i]]) for row in rows]))
     kernel = tuple(rows[k][n - 1] for k in range(m))
     return PermutationCertificate(m=m, perms=tuple(perms), kernel=kernel)
 

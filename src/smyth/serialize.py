@@ -8,7 +8,9 @@ the document itself:
                relation; when tuples are listed, that they are balanced
                solutions converting to exactly these permutations and kernel
   extremal     the order bound recomputed from the triple matches order,
-               claimed_min and generator_flag, and q^D - 1 over F_q[t]
+               group_order, claimed_min and generator_flag, and q^D - 1
+               over F_q[t]; degenerate holds exactly for the integer
+               triple (1, 1, 2)
   numfield     the permutations sum to matrix, which fixes the nonzero
                eigenvector with eigenvalue alpha
 
@@ -16,8 +18,8 @@ Singularity is never re-derived: the nonzero kernel vector or eigenvector a
 document carries, checked against the defining equations, is its proof.
 Informational fields are not checked, so edits to them go undetected: N;
 numfield dimension, radius_squared, covering_radius_squared and strategy;
-extremal group_order, and D over the integers. An extremal degenerate flag
-is taken as stated.
+and extremal D over the integers, whose prime comes from a floating-point
+e^D.
 
 Emission is canonical (sorted keys, fixed indentation, deterministic list
 orders), so serialize -> parse -> serialize is byte-stable.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 from typing import Optional, Sequence
 
@@ -46,8 +49,43 @@ from .quadratic import QuadField, format_quadint, parse_quadint
 VERIFIABLE_KINDS = ("balanced", "certificate", "extremal", "numfield")
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_LISTS = frozenset((list, tuple))
+
+# Items separated by NUL with no whitespace: JSON escapes NUL inside strings,
+# so every raw NUL in this encoder's output is a separator.
+_NUL_SEPARATED = json.JSONEncoder(separators=("\x00", ":"))
+
+
+def _indented(value, pad: str) -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) lays it out at
+    the nesting whose lines start with pad.
+
+    Flat lists of scalars and lists of nonempty scalar rows take one call of
+    the C encoder each; anything else goes through json.dumps itself.
+    """
+    inner = pad + "  "
+    if type(value) in _LISTS and value:
+        if _SCALARS.issuperset(map(type, value)):
+            body = _NUL_SEPARATED.encode(value)[1:-1].replace("\x00", ",\n" + inner)
+            return f"[\n{inner}{body}\n{pad}]"
+        if (_LISTS.issuperset(map(type, value)) and all(value)
+                and _SCALARS.issuperset(map(type, itertools.chain.from_iterable(value)))):
+            deeper = inner + "  "
+            body = (_NUL_SEPARATED.encode(value)[2:-2]
+                    .replace("]\x00[", f"\n{inner}],\n{inner}[\n{deeper}")
+                    .replace("\x00", ",\n" + deeper))
+            return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{pad}]"
+    elif type(value) is dict and value and all(type(k) is str for k in value):
+        items = ",".join(f"\n{inner}{json.dumps(k)}: {_indented(value[k], inner)}"
+                         for k in sorted(value))
+        return f"{{{items}\n{pad}}}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(doc, sort_keys=True, indent=2) plus a newline."""
+    return _indented(doc, "") + "\n"
 
 
 def parse_json(text: str) -> dict:
@@ -92,9 +130,10 @@ def multiset_doc(b: BalancedMultiset, kind: str = "balanced",
     if isinstance(first, Poly):
         doc["ring"] = "fqt"
         doc["q"] = first.field.q
+        text = {v: str(v) for v in set(itertools.chain.from_iterable(b.members))}
         doc["coeffs"] = [str(c) for c in b.coeffs]
-        doc["kernel_vector"] = [str(v) for v in cert.kernel]
-        doc["tuples"] = [[str(v) for v in row] for row in b.members]
+        doc["kernel_vector"] = [text[v] for v in cert.kernel]
+        doc["tuples"] = [list(map(text.__getitem__, row)) for row in b.members]
     elif isinstance(first, int):
         doc["ring"] = "int"
         doc["coeffs"] = list(b.coeffs)

@@ -1,4 +1,6 @@
 """Criteria, enumeration, and certificate tests over F_q[t]."""
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from smyth.core import (
     fiber_count,
     is_balanced,
     is_one_factor,
+    member_sort_key,
+    poly_from_index,
     relation_holds,
     verify_certificate,
 )
@@ -22,12 +26,14 @@ from smyth.errors import (
     BudgetExceededError,
     NoRelationError,
     NotSmythTupleError,
+    RelationViolationError,
     TupleArityError,
 )
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
 F5 = FieldParams(5)
+F7 = FieldParams(7)
 
 
 def tup(field, *texts):
@@ -226,3 +232,160 @@ class TestCertificates:
         b = balanced_multiset(a, N)
         cert = certificate_from_balanced(a.coeffs, b)
         assert verify_certificate(a, cert)
+
+
+# Reference: the depth-first enumerators that F_q linear algebra replaced.
+# They probe all q^(N(n-1)) candidates (q^(N(n-2)) for a fiber) and read the
+# last free coordinate off a lookup keyed by its packed-free product.
+
+
+def _padded(p, length):
+    return p.coeffs + (0,) * (length - len(p.coeffs))
+
+
+def _vn(field, N):
+    return [poly_from_index(field, k) for k in range(field.q ** N)]
+
+
+def reference_pool(a, N, budget):
+    q, n = a.field.q, a.n
+    candidates = q ** (N * (n - 1))
+    if candidates > budget:
+        raise BudgetExceededError(
+            f"enumeration needs {candidates} candidates, budget is {budget}",
+            required=candidates)
+    vn = _vn(a.field, N)
+    length = N + max(a.height, 0)
+    prods = [[_padded(a.coeffs[i] * x, length) for x in vn] for i in range(n - 1)]
+    lookup = {_padded(-(a.coeffs[n - 1] * x), length): x for x in vn}
+    sols = []
+
+    def descend(i, acc, chosen):
+        for j, x in enumerate(vn):
+            nxt = tuple((u + v) % q for u, v in zip(acc, prods[i][j]))
+            if i == n - 2:
+                xn = lookup.get(nxt)
+                if xn is not None:
+                    sols.append(chosen + (x, xn))
+            else:
+                descend(i + 1, nxt, chosen + (x,))
+
+    descend(0, (0,) * length, ())
+    return sols
+
+
+def reference_enumerate(a, N, budget):
+    if N < 1 or N < a.height:
+        raise ValueError(f"N must be >= the height {a.height} and >= 1, got {N}")
+    return reference_pool(a, N, budget)
+
+
+def reference_fiber_count(a, N, j, x, budget):
+    q, n = a.field.q, a.n
+    if not 1 <= j <= n:
+        raise ValueError(f"coordinate j must be in 1..{n}, got {j}")
+    if N < 1 or N < a.height:
+        raise ValueError(f"N must be >= the height {a.height} and >= 1, got {N}")
+    if x.degree >= N:
+        raise ValueError(f"{x} is outside V_{N}")
+    candidates = q ** (N * (n - 2))
+    if candidates > budget:
+        raise BudgetExceededError(
+            f"fiber count needs {candidates} candidates, budget is {budget}",
+            required=candidates)
+    jj = j - 1
+    pivot = n - 1 if jj != n - 1 else n - 2
+    free = [i for i in range(n) if i not in (jj, pivot)]
+    vn = _vn(a.field, N)
+    length = N + max(a.height, 0)
+    prods = [[_padded(a.coeffs[i] * y, length) for y in vn] for i in free]
+    lookup = {_padded(-(a.coeffs[pivot] * y), length) for y in vn}
+
+    def count(i, acc):
+        if i == len(free):
+            return acc in lookup
+        return sum(count(i + 1, tuple((u + v) % q for u, v in zip(acc, p)))
+                   for p in prods[i])
+
+    return count(0, _padded(a.coeffs[jj] * x, length))
+
+
+def reference_balanced_multiset(a, N, budget):
+    if not check_criteria(a).passes:
+        raise NotSmythTupleError("criteria fail")
+    pool = reference_enumerate(a, N, budget)
+    members = [m for m in pool if any(m)]
+    return BalancedMultiset.make(a.coeffs, members, validate=True)
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (ValueError, BudgetExceededError) as err:
+        return type(err).__name__, str(err), getattr(err, "required", None)
+
+
+@st.composite
+def fq_cases(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(3, 5))
+    field = FieldParams(q)
+    coeffs = []
+    for _ in range(n):
+        degree = draw(st.integers(0, 2))
+        low = draw(st.lists(st.integers(0, q - 1), min_size=degree, max_size=degree))
+        coeffs.append(field.poly(low + [draw(st.integers(1, q - 1))]))
+    a = CoeffTuple.make(field, coeffs)
+    N = max(a.height, 1) + draw(st.integers(0, 2))
+    budget = draw(st.sampled_from([50, 500, 5000]))
+    return a, N, budget
+
+
+class TestAgainstDepthFirstReference:
+    @given(fq_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_enumeration_fibers_and_multiset_match(self, case, data):
+        a, N, budget = case
+        q = a.field.q
+        expected = outcome(reference_enumerate, a, N, budget)
+        assert outcome(enumerate_solutions, a, N, budget) == expected
+        for _ in range(3):
+            j = data.draw(st.integers(1, a.n))
+            x = poly_from_index(a.field, data.draw(st.integers(0, q ** N - 1)))
+            assert (outcome(fiber_count, a, N, j, x, budget)
+                    == outcome(reference_fiber_count, a, N, j, x, budget))
+        got = outcome(balanced_multiset, a, N, budget)
+        want = outcome(reference_balanced_multiset, a, N, budget)
+        if want[0] == "NotSmythTupleError":
+            assert got[0] == "NotSmythTupleError"
+        else:
+            assert got == want
+
+    def test_passing_and_failing_tuples_both_reached(self):
+        # the drawn cases above cover both verdicts; pin one of each here
+        a = tup(F3, "t+1", "2*t", "2")
+        assert check_criteria(a).passes
+        assert enumerate_solutions(a, 2) == reference_enumerate(a, 2, 1 << 20)
+        b = tup(F5, "t^2", "1", "t", "t+1")
+        assert not check_criteria(b).passes
+        assert enumerate_solutions(b, 2) == reference_enumerate(b, 2, 1 << 20)
+        for x in (F5.zero, F5.one, parse_poly(F5, "t+3")):
+            assert fiber_count(b, 2, 1, x) == reference_fiber_count(b, 2, 1, x, 1 << 20)
+
+    def test_multiset_members_sorted_and_balanced(self):
+        a = tup(F7, "1", "t", "t+3")
+        b = balanced_multiset(a, 2)
+        assert list(b.members) == sorted(b.members, key=member_sort_key)
+        counters = [Counter(m[i] for m in b.members) for i in range(a.n)]
+        assert all(c == counters[0] for c in counters)
+        assert b == BalancedMultiset.make(a.coeffs, b.members, validate=True)
+
+    def test_relation_check_catches_a_wrong_kernel(self, monkeypatch):
+        # with no pivots every candidate counts as a kernel vector; the
+        # per-row relation check on the product tables must refuse them
+        import smyth.core as core
+
+        monkeypatch.setattr(core, "_echelon", lambda columns, length, q: ([], []))
+        for field, texts in ((F2, ("1", "t", "t+1")), (F3, ("t+1", "2*t", "2"))):
+            with pytest.raises(RelationViolationError):
+                balanced_multiset(tup(field, *texts), 2)

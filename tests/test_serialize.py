@@ -2,6 +2,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smyth.algebra import FieldParams, parse_poly
 from smyth.bounds import construct_extremal_fqt, construct_extremal_int
@@ -28,7 +30,30 @@ def fqt_doc(N=2, kind="balanced"):
     return multiset_doc(b, kind=kind, N=N)
 
 
+_TRICKY = st.text(alphabet=st.sampled_from(["\x00", "]", "[", ",", "\n", '"', "\\", " ",
+                                             "a", "1", "\u00e9", "\u6f22", "\U0001f642"]))
+_SCALAR = (st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _TRICKY)
+_ROWS = st.lists(st.lists(_SCALAR, min_size=1, max_size=4) | st.tuples(_SCALAR, _SCALAR),
+                 min_size=1, max_size=5)
+_JSON = st.recursive(
+    _SCALAR | _ROWS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text() | _TRICKY, inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=2)),
+    max_leaves=12)
+
+
 class TestCanonicalJson:
+    @given(st.dictionaries(st.text() | _TRICKY, _JSON, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_same_bytes_as_pure_python_encoder(self, doc):
+        assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_edge_layouts(self):
+        for doc in ({}, {"a": []}, {"a": [[]]}, {"a": [1]}, {"a": [[1]]}, {"a": [["]\x00["]]},
+                    {"a": [[1], []]}, {"a": [[1], 2]}, {"a": ({"b": ()},)}, {"": {"": "\x00"}}):
+            assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
     def test_sorted_and_newline_terminated(self):
         text = canonical_json({"b": 1, "a": 2})
         assert text.endswith("\n")
