@@ -2,7 +2,8 @@
 
 perfbench/corpus holds 87 documents, valid ones from smyth's producers and
 tampered copies, with a sha256 manifest and the verdict each must get. These
-tests read the corpus and never write it.
+tests read the corpus and never write it. The numfield pipeline documents are
+pinned by sha256 per case rather than stored.
 """
 import hashlib
 import json
@@ -12,7 +13,9 @@ import pytest
 
 from smyth import CoeffTuple, FieldParams, balanced_multiset, canonical_json, multiset_doc
 from smyth.cli import main
-from smyth.serialize import parse_json, verify_doc
+from smyth.numfield import numfield_pipeline
+from smyth.quadratic import QuadField, parse_quadint
+from smyth.serialize import numfield_doc, parse_json, verify_doc
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 MANIFEST = json.loads((CORPUS / "manifest.json").read_text(encoding="utf-8"))["entries"]
@@ -88,3 +91,102 @@ def test_degenerate_integer_extremal_still_verifies(capsys, tmp_path):
     assert doc["degenerate"] is True and doc["triple"] == [1, 1, 2]
     assert verify_exit(capsys, tmp_path, doc) == 0
     assert verify_exit(capsys, tmp_path, dict(doc, degenerate=False)) == 1
+
+
+# sha256 of canonical_json(numfield_doc(numfield_pipeline(K, alpha, n))) for
+# each (m, alpha, n) the numfield-pipeline benchmark workload can draw: every
+# slot alpha, then every rational alpha over every m it pairs with. The
+# workload's two warm-up cases, (-1, "1", 3) and (-3, "w", 3), are among them.
+NUMFIELD_GOLDEN = [
+    (-1, "3", 5, "f3bd54e16d6ae89897e39755c91583c66cbbea203e0f0153c9551726769041ae"),
+    (-1, "-3", 5, "f5dce0b621a05ac0cace2aaff17a7415a822b90190cf626b916f6acb27a407fd"),
+    (-1, "-2+w", 4, "6c5d75f9ba979df7973ca24dbf0f53c02f6bb8d2c69459c668e0e47f8985ec67"),
+    (-1, "2+w", 4, "49ca995eecb4862da7988acef76b512ea6c2f0fd9b0b70346fad6904bbfbb315"),
+    (-1, "-2-w", 4, "416ce49e86d6e2abd3ab056b04cacb2435a6b8e720451d8ca370612fa585d9f6"),
+    (-15, "-1+w", 4, "d33383c23ba00e8117b66ef76b4f9bf101b28d9844b042ad052f9f0cbe777d38"),
+    (-15, "1-w", 4, "fd77f80af159a1ec7f2619d5098fb029c0381a6d3a5fa2016a6092c113f49302"),
+    (5, "w", 3, "50b36270525fe2cfa852e224cef868b6f7437b5bca94f3c4a85fe61c62e91fdf"),
+    (5, "1-w", 3, "41d60a43f8884d31077635e6fa4e4a2e9367c9372c9b5ad9a6348a802c3aa797"),
+    (-3, "-2+w", 4, "b9b935d3c5241daa085d39af5eb18eeaf1330e22c83ddcc4c8dfbc87da1e19d4"),
+    (-3, "-1-w", 4, "44fadecd38cc77c8d52ba5bd303f0a07f18779300619c3336182feaf58baf09a"),
+    (-3, "w", 5, "f87b082024d7bf9d567bae29214d8f489f429ec10fc4c1f0dff750665cfe5633"),
+    (-3, "-w", 5, "a56d944bceec8e615c8b1f15d89980debf4c2feee43f4ea8a7e916d03c674f08"),
+    (-3, "-1+w", 5, "c202737092057cd46297885f10fb177cc58557bb6cfa5937487042646e3c5d92"),
+    (-3, "1-w", 5, "b0084f59caa8ed532e91c39b39c731409b09b9edbda85892828393e069df9776"),
+    (2, "w", 5, "c033445e1d0955f7dfbe26a59960b0b3c5eddbe2de83cd1fe4afe818846ac57c"),
+    (2, "-w", 5, "0f3cc6e119d54aaf42a7fec54e97331a2487928012b25aee34add92a206e72bf"),
+    (-2, "w", 3, "9c135e918e606f3844db766460ab5e75bf3a6c46a7e44270c509c6039eef989f"),
+    (-2, "-w", 3, "53ffa47540fe2d98089f0c083d63f19abf6cd711bb2cc4b762eebe0c302fbe47"),
+    (-1, "w", 5, "29e10a05b51802c8d6beda8c73be5d2f115d245f8c3d299255c3cbe8cd3fac73"),
+    (-1, "-w", 5, "dfb94bf811ca0353f52849bc9099b512a139c260fda61089a7281a38082efc8a"),
+    (-1, "w", 4, "6cc629a7329369acde12608eb929df48d41e5b452817e00d520ff03ee06c03a7"),
+    (-1, "-w", 4, "e21e4148762dbce42d3cb6f0b47c8eb5dff8f48eb7c9b27fb97559c0d0b263d1"),
+    (-7, "w", 4, "878f5e02c0c8156e144b79284fe93deb23fca22f10767ca968931791b7683f7b"),
+    (-7, "-w", 4, "78c51ae15fc047c0a9c52ec20148b0e7470859836d3c03911cf31cb78d605e4a"),
+    (-7, "-1+w", 4, "6c126f76a9ec776633ff24492b03534fe2d387e8bc4d893524a1d680cbf84317"),
+    (-7, "1-w", 4, "c6e5a5ba4e88e71121173aa626ad71c92c8a111bd9d13be70daf20ac1fe26f52"),
+    (-7, "w", 3, "b3c6a12e00a4f81cf9306b0346a2852d7c568d0442e67bfaf8646703ab4b016c"),
+    (-7, "-w", 3, "89a33d7e48d3cc09c8dbb8d65d8c0e8db11dff71cd313f2a00ecbe5dc2593438"),
+    (-7, "-1+w", 3, "06c622f3b1e1b9ddfa77bf7e0036e1254a7046c2e847514efa0cd1cc2eb7414f"),
+    (-7, "1-w", 3, "d89b5c28c02a8bf10b382dcb749323c2056fe3d3b47094ea7c79fc3814c14dea"),
+    (-1, "w", 3, "19140332bfaeef3a5082d22a683865e3e478f3b53c92a05d22a0da46502be3ee"),
+    (-1, "-w", 3, "4017cd277212795b3ed2f4a051bad9800fba92190040a5d3f6c5119b025a4f62"),
+    (-3, "w", 4, "6efe04ddd2aa538cc95db685a10979598040a8fe350f3e0f9442fec5ecdc5309"),
+    (-3, "-w", 4, "4f75b264cf90448bf180b946194c41e4ec5a6531a157c7140a1b50b0290a25eb"),
+    (-3, "-1+w", 4, "2aafe7d6036e1ffefa11b38cd3c8f3a1732ff1da737dc45f5660830af21a1542"),
+    (-3, "1-w", 4, "d1845b235b763ea0763be203ac2646f26fad618159729d1007178c66c4848a38"),
+    (-3, "w", 3, "e0a547ecc86cee4fee2584b44d5357e653eb6b28dba416b3a705f2fa4a1737e5"),
+    (-3, "1-w", 3, "9d3982e833c8ee807b3324c66e07d2d325198ae02593dc82d7021df225514f68"),
+    (-1, "1+w", 3, "da0e403c3e4def5ef96ad7a09a3c3b5c52ec4a8b0370779faa96c1b227a00757"),
+    (-1, "-1-w", 3, "d2260a06e03f1668a1bd2db4edac5025a345de202203c34d9bfa478a67600077"),
+    (-1, "-1+w", 3, "ef174937a4a891d88de33ab7c0068a6ba91ce38617242219fbdbef087a4d07d9"),
+    (-1, "1-w", 3, "6a80803356b2b8e9e83a1db91cc2f7389009a1c106cd79d5b23fe992075701e2"),
+    # rational alphas
+    (-1, "1", 3, "78fb2ecb901717401b35bb9e8f97db5ba1dac83da7df50998eec3b209f4b82e4"),
+    (-2, "1", 3, "6b8291eb5df9d878b10a63c455d2d334c0ef6cc712da74bef4995bef09444fa0"),
+    (-5, "1", 3, "b1363b35760eb926cfdfd991ae2c09b9ae1ba3bd6bb1bc1a8358525ec72998c1"),
+    (-7, "1", 3, "1464bf129eb182d87c7fb9de96236e407e0a5310471ae6bcf073a1eba25ba120"),
+    (-15, "1", 3, "f713000fc5016766e32daf5bfe6b2ee155c5d6936b19c574694c00bd4cc03d01"),
+    (-1, "-1", 3, "482366330708604ef307bdfdf46e6cc6b9cf529012b2a7bc6e44a68695ba17a0"),
+    (-2, "-1", 3, "fe9fd753e7483a790245669599813ca0d434e016e73907742b0bf22c91d13457"),
+    (-5, "-1", 3, "2708e52983abf1505d8787195469ae0ddf7f55355b9ec6b58966f2b5e1bdc348"),
+    (-7, "-1", 3, "4bfecc10f96acedc07de210bbff536eb9615bfd46e570b97216ac4f5a439572d"),
+    (-15, "-1", 3, "46375b5e6d5b8903ddf34b7d7d6a63179e8324ed5bab411e6e951e35b5e87d05"),
+    (-1, "2", 4, "ce14ab9f63819f003852b78db2eb43696c660727734f4c0f056572dcce020d26"),
+    (-2, "2", 4, "354e72ce2e55aa511f3ee7d8deb0daffcdb550dd263bbb7be64c9aed96b51dac"),
+    (-5, "2", 4, "68f459fd927ee117afe44d2839836d5f7cd5bdd59da292a412ae6a099ae6b8d2"),
+    (-7, "2", 4, "824921834c461b630bc3be4f706d6afbef3abe53d2b79c2ef7953645120d8e89"),
+    (-15, "2", 4, "2860fb5e13898bd4f78280825855051d6bed5d569dd50df5baaf69a8d100883b"),
+    (-1, "-2", 4, "ce97f2301a6683d4219e720a8e3aebcadb899924027d57092bfefe6cd40d5606"),
+    (-2, "-2", 4, "a389f0a6498ae1e10d32ba92c4d9abad75264c3c7000dfa561c2b503ca35609e"),
+    (-5, "-2", 4, "a53231b2ea72d03f080b083f2c341699f3ecc327778b9d10a946c0e3b9b1103d"),
+    (-7, "-2", 4, "c3374f8b738d911c693ab4d58338a184e6c11368e06a1391bff7e57721f4caac"),
+    (-15, "-2", 4, "5449a533be56e17210a69f5dedf2811cccb18a744f531d761b14be8cd293eb23"),
+    (-1, "2", 5, "e632f0c9b521d3e97b3cc379fc81e60e5a6cee4dde44d046b5de1aec9ed92b35"),
+    (-2, "2", 5, "aeef88cce8ff3ae419316a28d878b1ec75222d533f965faaba26bea5883a816d"),
+    (-5, "2", 5, "b022c4eaaeb70fd05db5aa884df54ab02ef17feeb2c1ad5fca298df55cec685a"),
+    (-7, "2", 5, "c8b64459b57c4af2a574902919a8b41c140d2600b9bee5ade19bfa698a68fb1b"),
+    (-15, "2", 5, "f6b91e91aadb5d111d210b19c1d2fe5b1d12eff8ac03a5245b4e4203e069651d"),
+    (-1, "1", 5, "505055491ed0881b331da6d2b42a9f46091e208e5113747ccdca48e3dd10b0ab"),
+    (-2, "1", 5, "21765c43b666690503de289d629435edf28ef261068a1fab5efa2f4f0107da9d"),
+    (-5, "1", 5, "08380255bf2f9e998fbb7f57a83139af51ffe4ab39c88ab7a2d85d2e43ca3501"),
+    (-7, "1", 5, "a17747c4fc72a078df804705da181ef5587d5d7d924d41908c5e7cedcb2c2b41"),
+    (-15, "1", 5, "3f7a837d54de5c383390222378d016591f5e0020c50a8f4a0a8f13b8025258ec"),
+    # dimension 1030
+    (-1, "1+w", 5, "6703fc2c9aed4a2ab3149d490840483fedafe61b84d4670e96b19a06a4931e1f"),
+]
+
+
+def test_numfield_golden_covers_the_warm_ups():
+    cases = {(m, alpha, n) for m, alpha, n, _ in NUMFIELD_GOLDEN}
+    assert len(cases) == len(NUMFIELD_GOLDEN) == 74
+    assert {(-1, "1", 3), (-3, "w", 3), (-1, "1+w", 5)} <= cases
+
+
+@pytest.mark.parametrize("m, alpha, n, digest", NUMFIELD_GOLDEN,
+                         ids=[f"m={m} alpha={a} n={n}" for m, a, n, _ in NUMFIELD_GOLDEN])
+def test_numfield_pipeline_document_bytes(m, alpha, n, digest):
+    K = QuadField(m)
+    cert = numfield_pipeline(K, parse_quadint(K, alpha), n=n)
+    text = canonical_json(numfield_doc(cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
