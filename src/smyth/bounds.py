@@ -347,10 +347,13 @@ def min_balanced_search(
     radius-N solution box for an integer tuple. Sub-multisets are visited in
     (size, lexicographic) order with per-member multiplicity capped at
     max_multiplicity, so the first hit is minimal and deterministic. Returns
-    None when no balanced sub-multiset exists within the bound.
+    None when no balanced sub-multiset exists within the bound; a negative N
+    is a ValueError.
     """
     if max_multiplicity not in (1, 2):
         raise ValueError("max_multiplicity must be 1 or 2")
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
     if isinstance(a, CoeffTuple):
         coeffs = a.coeffs
         pool = _solution_pool(a, N, budget)

@@ -418,12 +418,6 @@ def balanced_multiset(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> Ba
                                                   for idx in zip(*ranked)))))
 
 
-def is_one_factor(b: BalancedMultiset) -> bool:
-    """True iff the first-coordinate values are pairwise distinct."""
-    firsts = [m[0] for m in b.members]
-    return len(set(firsts)) == len(firsts)
-
-
 @dataclass(frozen=True)
 class PermutationCertificate:
     """Permutations X_1..X_n (X_n = I) with kernel vector v of sum(a_i X_i).

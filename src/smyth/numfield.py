@@ -464,35 +464,52 @@ def _alpha_abs_upper(alpha: QuadInt) -> Fraction:
 def _points_near(K: QuadField, alpha: QuadInt, r_squared: Fraction):
     """Lister of the points of Z[alpha] within ambient distance^2 r_squared of a centre.
 
-    The returned function maps a centre tx + ty*w = a + b*alpha to entries
-    (distance^2, sort_key, point), whose order is the (distance, sort_key)
-    order. Completing the square of the form in the basis (1, alpha) bounds
-    the rows s of the points p + s*alpha, then p on each row; frac_sqrt_upper
-    only widens the bounds and the exact filter drops what they let through.
-    In rank 1 (rational alpha) the only row is s = 0 and ty must be 0.
+    The returned function near(wx, wy, d=1) takes the centre (wx + wy*w)/d
+    as integer numerators over one positive denominator d and returns entries
+    (d^2 * distance^2, sort_key, point), whose order is the (distance,
+    sort_key) order; the scaled distance is the ambient form at
+    (wx - d*x, wy - d*y), an int. With the form Q(u, v) = A*u^2 + B*u*v +
+    C*v^2 and disc = 4AC - B^2 > 0, completing the square gives 4A*Q =
+    (2A*u + B*v)^2 + disc*v^2. A point p + s*alpha has v = wy - d*s*ay, so
+    disc*v^2 <= 4A*d^2*r_squared bounds the rows s, and then the first square
+    bounds p on each row. Both bounds are isqrt of a floor, exact for integer
+    unknowns; the exact filter still checks every candidate. In rank 1
+    (rational alpha) the only row is s = 0.
     """
-    q1 = Fraction(K.one.abs_squared())
-    width = r_squared * q1
+    A = K.ambient_q(1, 0)
+    C = K.ambient_q(0, 1)
+    B = K.ambient_q(1, 1) - A - C
+    disc = 4 * A * C - B * B
+    r_squared = Fraction(r_squared)
+    rn, rd = r_squared.numerator, r_squared.denominator
     ax, ay = alpha.x, alpha.y
-    g01 = _inner(K.one, alpha)
-    det = q1 * alpha.abs_squared() - g01 * g01
-    s_half = frac_sqrt_upper(width / det) if ay else 0
+    ambient_q, element = K.ambient_q, K.element
 
-    def near(tx: Fraction, ty: Fraction) -> list[tuple[Fraction, tuple[int, int], QuadInt]]:
-        b = Fraction(ty, ay) if ay else Fraction(0)
-        a = tx - b * ax
+    def near(wx: int, wy: int, d: int = 1) -> list[tuple[int, tuple[int, int], QuadInt]]:
+        width = 4 * A * rn * d * d  # rd * 4A * d^2 * r_squared
+        limit = rn * d * d // rd    # an int distance is <= d^2 * r_squared iff <= this
+        if ay:
+            v_max = math.isqrt(width // (disc * rd))
+            # d*ay*s lies in [wy - v_max, wy + v_max]
+            k, c = (d * ay, wy) if ay > 0 else (-d * ay, -wy)
+            s_range = range(-((v_max - c) // k), (c + v_max) // k + 1)
+        else:
+            s_range = range(1)
         found = []
-        for s in range(math.ceil(b - s_half), math.floor(b + s_half) + 1):
-            disc = width - det * (s - b) ** 2
-            if disc < 0:
+        for s in s_range:
+            v = wy - d * s * ay
+            rest = width - disc * rd * v * v
+            if rest < 0:
                 continue
-            mid = a - g01 * (s - b) / q1
-            up = frac_sqrt_upper(disc) / q1
-            for p in range(math.ceil(mid - up), math.floor(mid + up) + 1):
+            h = math.isqrt(rest // rd)
+            # |2A*(u0 - d*p) + B*v| <= h with u0 = wx - d*s*ax
+            c2 = 2 * A * (wx - d * s * ax) + B * v
+            k2 = 2 * A * d
+            for p in range(-((h - c2) // k2), (c2 + h) // k2 + 1):
                 x, y = p + s * ax, s * ay
-                dist = K.ambient_q(tx - x, ty - y)
-                if dist <= r_squared:
-                    found.append((dist, (x, y), K.element(x, y)))
+                dist = ambient_q(wx - d * x, wy - d * y)
+                if dist <= limit:
+                    found.append((dist, (x, y), element(x, y)))
         return found
 
     return near
@@ -520,8 +537,8 @@ def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
     z_1 is nearest to t = alpha*z/(n-1), ties broken by sort_key. Every
     nearest point lies within M of t and |t| + M < R, so comparing the few
     points of Z[alpha] within M of t finds what a scan of the ball would.
-    Rows are built as (n-2) units on z_1 plus one on z_2 and the identity
-    C.z = alpha*z is asserted entry by entry.
+    Each row is written from its sparse form, (n-2) units on z_1 plus one on
+    z_2, and the identity C.z = alpha*z is asserted on that sparse form.
     """
     alpha = _as_quadint(K, alpha)
     if not alpha:
@@ -549,32 +566,33 @@ def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
     k += radius_factor
     radius = Fraction(2) ** k
     r_squared = radius * radius
-    points = [z for _, _, z in sorted(_points_near(K, alpha, r_squared)(0, 0))]
-    index = {z: i for i, z in enumerate(points)}
+    ball = sorted(_points_near(K, alpha, r_squared)(0, 0))
+    points = [z for _, _, z in ball]
+    index = {key: i for i, (_, key, _) in enumerate(ball)}
     size = len(points)
     nearest = _points_near(K, alpha, m_squared)
     rows = []
     for z in points:
         w = alpha * z
-        _, _, z1 = min(nearest(Fraction(w.x, n - 1), Fraction(w.y, n - 1)))
-        z2 = w - (n - 2) * z1
-        j1, j2 = index.get(z1), index.get(z2)
+        _, (x1, y1), _ = min(nearest(w.x, w.y, n - 1))
+        j1 = index.get((x1, y1))
+        j2 = index.get((w.x - (n - 2) * x1, w.y - (n - 2) * y1))
         if j1 is None:
             raise AssertionError("rounded point escaped the ball")
         if j2 is None:
             raise AssertionError("remainder point escaped the ball")
+        sparse = {j1: n - 2}
+        sparse[j2] = sparse.get(j2, 0) + 1
+        acc = K.zero
+        for j, c in sparse.items():
+            acc = acc + c * points[j]
+        if acc != w:
+            raise AssertionError("rounding row fails C.z = alpha*z")
         row = [0] * size
-        row[j1] += n - 2
-        row[j2] += 1
+        for j, c in sparse.items():
+            row[j] = c
         rows.append(tuple(row))
     matrix = tuple(rows)
-    for i, z in enumerate(points):
-        acc = K.zero
-        for j, c in enumerate(matrix[i]):
-            if c:
-                acc = acc + c * points[j]
-        if acc != alpha * z:
-            raise AssertionError("rounding row fails C.z = alpha*z")
     return LatticeStep(
         matrix=matrix,
         points=tuple(points),
@@ -597,11 +615,11 @@ class BridgeResult:
 
 def matrix_fixes(matrix: Sequence[Sequence[int]], vec: Sequence[QuadInt],
                   alpha: QuadInt) -> bool:
+    """Whether matrix . vec = alpha * vec, summing each row's nonzero entries."""
     for i, row in enumerate(matrix):
         acc = alpha.field.zero
-        for j, c in enumerate(row):
-            if c:
-                acc = acc + c * vec[j]
+        for j in itertools.compress(range(len(row)), row):
+            acc = acc + row[j] * vec[j]
         if acc != alpha * vec[i]:
             return False
     return True
@@ -681,7 +699,7 @@ def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
     n = row_sums.pop() + 1
     if n < 3:
         raise ValueError("row sums must be at least 2")
-    if all(sum(matrix[i][j] for i in range(size)) == n - 1 for j in range(size)):
+    if all(col == n - 1 for col in map(sum, zip(*matrix))):
         if not matrix_fixes(matrix, points, alpha):
             raise BridgeError("doubly regular input fails the eigen identity",
                               matrix=matrix)
@@ -705,11 +723,10 @@ def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
                 return live
             live = keep
 
-    nonzero = [i for i, p in enumerate(points) if p]
-    shells = sorted({points[i].abs_squared() for i in nonzero})
+    norms = {i: p.abs_squared() for i, p in enumerate(points) if p}
     live: set = set()
-    for bound in shells:
-        live = fixpoint({i for i in nonzero if points[i].abs_squared() <= bound})
+    for bound in sorted(set(norms.values())):
+        live = fixpoint({i for i, norm in norms.items() if norm <= bound})
         if live:
             break
     if not live:
@@ -782,7 +799,7 @@ def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
     vec_out = cert.kernel
     if any(sum(row) != n - 1 for row in D):
         raise BridgeError("rebalanced rows do not sum to n-1", matrix=matrix)
-    if any(sum(D[i][j] for i in range(dim)) != n - 1 for j in range(dim)):
+    if any(col != n - 1 for col in map(sum, zip(*D))):
         raise BridgeError("rebalanced columns do not sum to n-1", matrix=matrix)
     if not matrix_fixes(D, vec_out, alpha):
         raise BridgeError("rebalanced matrix fails the eigen identity",
@@ -843,15 +860,16 @@ def birkhoff_decompose(D: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     work = [list(row) for row in D]
     if any(len(row) != size for row in work):
         raise ValueError("matrix must be square")
-    if any(any(v < 0 or not isinstance(v, int) for v in row) for row in work):
-        raise ValueError("entries must be nonnegative integers")
-    sums = {sum(row) for row in work}
-    sums |= {sum(work[i][j] for i in range(size)) for j in range(size)}
+    for row in work:
+        if not all(issubclass(t, int) for t in set(map(type, row))) or min(row) < 0:
+            raise ValueError("entries must be nonnegative integers")
+    sums = set(map(sum, work))
+    sums.update(map(sum, zip(*work)))
     if len(sums) != 1:
         raise ValueError("row and column sums must all be equal")
     s = sums.pop()
     perms = []
-    support = [[c for c, v in enumerate(row) if v > 0] for row in work]
+    support = [list(itertools.compress(range(size), row)) for row in work]
     for _ in range(s):
         match_col = [-1] * size
         for r in range(size):

@@ -89,10 +89,12 @@ class QuadField:
     def omega(self) -> "QuadInt":
         return QuadInt(self, 0, 1)
 
-    def ambient_q(self, u: Rational, v: Rational) -> Fraction:
-        """The positive quadratic form sum over archimedean places of |u+v*w|^2."""
-        u = Fraction(u)
-        v = Fraction(v)
+    def ambient_q(self, u: Rational, v: Rational) -> Rational:
+        """The positive quadratic form sum over archimedean places of |u+v*w|^2.
+
+        An integer polynomial in (u, v): an int on int arguments, a Fraction
+        on Fraction arguments.
+        """
         norm = u * u + u * v * self.omega_trace + v * v * self.omega_norm
         if not self.is_real:
             return norm
@@ -198,8 +200,8 @@ class QuadInt:
             return None
         return QuadInt(self.field, num.x // d, num.y // d)
 
-    def abs_squared(self) -> Fraction:
-        """Sum over archimedean places of |self|^2 (the ambient form)."""
+    def abs_squared(self) -> int:
+        """Sum over archimedean places of |self|^2 (the ambient form), an int."""
         return self.field.ambient_q(self.x, self.y)
 
     def embedding_coords(self, place: int) -> tuple[Fraction, Fraction]:

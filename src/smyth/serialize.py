@@ -19,7 +19,8 @@ document carries, checked against the defining equations, is its proof.
 Informational fields are not checked, so edits to them go undetected: N;
 numfield dimension, radius_squared, covering_radius_squared and strategy;
 and extremal D over the integers, whose prime comes from a floating-point
-e^D.
+e^D. Integer fields are read strictly: a float, bool or string where a JSON
+integer belongs is a ParseError.
 
 Emission is canonical (sorted keys, fixed indentation, deterministic list
 orders), so serialize -> parse -> serialize is byte-stable.
@@ -51,6 +52,7 @@ VERIFIABLE_KINDS = ("balanced", "certificate", "extremal", "numfield")
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _LISTS = frozenset((list, tuple))
+_INT = frozenset((int,))
 
 # Items separated by NUL with no whitespace: JSON escapes NUL inside strings,
 # so every raw NUL in this encoder's output is a separator.
@@ -99,6 +101,19 @@ def parse_json(text: str) -> dict:
     return doc
 
 
+def _ints(values, what: str = "entry") -> tuple[int, ...]:
+    """values as JSON integers; a float, bool or string among them is a ParseError."""
+    row = tuple(values)
+    if not _INT.issuperset(map(type, row)):
+        bad = next(v for v in row if type(v) is not int)
+        raise ParseError(f"{what} must be an integer, not {type(bad).__name__}")
+    return row
+
+
+def _int(value, what: str = "entry") -> int:
+    return _ints((value,), what)[0]
+
+
 def _one_based(perms: Sequence[Sequence[int]]) -> list[list[int]]:
     return [[k + 1 for k in p] for p in perms]
 
@@ -106,7 +121,7 @@ def _one_based(perms: Sequence[Sequence[int]]) -> list[list[int]]:
 def _zero_based(perms: Sequence[Sequence[int]], m: int) -> Optional[list[tuple[int, ...]]]:
     out = []
     for p in perms:
-        row = [k - 1 for k in p]
+        row = [k - 1 for k in _ints(p, "permutation entry")]
         if len(row) != m or sorted(row) != list(range(m)):
             return None
         out.append(tuple(row))
@@ -194,18 +209,18 @@ def _verify_multiset(doc: dict) -> bool:
     ring = doc.get("ring", "fqt")
     if ring == "fqt":
         _require(doc, "q")
-        field = FieldParams(int(doc["q"]))
+        field = FieldParams(_int(doc["q"], "q"))
         entry = functools.partial(parse_poly, field)
     elif ring == "int":
-        entry = int
+        entry = _int
     else:
         raise ParseError(f"unknown ring {ring!r}")
     coeffs = tuple(entry(c) for c in doc["coeffs"])
     if ring == "fqt":
         CoeffTuple.make(field, coeffs)  # refuses pairs, as certify does
-    if len(coeffs) != int(doc["n"]) or not all(coeffs):
+    if len(coeffs) != _int(doc["n"], "n") or not all(coeffs):
         return False
-    m = int(doc["m"])
+    m = _int(doc["m"], "m")
     perms = _zero_based(doc["permutations"], m)
     if perms is None or len(perms) != len(coeffs):
         return False
@@ -232,23 +247,23 @@ def _verify_extremal(doc: dict) -> bool:
     ring = doc["ring"]
     if ring == "fqt":
         _require(doc, "q")
-        field = FieldParams(int(doc["q"]))
+        field = FieldParams(_int(doc["q"], "q"))
         triple = tuple(parse_poly(field, s) for s in doc["triple"])
     elif ring == "int":
-        triple = tuple(int(v) for v in doc["triple"])
+        triple = _ints(doc["triple"], "triple entry")
     else:
         raise ParseError(f"unknown ring {ring!r}")
     cert = OrderBoundCertificate(
         triple=triple,
-        order=int(doc["order"]),
-        group_order=int(doc["group_order"]),
+        order=_int(doc["order"], "order"),
+        group_order=_int(doc["group_order"], "group_order"),
         generator_flag=bool(doc["generator_flag"]),
     )
     inst = ExtremalInstance(
         ring=ring,
         triple=triple,
-        D=int(doc["D"]),
-        claimed_min=int(doc["claimed_min"]),
+        D=_int(doc["D"], "D"),
+        claimed_min=_int(doc["claimed_min"], "claimed_min"),
         certificate=cert,
         degenerate=bool(doc.get("degenerate", False)),
     )
@@ -261,12 +276,12 @@ def _verify_extremal(doc: dict) -> bool:
 def _verify_numfield(doc: dict) -> bool:
     _require(doc, "m", "omega", "alpha", "n", "matrix", "permutations",
              "eigenvector")
-    K = QuadField(int(doc["m"]))
+    K = QuadField(_int(doc["m"], "m"))
     if doc["omega"] != K.omega_label:
         return False
     alpha = parse_quadint(K, doc["alpha"])
-    n = int(doc["n"])
-    matrix = tuple(tuple(int(v) for v in row) for row in doc["matrix"])
+    n = _int(doc["n"], "n")
+    matrix = tuple(_ints(row, "matrix entry") for row in doc["matrix"])
     dim = len(matrix)
     if any(len(row) != dim for row in matrix):
         return False

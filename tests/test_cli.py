@@ -3,10 +3,13 @@ import concurrent.futures
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from smyth.cli import main
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 def run(capsys, *argv):
@@ -104,6 +107,16 @@ class TestMinimal:
                            "--coeffs", "1;1;-2", "--N", "1",
                            "--size-bound", "3")
         assert code == 0
+
+    @pytest.mark.parametrize("ring", [["--q", "2", "--coeffs", "1;t;t+1"],
+                                      ["--ring", "int", "--coeffs", "1;1;-2"]],
+                             ids=["fqt", "int"])
+    def test_negative_N_exit_two(self, capsys, ring):
+        code, out, err = run(capsys, "minimal", *ring, "--N", "-1",
+                             "--size-bound", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "N must be nonnegative" in err
 
 
 class TestExtremal:
@@ -248,6 +261,26 @@ class TestVerify:
         assert code == 2
         assert out2 == ""
         assert err.startswith("error:") and "must be a string" in err
+
+    @pytest.mark.parametrize("name, path, value", [
+        ("int-size3.json", ("kernel_vector", 0), 2.5),
+        ("numfield-d16.json", ("m",), 2.5),
+        ("fqt-m15-certificate.json", ("q",), 2.5),
+        ("numfield-d16.json", ("matrix", 1, 4), True),
+    ], ids=["int-kernel-float", "numfield-m-float", "fqt-q-float", "numfield-matrix-bool"])
+    def test_non_integer_number_exit_two(self, capsys, tmp_path, name, path, value):
+        doc = json.loads((CORPUS / name).read_text(encoding="utf-8"))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        assert type(target[path[-1]]) is int and target[path[-1]] == int(value)
+        target[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "must be an integer" in err
 
     def test_missing_file_exit_two(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/cert.json")

@@ -16,7 +16,6 @@ from smyth.core import (
     enumerate_solutions,
     fiber_count,
     is_balanced,
-    is_one_factor,
     member_sort_key,
     poly_from_index,
     relation_holds,
@@ -29,6 +28,12 @@ from smyth.errors import (
     RelationViolationError,
     TupleArityError,
 )
+
+
+def is_one_factor(b: BalancedMultiset) -> bool:
+    """True iff the first-coordinate values are pairwise distinct."""
+    firsts = [m[0] for m in b.members]
+    return len(set(firsts)) == len(firsts)
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)

@@ -15,6 +15,7 @@ from smyth.errors import (
 from smyth.numfield import (
     LatticeStep,
     _inner,
+    _points_near,
     birkhoff_decompose,
     covering_radius_squared,
     frac_sqrt_upper,
@@ -140,6 +141,57 @@ def scan_rounding_step(K, alpha, n, r_squared):
         rows.append(tuple(row))
     return LatticeStep(matrix=tuple(rows), points=tuple(points), radius_squared=r_squared,
                        covering_radius_squared=covering_radius_squared(K, alpha), n=n)
+
+
+def fraction_points_near(K, alpha, r_squared):
+    """Reference lister on Fraction centres, as the library had it before
+    distances moved to integers: maps a centre tx + ty*w = a + b*alpha to
+    entries (distance^2, sort_key, point). In rank 1 (rational alpha) the
+    only row is s = 0 and ty must be 0."""
+    q1 = Fraction(K.one.abs_squared())
+    width = r_squared * q1
+    ax, ay = alpha.x, alpha.y
+    g01 = _inner(K.one, alpha)
+    det = q1 * alpha.abs_squared() - g01 * g01
+    s_half = frac_sqrt_upper(width / det) if ay else 0
+
+    def near(tx, ty):
+        b = Fraction(ty, ay) if ay else Fraction(0)
+        a = tx - b * ax
+        found = []
+        for s in range(math.ceil(b - s_half), math.floor(b + s_half) + 1):
+            disc = width - det * (s - b) ** 2
+            if disc < 0:
+                continue
+            mid = a - g01 * (s - b) / q1
+            up = frac_sqrt_upper(disc) / q1
+            for p in range(math.ceil(mid - up), math.floor(mid + up) + 1):
+                x, y = p + s * ax, s * ay
+                dist = K.ambient_q(tx - x, ty - y)
+                if dist <= r_squared:
+                    found.append((dist, (x, y), K.element(x, y)))
+        return found
+
+    return near
+
+
+def fraction_rounding_step(K, alpha, n, r_squared):
+    """Reference for lattice_rounding_step at a given ball radius: the ball and
+    every nearest point from fraction_points_near, rows written densely."""
+    points = [z for _, _, z in sorted(fraction_points_near(K, alpha, r_squared)(0, 0))]
+    index = {z: i for i, z in enumerate(points)}
+    m_squared = covering_radius_squared(K, alpha)
+    nearest = fraction_points_near(K, alpha, m_squared)
+    rows = []
+    for z in points:
+        w = alpha * z
+        _, _, z1 = min(nearest(Fraction(w.x, n - 1), Fraction(w.y, n - 1)))
+        row = [0] * len(points)
+        row[index[z1]] += n - 2
+        row[index[w - (n - 2) * z1]] += 1
+        rows.append(tuple(row))
+    return LatticeStep(matrix=tuple(rows), points=tuple(points), radius_squared=r_squared,
+                       covering_radius_squared=m_squared, n=n)
 
 
 @st.composite
@@ -345,6 +397,38 @@ class TestLatticeRoundingStep:
         assume(len(step.points) <= 120)
         assert step == scan_rounding_step(K, alpha, n, step.radius_squared)
 
+    # the fields of test_matches_scan_reference, with |alpha| up to n - 1
+    @given(st.sampled_from([2, 5, -1, -2, -3, -7, -15]), st.integers(-2, 2),
+           st.integers(-1, 1), st.integers(3, 4), st.integers(0, 1),
+           st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+                    min_size=1, max_size=4),
+           st.integers(1, 5))
+    @example(-1, 1, 1, 3, 0, [(3, -1)], 2)
+    @example(5, 0, 1, 3, 1, [(7, 5)], 2)
+    @example(-7, 2, 0, 4, 0, [(5, 0)], 3)
+    @settings(max_examples=40, deadline=None)
+    def test_integer_lister_matches_fraction_reference(self, m, x, y, n, radius_factor,
+                                                       centres, d):
+        K = QuadField(m)
+        alpha = K.element(x, y)
+        assume(alpha and all(quadint_abs(alpha, place) < SqrtSum.rational(n - 1)
+                             for place in range(K.places)))
+        step = lattice_rounding_step(K, alpha, n, radius_factor)
+        assume(len(step.points) <= 800)
+        assert step == fraction_rounding_step(K, alpha, n, step.radius_squared)
+        for r_squared in (step.covering_radius_squared, step.radius_squared):
+            near = _points_near(K, alpha, r_squared)
+            reference = fraction_points_near(K, alpha, r_squared)
+            assert near(0, 0) == reference(0, 0)
+            for wx, wy in centres:
+                if alpha.is_rational:
+                    wy = 0  # rank 1: centres lie on the rational line
+                got = near(wx, wy, d)
+                want = reference(Fraction(wx, d), Fraction(wy, d))
+                assert [(key, z) for _, key, z in got] == [(key, z) for _, key, z in want]
+                assert all(type(dist) is int for dist, _, _ in got)
+                assert [dist for dist, _, _ in got] == [d * d * dist for dist, _, _ in want]
+
 
 class TestPerronBridge:
     def test_as_given_when_doubly_regular(self):
@@ -354,6 +438,12 @@ class TestPerronBridge:
         res = perron_bridge(C, GAUSS.element(2), pts)
         assert res.strategy == "as-given"
         assert res.matrix == ((1, 1), (1, 1))
+
+    def test_as_given_checks_the_eigen_identity(self):
+        # [[1,1],[1,1]] is doubly regular, but (1, w) is no eigenvector of it
+        pts = (GAUSS.one, GAUSS.omega)
+        with pytest.raises(BridgeError, match="fails the eigen identity"):
+            perron_bridge([[1, 1], [1, 1]], GAUSS.element(2), pts)
 
     def test_impossible_rebalance_raises(self):
         # only 0 and 1 among the points: alpha*1 = 1 has no two-part
@@ -402,6 +492,22 @@ class TestBirkhoff:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             birkhoff_decompose(((2, -1), (-1, 2)))
+
+    @pytest.mark.parametrize("D, message", [
+        (((1, 0), (1,)), "matrix must be square"),
+        (((1, 0, 0), (0, 1, 0)), "matrix must be square"),
+        (((2, -1), (-1, 2)), "entries must be nonnegative integers"),
+        (((1.0, 0), (0, 1)), "entries must be nonnegative integers"),
+        (((1, 0), (0, Fraction(1))), "entries must be nonnegative integers"),
+        (((1, 0), (1, 1)), "row and column sums must all be equal"),
+        (((1, 1), (2, 0)), "row and column sums must all be equal"),
+        ((), "row and column sums must all be equal"),
+    ], ids=["ragged", "not-square", "negative", "float", "fraction",
+            "unequal-rows", "unequal-columns", "empty"])
+    def test_rejection_messages(self, D, message):
+        with pytest.raises(ValueError) as exc:
+            birkhoff_decompose(D)
+        assert str(exc.value) == message
 
     def test_augmenting_path_longer_than_recursion_limit(self):
         # the last row's first open column, 0, is taken, and freeing it

@@ -52,6 +52,16 @@ class TestQuadField:
         # sum over both embeddings of (x + y sqrt(2))^2 is 2x^2 + 4y^2
         assert REAL2.ambient_q(1, 1) == 6
 
+    @given(st.sampled_from([-15, -7, -3, -1, 2, 5]), st.integers(-9, 9), st.integers(-9, 9),
+           st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_ambient_form_int_on_ints_and_exact_on_fractions(self, m, u, v, d):
+        K = QuadField(m)
+        value = K.ambient_q(u, v)
+        assert type(value) is int and type(K.element(u, v).abs_squared()) is int
+        scaled = K.ambient_q(Fraction(u, d), Fraction(v, d))
+        assert type(scaled) is Fraction and scaled == Fraction(value, d * d)
+
 
 class TestQuadInt:
     def test_arithmetic(self):
