@@ -15,15 +15,8 @@ import sys
 from collections import Counter
 from typing import Optional, Sequence
 
+from . import bounds, heuristic, numfield, quadratic, serialize
 from .algebra import FieldParams, Poly, parse_poly
-from .bounds import (
-    check_criteria_int,
-    construct_extremal_fqt,
-    construct_extremal_int,
-    min_balanced_search,
-    order_bound_fqt,
-    verify_extremal,
-)
 from .core import (
     DEFAULT_BUDGET,
     BalancedMultiset,
@@ -44,20 +37,6 @@ from .errors import (
     SmythError,
     TupleArityError,
 )
-from .heuristic import (
-    GroupFamily,
-    limit_scan,
-    monte_carlo,
-    p_n_closed_form,
-)
-from .numfield import (
-    numfield_pipeline,
-    rou_relation_search,
-    rou_twist,
-    strong_criteria_check,
-)
-from .quadratic import QuadField, format_quadint, parse_quadint
-from . import serialize
 
 
 def _resolve_budget(args) -> int:
@@ -98,12 +77,12 @@ def _parse_coeffs_int(text: str) -> list[int]:
     return out
 
 
-def _parse_coeffs_quad(K: QuadField, text: str) -> list:
+def _parse_coeffs_quad(K: quadratic.QuadField, text: str) -> list:
     parts = text.split(";")
     out = []
     for idx, tok in enumerate(parts, 1):
         try:
-            out.append(parse_quadint(K, tok))
+            out.append(quadratic.parse_quadint(K, tok))
         except ParseError as err:
             raise ParseError(f"coefficient {idx}: {err}") from err
     return out
@@ -135,7 +114,7 @@ def run_check(args) -> int:
             raise TupleArityError("need at least three coefficients")
         if any(c == 0 for c in coeffs):
             raise ParseError("coefficients must be nonzero")
-        ok = check_criteria_int(coeffs)
+        ok = bounds.check_criteria_int(coeffs)
         doc = {"kind": "criteria-report", "ring": "int", "coeffs": coeffs,
                "passes": ok}
         _emit(args, doc, [f"{'pass' if ok else 'fail'}: {coeffs}"])
@@ -211,15 +190,15 @@ def run_minimal(args) -> int:
     budget = _resolve_budget(args)
     if args.ring == "int":
         coeffs = _parse_coeffs_int(args.coeffs)
-        found = min_balanced_search(coeffs, args.N, args.size_bound,
-                                    max_multiplicity=args.max_multiplicity,
-                                    budget=budget)
+        found = bounds.min_balanced_search(coeffs, args.N, args.size_bound,
+                                           max_multiplicity=args.max_multiplicity,
+                                           budget=budget)
     else:
         field = FieldParams(args.q)
         a = CoeffTuple.make(field, _parse_coeffs_fqt(field, args.coeffs))
-        found = min_balanced_search(a, args.N, args.size_bound,
-                                    max_multiplicity=args.max_multiplicity,
-                                    budget=budget)
+        found = bounds.min_balanced_search(a, args.N, args.size_bound,
+                                           max_multiplicity=args.max_multiplicity,
+                                           budget=budget)
     if found is None:
         doc = {"kind": "minimal-search", "found": False,
                "size_bound": args.size_bound, "N": args.N}
@@ -235,12 +214,12 @@ def run_minimal(args) -> int:
 
 def run_extremal(args) -> int:
     if args.ring == "int":
-        inst = construct_extremal_int(args.D)
+        inst = bounds.construct_extremal_int(args.D)
     else:
         if args.q is None:
             raise ParseError("--q is required for the polynomial ring")
-        inst = construct_extremal_fqt(args.q, args.D, seed=args.seed)
-    if not verify_extremal(inst):
+        inst = bounds.construct_extremal_fqt(args.q, args.D, seed=args.seed)
+    if not bounds.verify_extremal(inst):
         raise SmythError("constructed instance failed verification")
     doc = serialize.extremal_doc(inst)
     triple_text = ", ".join(str(v) for v in inst.triple)
@@ -258,9 +237,9 @@ def run_heuristic(args) -> int:
     if args.mode == "mc":
         field = FieldParams(args.q)
         a = CoeffTuple.make(field, _parse_coeffs_fqt(field, args.coeffs))
-        family = GroupFamily(args.family, field.q ** args.N)
-        report = monte_carlo(a, args.N, family, trials=args.trials,
-                             seed=args.seed)
+        family = heuristic.GroupFamily(args.family, field.q ** args.N)
+        report = heuristic.monte_carlo(a, args.N, family, trials=args.trials,
+                                       seed=args.seed)
         counts = {str(k): v for k, v in report.sum_counts.items()}
         doc = {
             "kind": "heuristic-report",
@@ -283,9 +262,9 @@ def run_heuristic(args) -> int:
     if args.mode == "pn":
         if (args.group_size is None) == (args.log_group_size is None):
             raise ParseError("give exactly one of --group-size and --log-group-size")
-        log_p = p_n_closed_form(args.q, args.d, args.n, args.N,
-                                log_group_size=args.log_group_size,
-                                group_size=args.group_size)
+        log_p = heuristic.p_n_closed_form(args.q, args.d, args.n, args.N,
+                                          log_group_size=args.log_group_size,
+                                          group_size=args.group_size)
         doc = {
             "kind": "heuristic-report",
             "mode": "closed-form",
@@ -298,7 +277,7 @@ def run_heuristic(args) -> int:
         _emit(args, doc, [f"log p_N = {log_p:.12g}"])
         return 0
     growth = [float(tok) for tok in args.growth.split(",")]
-    rows = limit_scan(args.q, args.d, args.n, growth, start=args.start)
+    rows = heuristic.limit_scan(args.q, args.d, args.n, growth, start=args.start)
     doc = {
         "kind": "heuristic-report",
         "mode": "limit-scan",
@@ -330,7 +309,7 @@ def run_numfield(args) -> int:
             b = BalancedMultiset.make(tuple(coeffs), members, validate=True)
         except ValueError as err:
             raise ParseError(f"input multiset invalid: {err}") from err
-        twisted = rou_twist(b, args.j, args.order)
+        twisted = numfield.rou_twist(b, args.j, args.order)
         doc = {
             "kind": "twisted-multiset",
             "source_coeffs": coeffs,
@@ -345,15 +324,15 @@ def run_numfield(args) -> int:
         _emit(args, doc, [f"twisted multiset of size {twisted.size}, "
                           f"verified balanced"])
         return 0
-    K = QuadField(args.m)
+    K = quadratic.QuadField(args.m)
     if args.action == "check":
         coeffs = _parse_coeffs_quad(K, args.coeffs)
-        report = strong_criteria_check(K, coeffs)
+        report = numfield.strong_criteria_check(K, coeffs)
         doc = {
             "kind": "strong-criteria-report",
             "m": K.m,
             "omega": K.omega_label,
-            "coeffs": [format_quadint(v) for v in coeffs],
+            "coeffs": [quadratic.format_quadint(v) for v in coeffs],
             "archimedean_ok": report.archimedean_ok,
             "equalities": [list(e) for e in report.equalities],
             "violations": [list(v) for v in report.violations],
@@ -366,19 +345,19 @@ def run_numfield(args) -> int:
         return 0 if report.passes else 1
     if args.action == "rou":
         coeffs = _parse_coeffs_quad(K, args.coeffs)
-        relation = rou_relation_search(coeffs, max_order=args.max_order,
-                                       budget=_resolve_budget(args))
+        relation = numfield.rou_relation_search(coeffs, max_order=args.max_order,
+                                                budget=_resolve_budget(args))
         if relation is None:
             doc = {"kind": "rou-relation", "found": False,
                    "max_order": args.max_order,
-                   "coeffs": [format_quadint(v) for v in coeffs]}
+                   "coeffs": [quadratic.format_quadint(v) for v in coeffs]}
             _emit(args, doc, [f"no relation up to order {args.max_order}"])
             return 1
         doc = {
             "kind": "rou-relation",
             "found": True,
             "m": K.m,
-            "coeffs": [format_quadint(v) for v in coeffs],
+            "coeffs": [quadratic.format_quadint(v) for v in coeffs],
             "common_order": relation.common_order,
             "exponents": list(relation.exponents),
             "orders": list(relation.orders),
@@ -386,12 +365,12 @@ def run_numfield(args) -> int:
         _emit(args, doc, [f"relation at common order {relation.common_order}, "
                           f"exponents {relation.exponents}"])
         return 0
-    alpha = parse_quadint(K, args.alpha)
-    cert = numfield_pipeline(K, alpha, n=args.n, attempts=args.attempts)
+    alpha = quadratic.parse_quadint(K, args.alpha)
+    cert = numfield.numfield_pipeline(K, alpha, n=args.n, attempts=args.attempts)
     doc = serialize.numfield_doc(cert)
     lines = [
         f"certificate of dimension {len(cert.matrix)} for alpha = "
-        f"{format_quadint(alpha)} over m = {K.m} (strategy {cert.strategy})",
+        f"{quadratic.format_quadint(alpha)} over m = {K.m} (strategy {cert.strategy})",
     ]
     _emit(args, doc, lines)
     return 0

@@ -25,8 +25,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import mpmath
-
 from .core import CoeffTuple, vn_elements
 
 FAMILY_KINDS = ("symmetric", "alternating", "cyclic", "dihedral")
@@ -119,6 +117,8 @@ def p_n_closed_form(q: int, d: int, n: int, N: int,
         raise ValueError("group_size must be positive")
     exponent = (N + d) * q ** N
     bits = max(64, int(exponent * math.log2(q)) + 80)
+    import mpmath
+
     with mpmath.workprec(bits):
         per_trial = mpmath.mpf(q) ** (-exponent)
         log_term = mpmath.log1p(-per_trial)

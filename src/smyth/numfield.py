@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import mpmath
-
 from .algebra import euler_phi, kernel_basis
 from .core import (
     DEFAULT_BUDGET,
@@ -181,6 +179,8 @@ def _conjugate_bound(value: Entry) -> int:
 
 
 def _interval_embeddings(values: Sequence[Entry], M: int, exps: Sequence[int]):
+    import mpmath
+
     iv = mpmath.iv
     two_pi = 2 * iv.pi
     re = iv.mpf(0)
@@ -214,6 +214,8 @@ def _rigorous_rou_zero(values: Sequence[Entry], M: int, exps: Sequence[int]) -> 
     its modulus is at least 1/B^(D-1) where B bounds every conjugate. The
     interval either clears that separation bound or excludes zero.
     """
+    import mpmath
+
     B = max(2, sum(_conjugate_bound(v) for v in values))
     D = 2 * euler_phi(M)
     sep_sq = Fraction(1, B ** (2 * max(D - 1, 1)))
@@ -705,34 +707,42 @@ def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
                               matrix=matrix)
         return BridgeResult(matrix=matrix, eigenvector=points, strategy="as-given")
     index = {p: i for i, p in enumerate(points)}
+    norms = {i: p.abs_squared() for i, p in enumerate(points) if p}
+    scaled = {i: (n - 2) * points[i] for i in norms}
 
-    def find_decomp(i: int, allowed: set) -> Optional[tuple[int, int]]:
+    def find_decomp(i: int, order: list, allowed: set) -> Optional[tuple[int, int]]:
+        """The first (j1, j2) in order with alpha*p_i = (n-2)*p_j1 + p_j2."""
         w = alpha * points[i]
-        for j1 in sorted(allowed):
-            z2 = w - (n - 2) * points[j1]
-            j2 = index.get(z2)
+        for j1 in order:
+            j2 = index.get(w - scaled[j1])
             if j2 is not None and j2 in allowed:
                 return (j1, j2)
         return None
 
-    def fixpoint(candidates: set) -> set:
-        live = set(candidates)
+    def fixpoint(candidates: set) -> dict:
+        """The largest subset of candidates closed under the decomposition,
+        as each member's decomposition inside it."""
+        live = candidates
         while True:
-            keep = {i for i in live if find_decomp(i, live) is not None}
-            if keep == live:
-                return live
-            live = keep
+            order = sorted(live)
+            decomp = {}
+            for i in order:
+                found = find_decomp(i, order, live)
+                if found is not None:
+                    decomp[i] = found
+            if len(decomp) == len(live):
+                return decomp
+            live = set(decomp)
 
-    norms = {i: p.abs_squared() for i, p in enumerate(points) if p}
-    live: set = set()
+    decomp: dict = {}
     for bound in sorted(set(norms.values())):
-        live = fixpoint({i for i, norm in norms.items() if norm <= bound})
-        if live:
+        decomp = fixpoint({i for i, norm in norms.items() if norm <= bound})
+        if decomp:
             break
-    if not live:
+    if not decomp:
         raise BridgeError("no nonzero subset closed under the decomposition",
                           matrix=matrix)
-    decomp = {i: find_decomp(i, live) for i in live}
+    live = set(decomp)
     succ = {i: sorted(set(decomp[i])) for i in live}
     components = _sccs(live, succ)
     sinks = [comp for comp in components

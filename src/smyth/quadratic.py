@@ -44,16 +44,17 @@ class QuadField:
             if e > 1:
                 raise ValueError(f"m must be squarefree, got {self.m} = ...{p}^{e}...")
 
-    @property
+    # Computed once per field: QuadInt arithmetic reads these on every operation.
+    @functools.cached_property
     def half(self) -> bool:
         """Whether w = (1+sqrt(m))/2 rather than sqrt(m)."""
         return self.m % 4 == 1
 
-    @property
+    @functools.cached_property
     def omega_trace(self) -> int:
         return 1 if self.half else 0
 
-    @property
+    @functools.cached_property
     def omega_norm(self) -> int:
         return (1 - self.m) // 4 if self.half else -self.m
 
@@ -133,7 +134,7 @@ class QuadInt:
 
     def _coerce(self, other) -> "QuadInt | None":
         if isinstance(other, QuadInt):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed quadratic fields")
             return other
         if isinstance(other, int):

@@ -34,8 +34,8 @@ import itertools
 import json
 from typing import Optional, Sequence
 
+from . import bounds, numfield, quadratic
 from .algebra import FieldParams, Poly, parse_poly
-from .bounds import ExtremalInstance, OrderBoundCertificate, verify_extremal
 from .core import (
     BalancedMultiset,
     CoeffTuple,
@@ -44,8 +44,6 @@ from .core import (
     verify_certificate,
 )
 from .errors import ParseError
-from .numfield import NumfieldCertificate, matrix_fixes, permutation_sum
-from .quadratic import QuadField, format_quadint, parse_quadint
 
 VERIFIABLE_KINDS = ("balanced", "certificate", "extremal", "numfield")
 
@@ -160,7 +158,7 @@ def multiset_doc(b: BalancedMultiset, kind: str = "balanced",
     return doc
 
 
-def extremal_doc(inst: ExtremalInstance) -> dict:
+def extremal_doc(inst: bounds.ExtremalInstance) -> dict:
     cert = inst.certificate
     doc: dict = {
         "kind": "extremal",
@@ -180,18 +178,18 @@ def extremal_doc(inst: ExtremalInstance) -> dict:
     return doc
 
 
-def numfield_doc(cert: NumfieldCertificate) -> dict:
+def numfield_doc(cert: numfield.NumfieldCertificate) -> dict:
     K = cert.field
     return {
         "kind": "numfield",
         "m": K.m,
         "omega": K.omega_label,
-        "alpha": format_quadint(cert.alpha),
+        "alpha": quadratic.format_quadint(cert.alpha),
         "n": cert.n,
         "dimension": len(cert.matrix),
         "matrix": [list(row) for row in cert.matrix],
         "permutations": _one_based(cert.perms),
-        "eigenvector": [format_quadint(v) for v in cert.eigenvector],
+        "eigenvector": [quadratic.format_quadint(v) for v in cert.eigenvector],
         "radius_squared": str(cert.radius_squared),
         "covering_radius_squared": str(cert.covering_radius_squared),
         "strategy": cert.strategy,
@@ -253,13 +251,13 @@ def _verify_extremal(doc: dict) -> bool:
         triple = _ints(doc["triple"], "triple entry")
     else:
         raise ParseError(f"unknown ring {ring!r}")
-    cert = OrderBoundCertificate(
+    cert = bounds.OrderBoundCertificate(
         triple=triple,
         order=_int(doc["order"], "order"),
         group_order=_int(doc["group_order"], "group_order"),
         generator_flag=bool(doc["generator_flag"]),
     )
-    inst = ExtremalInstance(
+    inst = bounds.ExtremalInstance(
         ring=ring,
         triple=triple,
         D=_int(doc["D"], "D"),
@@ -268,7 +266,7 @@ def _verify_extremal(doc: dict) -> bool:
         degenerate=bool(doc.get("degenerate", False)),
     )
     try:
-        return verify_extremal(inst)
+        return bounds.verify_extremal(inst)
     except ValueError:
         return False
 
@@ -276,10 +274,10 @@ def _verify_extremal(doc: dict) -> bool:
 def _verify_numfield(doc: dict) -> bool:
     _require(doc, "m", "omega", "alpha", "n", "matrix", "permutations",
              "eigenvector")
-    K = QuadField(_int(doc["m"], "m"))
+    K = quadratic.QuadField(_int(doc["m"], "m"))
     if doc["omega"] != K.omega_label:
         return False
-    alpha = parse_quadint(K, doc["alpha"])
+    alpha = quadratic.parse_quadint(K, doc["alpha"])
     n = _int(doc["n"], "n")
     matrix = tuple(_ints(row, "matrix entry") for row in doc["matrix"])
     dim = len(matrix)
@@ -288,12 +286,12 @@ def _verify_numfield(doc: dict) -> bool:
     perms = _zero_based(doc["permutations"], dim)
     if not perms or len(perms) != n - 1:
         return False
-    if permutation_sum(perms, dim) != matrix:
+    if numfield.permutation_sum(perms, dim) != matrix:
         return False
-    vec = tuple(parse_quadint(K, s) for s in doc["eigenvector"])
+    vec = tuple(quadratic.parse_quadint(K, s) for s in doc["eigenvector"])
     if len(vec) != dim or not any(bool(v) for v in vec):
         return False
-    return matrix_fixes(matrix, vec, alpha)
+    return numfield.matrix_fixes(matrix, vec, alpha)
 
 
 def verify_doc(doc: dict) -> bool:

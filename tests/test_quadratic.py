@@ -40,6 +40,20 @@ class TestQuadField:
         assert M7.omega_trace == 1 and M7.omega_norm == 2
         assert REAL5.omega_trace == 1 and REAL5.omega_norm == -1
 
+    @pytest.mark.parametrize("m", [-15, -7, -3, -2, -1, 2, 3, 5, 13])
+    def test_cached_constants_keep_equality_and_hashing(self, m):
+        K, twin = QuadField(m), QuadField(m)
+        half = m % 4 == 1
+        assert (K.half, K.omega_trace, K.omega_norm) == (
+            half, int(half), (1 - m) // 4 if half else -m)
+        # constants cached on K only: equality, hashing and repr still see just m
+        assert K == twin and hash(K) == hash(twin) and repr(K) == f"QuadField(m={m})"
+        u, v = QuadInt(K, 1, 2), QuadInt(twin, 1, 2)
+        assert u == v and hash(u) == hash(v)
+        assert u * v == QuadInt(twin, 1, 2) * QuadInt(K, 1, 2)
+        with pytest.raises(ValueError, match="mixed quadratic fields"):
+            u * QuadField(-11).one
+
     def test_places(self):
         assert GAUSS.places == 1
         assert REAL2.places == 2
