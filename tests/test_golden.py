@@ -2,8 +2,9 @@
 
 perfbench/corpus holds 87 documents, valid ones from smyth's producers and
 tampered copies, with a sha256 manifest and the verdict each must get. These
-tests read the corpus and never write it. The numfield pipeline documents are
-pinned by sha256 per case rather than stored.
+tests read the corpus and never write it. The numfield pipeline and
+root-of-unity relation documents are pinned by sha256 per case rather than
+stored.
 """
 import hashlib
 import json
@@ -190,3 +191,85 @@ def test_numfield_pipeline_document_bytes(m, alpha, n, digest):
     cert = numfield_pipeline(K, parse_quadint(K, alpha), n=n)
     text = canonical_json(numfield_doc(cert))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of the canonical `numfield --action rou` document, with the exit code,
+# for (m, coeffs, max_order); None runs at the default order. The grid holds
+# found and not-found scans, relations whose sqrt(m) parts cancel and ones that
+# need sqrt(m) as an element of Q(zeta_M), real and imaginary fields.
+ROU_GOLDEN = [
+    (-1, "1;1;1", None, 0,
+     "12b949283f6a959734e7438fe0fdc4aed25a43257a3ba0200b1f851a33c2ddeb"),
+    (-1, "1;w", None, 0,
+     "31e3cf17d30c120d5f4a0320f27d783d1e99cbb4cafd0cc40f380fd8162dd789"),
+    (-1, "1;-1;w", None, 0,
+     "3612ec7a8a4ca9545757e3828fac37fc4663f100bd1564261f2b56c3689d7afe"),
+    (-1, "1;1;2+w", 60, 1,
+     "b5617232e86eba96f92605e1b1477b69f616ca89cab87befb9ef475dabf0a9bd"),
+    (-2, "1;-1;w", None, 0,
+     "3d32ad88ee10228194ac8042589d676866eba89d967fcbd6ac6ff773e3b30ae6"),
+    (-2, "1;1;w", None, 0,
+     "20f56971b8a1be57044963989484db533420d31cad8ada8d61d22b870614f804"),
+    (-2, "1;1;2+w", 60, 1,
+     "b5617232e86eba96f92605e1b1477b69f616ca89cab87befb9ef475dabf0a9bd"),
+    (-3, "1;1;1", None, 0,
+     "4b41ea3b14dd15af980b0105e13046a4ffcee6ba471cfb49e0fce284c7b7fac6"),
+    (-3, "1;w", None, 0,
+     "f78b5f86aa68692345bec8d7f45ddfb18585022118817f87a2b71df0182446e0"),
+    (-3, "1;-1;w", None, 0,
+     "979c7dc7f7076379fb60260ee24e3f063f246c16c2dc6972bb19533f92a1ce1e"),
+    (-3, "1;1;2+w", 60, 1,
+     "b5617232e86eba96f92605e1b1477b69f616ca89cab87befb9ef475dabf0a9bd"),
+    (-7, "1;1;1;1-w", None, 0,
+     "76858ecb627b9d82d4ee0b2901ed55c4fafa6f66634dc3e6287b4f1c7895e029"),
+    (-7, "w;-w", None, 0,
+     "da7161a4445a7e600cea682889181663ae6fb20203f05609e0508aaeadb58139"),
+    (-7, "1;1;w", None, 1,
+     "9e2c29c34df21492613142e6fb5523d437252f5691c7dece25dd9939b310a957"),
+    (-15, "1;1;1;1;-w", 15, 0,
+     "295807e95a71c155c62d7f4ec1bccda8629efbe38416213727fc38169072d929"),
+    (-15, "1;1;1;1;1-w", 15, 1,
+     "db96b5259bf8321e74c8dba7be0808995ba6fe398966e6f0c6565fbdafdde7ef"),
+    (-15, "1;-1+w;-w", None, 0,
+     "0e00934dc16bb19e5dc8655371ca47e265a1d7977df360df8b9619c4241f174a"),
+    (-15, "1;1;w", None, 1,
+     "9e2c29c34df21492613142e6fb5523d437252f5691c7dece25dd9939b310a957"),
+    (2, "1;-1;w", None, 0,
+     "c04f33ef40279e4e7fd16c0ad042579ceefaf860f915816169426fb2ef60439c"),
+    (2, "1;w", None, 1,
+     "57ffc5f2d328767e412c15b906b37776a3f7826cc0eb3b8eff5e82b3f9af5719"),
+    (2, "1;1;3+w", None, 1,
+     "daffff8d0b0f4c29422269563bc81d3bf840dc536c3d115220b105d29a697463"),
+    (3, "1;-1;w", None, 0,
+     "98606640105303df918f94e0f82693a77950bb65ba5dec9ab17d1f7f5f912fe5"),
+    (3, "1;1;w", None, 0,
+     "f5a904ae611ced15ab0c0fef2db2ddde30803a0e3d8eb1f71a862fbf4137275e"),
+    (3, "1;1;2+w", 60, 1,
+     "b5617232e86eba96f92605e1b1477b69f616ca89cab87befb9ef475dabf0a9bd"),
+    (5, "1;1;w", None, 0,
+     "6866b2310181ab5679fd905413bd73be70098e1b58cf826ab3cc224081b08325"),
+    (5, "1;-1;w", None, 0,
+     "3cdef1bae45b97e49bf0df2414e39d50c700ee21e6a84146863896b142e917f3"),
+    (5, "1;1;2+w", 60, 1,
+     "b5617232e86eba96f92605e1b1477b69f616ca89cab87befb9ef475dabf0a9bd"),
+]
+
+
+@pytest.mark.parametrize("m, coeffs, max_order, code, digest", ROU_GOLDEN,
+                         ids=[f"m={m} coeffs={c} max_order={o}" for m, c, o, _, _ in ROU_GOLDEN])
+def test_rou_document_bytes(capsys, m, coeffs, max_order, code, digest):
+    argv = ["numfield", "--action", "rou", "--m", str(m), "--coeffs", coeffs]
+    if max_order is not None:
+        argv += ["--max-order", str(max_order)]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_rou_readme_example(capsys):
+    line = "relation at common order 3, exponents (0, 1, 2)"
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert f'$ smyth numfield --action rou --m -3 --coeffs "1;1;1" --format text\n{line}\n' in readme
+    assert main(["numfield", "--action", "rou", "--m", "-3", "--coeffs", "1;1;1",
+                 "--format", "text"]) == 0
+    assert capsys.readouterr().out == line + "\n"
