@@ -624,7 +624,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             EqualityHypothesisError, TupleArityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, ImportError) as err:
+        # ImportError: a dependency that is loaded on demand is not installed
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -57,7 +57,11 @@ class EqualityHypothesisError(SmythError, ValueError):
 
 
 class PrecisionError(SmythError, RuntimeError):
-    """Interval refinement hit its precision ceiling without a decision."""
+    """A bracket refinement hit its precision ceiling without a decision.
+
+    Raised only by SqrtSum.sign and by the upper bound for |alpha| in
+    lattice_rounding_step; the root-of-unity zero test is exact.
+    """
 
 
 class BridgeError(SmythError, RuntimeError):

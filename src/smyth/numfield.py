@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .algebra import euler_phi, kernel_basis
+from .algebra import kernel_basis
 from .core import (
     DEFAULT_BUDGET,
     BalancedMultiset,
@@ -47,7 +47,6 @@ Entry = Union[int, QuadInt]
 
 MAX_ROU_ORDER = 360
 MAX_TWIST_ORDER = 24
-_PRECISION_CEILING_BITS = 1 << 14
 
 
 def _as_quadint(K: QuadField, value: Entry) -> QuadInt:
@@ -170,73 +169,56 @@ def _embedding_complex(value: Entry) -> complex:
     return value.x + value.y * om
 
 
-def _conjugate_bound(value: Entry) -> int:
-    if isinstance(value, int):
-        return abs(value)
-    field = value.field
-    w_bound = abs(field.omega_trace) + math.isqrt(abs(field.m)) + 1
-    return abs(value.x) + abs(value.y) * w_bound
+def _cyclotomic_sqrt(m: int, M: int) -> tuple[list[int], int]:
+    """(r, c) with c*sqrt(m) = sum_k r[k] zeta_M^k, sqrt on its principal branch.
 
-
-def _interval_embeddings(values: Sequence[Entry], M: int, exps: Sequence[int]):
-    import mpmath
-
-    iv = mpmath.iv
-    two_pi = 2 * iv.pi
-    re = iv.mpf(0)
-    im = iv.mpf(0)
-    for value, e in zip(values, exps):
-        if isinstance(value, int):
-            vr, vi = iv.mpf(value), iv.mpf(0)
-        else:
-            field = value.field
-            if field.m > 0:
-                root = iv.sqrt(field.m)
-                om_re = (field.omega_trace + root) / 2 if field.half else root
-                om_im = iv.mpf(0)
-            else:
-                root = iv.sqrt(-field.m)
-                om_re = iv.mpf(field.omega_trace) / 2
-                om_im = root / 2 if field.half else root
-            vr = value.x + value.y * om_re
-            vi = value.y * om_im
-        ang = two_pi * e / M
-        zr, zi = iv.cos(ang), iv.sin(ang)
-        re += vr * zr - vi * zi
-        im += vr * zi + vi * zr
-    return re, im
-
-
-def _rigorous_rou_zero(values: Sequence[Entry], M: int, exps: Sequence[int]) -> bool:
-    """Exact zero test for a root-of-unity combination.
-
-    The sum is an algebraic integer of degree at most 2*phi(M); if nonzero,
-    its modulus is at least 1/B^(D-1) where B bounds every conjugate. The
-    interval either clears that separation bound or excludes zero.
+    M must be a multiple of |disc Q(sqrt(m))|. With the quadratic Gauss sum
+    G(d) = sum_{k<d} zeta_d^(k^2): sqrt(m) = G(|m|) when m = 1 mod 4, else
+    4*sqrt(m) = i^[m<0] * (1-i) * G(4|m|) with i = zeta_M^(M/4).
     """
-    import mpmath
+    d = abs(m) if m % 4 == 1 else 4 * abs(m)
+    step = M // d
+    gauss = [0] * M
+    for k in range(d):
+        gauss[step * k * k % M] += 1
+    if m % 4 == 1:
+        return gauss, 1
+    quarter = M // 4
+    shift = quarter if m < 0 else 0
+    return [gauss[(k - shift) % M] - gauss[(k - shift - quarter) % M] for k in range(M)], 4
 
-    B = max(2, sum(_conjugate_bound(v) for v in values))
-    D = 2 * euler_phi(M)
-    sep_sq = Fraction(1, B ** (2 * max(D - 1, 1)))
-    prec = 64
-    while prec <= _PRECISION_CEILING_BITS:
-        old = mpmath.iv.prec
-        try:
-            mpmath.iv.prec = prec
-            re, im = _interval_embeddings(values, M, exps)
-            mag_sq = re * re + im * im
-            lo = mpmath.mpf(mag_sq.a)
-            hi = mpmath.mpf(mag_sq.b)
-        finally:
-            mpmath.iv.prec = old
-        if lo > 0:
-            return False
-        if hi < mpmath.mpf(sep_sq.numerator) / sep_sq.denominator:
-            return True
-        prec *= 2
-    raise PrecisionError(
-        f"zero test for order-{M} relation undecided at {_PRECISION_CEILING_BITS} bits")
+
+def _rou_sum_is_zero(values: Sequence[Entry], M: int, exps: Sequence[int]) -> bool:
+    """Whether sum a_i zeta_M^e_i = 0, decided exactly in Q(zeta_M).
+
+    With a_i = x_i + y_i*w the sum is X + Y*w for X, Y in Z[zeta_M]. If Y = 0
+    it vanishes exactly when X does. Otherwise it is A + Y*sqrt(m) (doubled to
+    (2X + Y) + Y*sqrt(m) when w = (1+sqrt(m))/2), which can vanish only if
+    sqrt(m) = -A/Y lies in Q(zeta_M), that is when |disc| divides M; then
+    sqrt(m) is a Gauss sum and the test is one CycInt zero test.
+    """
+    xs = [0] * M
+    ys = [0] * M
+    for value, e in zip(values, exps):
+        if isinstance(value, QuadInt):
+            xs[e] += value.x
+            ys[e] += value.y
+        else:
+            xs[e] += value
+    if not CycInt.make(M, ys):
+        return not CycInt.make(M, xs)
+    field = next(v.field for v in values if isinstance(v, QuadInt))
+    if M % abs(field.discriminant):
+        return False
+    if field.half:
+        xs = [2 * x + y for x, y in zip(xs, ys)]
+    root, scale = _cyclotomic_sqrt(field.m, M)
+    total = [scale * x for x in xs]
+    for e, y in enumerate(ys):
+        if y:
+            for k, r in enumerate(root):
+                total[(e + k) % M] += y * r
+    return not CycInt.make(M, total)
 
 
 def rou_relation_search(a: Sequence[Entry], max_order: int = MAX_ROU_ORDER,
@@ -244,11 +226,15 @@ def rou_relation_search(a: Sequence[Entry], max_order: int = MAX_ROU_ORDER,
     """First vanishing root-of-unity combination, or None.
 
     Common orders are scanned in increasing order; within an order the
-    exponent tuple (e_1 = 0 fixed) is lexicographically first. Floating
-    prefilters only propose candidates: every accepted relation passes the
-    rigorous interval test, and near-misses are rejected by it too.
+    exponent tuple (e_1 = 0 fixed) is lexicographically first. A floating
+    hash prefilter only proposes candidates: each is accepted or rejected by
+    an exact zero test in Q(zeta_M), which writes sqrt(m) as a quadratic
+    Gauss sum. Entries must lie in one quadratic field; plain ints may mix in.
     """
     values = tuple(a)
+    field = next((v.field for v in values if isinstance(v, QuadInt)), None)
+    if field is not None:
+        values = tuple(_as_quadint(field, v) for v in values)
     if len(values) < 2:
         raise TupleArityError("need at least two coordinates")
     if not all(bool(v) if isinstance(v, QuadInt) else v != 0 for v in values):
@@ -282,7 +268,7 @@ def rou_relation_search(a: Sequence[Entry], max_order: int = MAX_ROU_ORDER,
                     hits.extend(table.get((kx + dx, ky + dy), ()))
             for e_last in sorted(hits):
                 exps = (0,) + tuple(mid) + (e_last,)
-                if _rigorous_rou_zero(values, M, exps):
+                if _rou_sum_is_zero(values, M, exps):
                     orders = tuple(M // math.gcd(M, e) for e in exps)
                     return RouRelation(common_order=M, exponents=exps, orders=orders)
     return None

@@ -27,15 +27,20 @@ def fresh(*args: str) -> subprocess.CompletedProcess:
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
 
 
-def run_cli(argv: list) -> tuple[int, str, bool]:
-    """Exit code, stdout and whether mpmath was loaded, for one fresh cli.main(argv)."""
+def run_cli(argv: list, block_mpmath: bool = False) -> tuple[int, str, bool]:
+    """Exit code, stdout and whether mpmath was loaded, for one fresh cli.main(argv).
+
+    block_mpmath makes every import of mpmath fail, as if it were not installed.
+    """
     code = f"""
 import contextlib, io, json, sys
+if {block_mpmath!r}:
+    sys.modules["mpmath"] = None
 from smyth import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main({argv!r})
-print(json.dumps([code, out.getvalue(), "mpmath" in sys.modules]))
+print(json.dumps([code, out.getvalue(), sys.modules.get("mpmath") is not None]))
 """
     return tuple(json.loads(fresh("-c", code).stdout))
 
@@ -68,13 +73,31 @@ def test_pn_loads_mpmath_on_demand():
         "p": 0.9517845172563663, "q": 3})
 
 
+ROU_ARGV = ["numfield", "--action", "rou", "--m", "-3", "--coeffs", "1;1;1"]
+ROU_OUT = canonical({
+    "coeffs": ["1", "1", "1"], "common_order": 3, "exponents": [0, 1, 2],
+    "found": True, "kind": "rou-relation", "m": -3, "orders": [1, 3, 3]})
+
+
 def test_rou_loads_mpmath_on_demand():
-    code, out, mpmath_loaded = run_cli(["numfield", "--action", "rou", "--m", "-3",
-                                        "--coeffs", "1;1;1"])
-    assert (code, mpmath_loaded) == (0, True)
-    assert out == canonical({
-        "coeffs": ["1", "1", "1"], "common_order": 3, "exponents": [0, 1, 2],
-        "found": True, "kind": "rou-relation", "m": -3, "orders": [1, 3, 3]})
+    """The root-of-unity search is exact and never demands mpmath."""
+    assert run_cli(ROU_ARGV) == (0, ROU_OUT, False)
+
+
+def test_without_mpmath_rou_runs_and_the_estimates_exit_2():
+    assert run_cli(ROU_ARGV, block_mpmath=True) == (0, ROU_OUT, False)
+    code = """
+import sys
+sys.modules["mpmath"] = None
+from smyth import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+    for mode in (["--mode", "pn", "--group-size", "6"], ["--mode", "scan", "--growth", "1,2"]):
+        proc = fresh("-c", code, "heuristic", *mode, "--q", "3", "--d", "1", "--n", "3",
+                     "--N", "1")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "mpmath" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_module_run_warns_nothing():

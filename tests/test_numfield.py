@@ -1,11 +1,13 @@
 """Number field pipeline tests: criteria, relations, lattices, certificates."""
 import math
+from cmath import exp as cexp, pi as cpi, sqrt as csqrt
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from smyth.algebra import euler_phi
 from smyth.core import BalancedMultiset
 from smyth.errors import (
     BridgeError,
@@ -14,8 +16,10 @@ from smyth.errors import (
 )
 from smyth.numfield import (
     LatticeStep,
+    _cyclotomic_sqrt,
     _inner,
     _points_near,
+    _rou_sum_is_zero,
     birkhoff_decompose,
     covering_radius_squared,
     frac_sqrt_upper,
@@ -194,6 +198,76 @@ def fraction_rounding_step(K, alpha, n, r_squared):
                        covering_radius_squared=m_squared, n=n)
 
 
+def _conjugate_bound(value):
+    if isinstance(value, int):
+        return abs(value)
+    field = value.field
+    w_bound = abs(field.omega_trace) + math.isqrt(abs(field.m)) + 1
+    return abs(value.x) + abs(value.y) * w_bound
+
+
+def _interval_embeddings(values, M, exps):
+    import mpmath
+
+    iv = mpmath.iv
+    two_pi = 2 * iv.pi
+    re = iv.mpf(0)
+    im = iv.mpf(0)
+    for value, e in zip(values, exps):
+        if isinstance(value, int):
+            vr, vi = iv.mpf(value), iv.mpf(0)
+        else:
+            field = value.field
+            if field.m > 0:
+                root = iv.sqrt(field.m)
+                om_re = (field.omega_trace + root) / 2 if field.half else root
+                om_im = iv.mpf(0)
+            else:
+                root = iv.sqrt(-field.m)
+                om_re = iv.mpf(field.omega_trace) / 2
+                om_im = root / 2 if field.half else root
+            vr = value.x + value.y * om_re
+            vi = value.y * om_im
+        ang = two_pi * e / M
+        zr, zi = iv.cos(ang), iv.sin(ang)
+        re += vr * zr - vi * zi
+        im += vr * zi + vi * zr
+    return re, im
+
+
+def rigorous_rou_zero(values, M, exps):
+    """Reference zero test for sum a_i zeta_M^e_i: mpmath interval arithmetic.
+
+    The sum is an algebraic integer of degree at most 2*phi(M) when the
+    entries share one field; if nonzero, its modulus is at least 1/B^(D-1)
+    where B bounds every conjugate. The interval either clears that
+    separation bound or excludes zero, doubling the precision up to
+    2^14 bits.
+    """
+    import mpmath
+
+    B = max(2, sum(_conjugate_bound(v) for v in values))
+    D = 2 * euler_phi(M)
+    sep_sq = Fraction(1, B ** (2 * max(D - 1, 1)))
+    prec = 64
+    while prec <= 1 << 14:
+        old = mpmath.iv.prec
+        try:
+            mpmath.iv.prec = prec
+            re, im = _interval_embeddings(values, M, exps)
+            mag_sq = re * re + im * im
+            lo = mpmath.mpf(mag_sq.a)
+            hi = mpmath.mpf(mag_sq.b)
+        finally:
+            mpmath.iv.prec = old
+        if lo > 0:
+            return False
+        if hi < mpmath.mpf(sep_sq.numerator) / sep_sq.denominator:
+            return True
+        prec *= 2
+    raise AssertionError("reference zero test undecided at 2^14 bits")
+
+
 @st.composite
 def permutation_sets(draw, max_size=7, min_count=1, max_count=4):
     size = draw(st.integers(1, max_size))
@@ -263,6 +337,121 @@ class TestRouRelationSearch:
     def test_exponent_normalization(self):
         rel = rou_relation_search([GAUSS.one, GAUSS.one, GAUSS.one])
         assert rel.exponents[0] == 0
+
+    def test_mixed_fields_rejected(self):
+        with pytest.raises(ValueError, match="different quadratic field"):
+            rou_relation_search([GAUSS.one, 1, M7.one])
+        with pytest.raises(ValueError, match="different quadratic field"):
+            rou_relation_search([M7.omega, REAL2.omega])
+
+    def test_plain_ints_mix_with_one_field(self):
+        rel = rou_relation_search([1, GAUSS.one, GAUSS.element(-1), GAUSS.omega], max_order=4)
+        assert rel is not None and rel.common_order == 4
+        assert rou_relation_search([1, -1]).common_order == 1
+
+
+# fields with m = 1, 2 and 3 mod 4, both signs, and |disc| at most 60
+ROU_FIELDS = (-1, -2, -3, -5, -6, -7, -11, -15, 2, 3, 5, 6, 7, 13)
+
+
+def as_entries(K, entries):
+    """Plain ints stay ints; strings parse as x+y*w in K."""
+    return [v if isinstance(v, int) else parse_quadint(K, v) for v in entries]
+
+
+# true relations sum a_i zeta_M^e_i = 0 whose sqrt(m) part does not cancel
+PLANTED_ROU = [
+    (-1, (1, 1, "w"), 12, (0, 4, 5)),
+    (-1, (1, 1, "w"), 24, (0, 8, 10)),
+    (-1, ("1", "w"), 4, (0, 1)),
+    (-2, ("1", "1", "w"), 8, (0, 2, 3)),
+    (-3, ("1", "w"), 3, (0, 1)),
+    (-5, ("w", -1, -2, -2), 20, (0, 5, 9, 1)),
+    (-6, ("w", -1, -1, -1, -1), 24, (0, 11, 7, 5, 1)),
+    (-7, ("1", "1", "1", "1-w"), 7, (0, 1, 3, 6)),
+    (-7, ("1", "1", "1", "1-w"), 14, (0, 2, 6, 12)),
+    (-11, ("w", -1, -1, -1, -1, -1, -1), 11, (0, 0, 1, 3, 4, 5, 9)),
+    (-15, (1, 1, 1, 1, "-w"), 15, (0, 1, 3, 7, 14)),
+    (2, (1, 1, "w"), 8, (0, 2, 5)),
+    (3, (1, 1, "w"), 12, (0, 2, 7)),
+    (5, (1, 1, "w"), 5, (0, 1, 3)),
+    (5, ("1", "-1", "w"), 10, (0, 3, 4)),
+    (6, ("w", -1, -1, -1, -1), 24, (0, 5, 1, 23, 19)),
+    (13, ("w", -1, -1, -1, -1, -1, -1, -1), 13, (0, 0, 1, 3, 4, 9, 10, 12)),
+]
+
+
+@st.composite
+def rou_sums(draw):
+    K = QuadField(draw(st.sampled_from(ROU_FIELDS)))
+    disc = abs(K.discriminant)
+    M = draw(st.one_of(st.integers(1, 60),
+                       st.sampled_from(range(disc, 61, disc))))
+    n = draw(st.integers(2, 4))
+    pairs = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)).filter(any),
+                          min_size=n, max_size=n))
+    values = [x if not y and draw(st.booleans()) else K.element(x, y) for x, y in pairs]
+    exps = draw(st.lists(st.integers(0, M - 1), min_size=n, max_size=n))
+    return values, M, exps
+
+
+@st.composite
+def planted_variants(draw):
+    """A planted relation at a multiple of its order, rotated, scaled by a
+    field element, and with its exponents moved by a unit mod M: the last
+    step keeps the sum zero exactly when it fixes sqrt(m)."""
+    m, entries, M, exps = draw(st.sampled_from(PLANTED_ROU))
+    K = QuadField(m)
+    k = draw(st.integers(1, 60 // M))
+    M = M * k
+    unit = draw(st.sampled_from([u for u in range(1, M) if math.gcd(u, M) == 1]))
+    shift = draw(st.integers(0, M - 1))
+    factor = K.element(draw(st.integers(-2, 2)), draw(st.integers(-1, 1)))
+    assume(factor)
+    values = [v * factor for v in as_entries(K, entries)]
+    return values, M, [(unit * k * e + shift) % M for e in exps]
+
+
+class TestRouZeroTest:
+    """The exact zero test in Q(zeta_M) against the mpmath interval reference."""
+
+    @pytest.mark.parametrize("m", ROU_FIELDS + (10, -10, 21, -21, 30))
+    def test_gauss_sum_is_the_principal_root(self, m):
+        disc = abs(QuadField(m).discriminant)
+        for M in (disc, 2 * disc, 3 * disc):
+            root, scale = _cyclotomic_sqrt(m, M)
+            value = sum(r * cexp(2j * cpi * k / M) for k, r in enumerate(root))
+            assert abs(value - scale * csqrt(m)) < 1e-9
+
+    @pytest.mark.parametrize("m, entries, M, exps", PLANTED_ROU,
+                             ids=[f"m={c[0]} M={c[2]}" for c in PLANTED_ROU])
+    def test_planted_relations(self, m, entries, M, exps):
+        values = as_entries(QuadField(m), entries)
+        assert _rou_sum_is_zero(values, M, exps) is True
+        assert rigorous_rou_zero(values, M, exps) is True
+        shifted = exps[:-1] + ((exps[-1] + 1) % M,)
+        assert _rou_sum_is_zero(values, M, shifted) is False
+        assert rigorous_rou_zero(values, M, shifted) is False
+        bumped = values[:-1] + [values[-1] + 1]
+        assert _rou_sum_is_zero(bumped, M, exps) is False
+        assert rigorous_rou_zero(bumped, M, exps) is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(rou_sums(), planted_variants()))
+    @example(([GAUSS.one, GAUSS.element(-1)], 1, [0, 0]))
+    @example(([1, M15.omega, M15.element(-1, -1)], 30, [0, 0, 0]))
+    def test_matches_interval_reference(self, case):
+        values, M, exps = case
+        assert _rou_sum_is_zero(values, M, exps) == rigorous_rou_zero(values, M, exps)
+
+    def test_no_precision_ceiling(self):
+        # the interval reference runs out of precision on entries this large
+        c = 10 ** 2000
+        values = [c, c, c * GAUSS.omega]
+        assert _rou_sum_is_zero(values, 12, (0, 4, 5)) is True
+        assert _rou_sum_is_zero([c + 1] + values[1:], 12, (0, 4, 5)) is False
+        with pytest.raises(AssertionError, match="undecided"):
+            rigorous_rou_zero(values, 12, (0, 4, 5))
 
 
 class TestRouTwist:
