@@ -4,21 +4,26 @@ perfbench/corpus holds 87 documents, valid ones from smyth's producers and
 tampered copies, with a sha256 manifest and the verdict each must get. These
 tests read the corpus and never write it. The numfield pipeline and
 root-of-unity relation documents are pinned by sha256 per case rather than
-stored.
+stored, as are the stdout and exit code of every `$ smyth` example in the
+README.
 """
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
-from smyth import CoeffTuple, FieldParams, balanced_multiset, canonical_json, multiset_doc
+from smyth import (CoeffTuple, FieldParams, balanced_multiset, canonical_json,
+                   construct_extremal_fqt, construct_extremal_int, extremal_doc,
+                   min_balanced_search, multiset_doc)
 from smyth.cli import main
 from smyth.numfield import numfield_pipeline
 from smyth.quadratic import QuadField, parse_quadint
 from smyth.serialize import numfield_doc, parse_json, verify_doc
 
-CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "perfbench" / "corpus"
 MANIFEST = json.loads((CORPUS / "manifest.json").read_text(encoding="utf-8"))["entries"]
 
 # The F_q[t] producer arguments of the corpus slots: (q, coeffs, N, kind).
@@ -36,6 +41,29 @@ FQT_SLOTS = {
     "fqt-m63-certificate": (2, ["1", "t^2", "t^2+t+1"], 4, "certificate"),
 }
 
+# The other producers' corpus slots, with the arguments perfbench/build_corpus.py
+# gives them: (producer, arguments).
+PRODUCER_SLOTS = {
+    "int-size3": ("int", ((1, 1, 1), 2, 3)),
+    "int-size4": ("int", ((3, 4, -5), 3, 4)),
+    "int-size6": ("int", ((3, 5, 7), 3, 6)),
+    "extremal-fqt-q2": ("extremal-fqt", (2, 4, 0)),
+    "extremal-fqt-q3": ("extremal-fqt", (3, 3, 0)),
+    "extremal-int": ("extremal-int", (5,)),
+    "numfield-d3": ("numfield", (-3, "w", 3)),
+    "numfield-d6": ("numfield", (-7, "w", 3)),
+    "numfield-d10": ("numfield", (-7, "w", 4)),
+    "numfield-d15": ("numfield", (-1, "w", 3)),
+    "numfield-d24": ("numfield", (-2, "w", 3)),
+    "numfield-d30": ("numfield", (-3, "w", 5)),
+    "numfield-d39": ("numfield", (-3, "-2+w", 4)),
+    "numfield-d16": ("numfield", (2, "w", 5)),
+    "numfield-d20": ("numfield", (-1, "w", 5)),
+    "numfield-d48": ("numfield", (-3, "-1+2*w", 3)),
+    "numfield-d50": ("numfield", (-15, "-1+w", 4)),
+    "numfield-d56": ("numfield", (-1, "3", 5)),
+}
+
 
 def corpus_text(name: str) -> str:
     return (CORPUS / name).read_text(encoding="utf-8")
@@ -47,6 +75,8 @@ def test_manifest_covers_the_corpus():
     valid_fqt = {e["slot"] for e in MANIFEST
                  if e["valid"] and e["slot"].startswith("fqt-")}
     assert valid_fqt == set(FQT_SLOTS)
+    valid = {e["slot"] for e in MANIFEST if e["valid"]}
+    assert valid == set(FQT_SLOTS) | set(PRODUCER_SLOTS)
 
 
 @pytest.mark.parametrize("entry", MANIFEST, ids=lambda e: e["file"])
@@ -61,6 +91,28 @@ def test_fqt_documents_rebuild_byte_for_byte(slot):
     q, coeffs, N, kind = FQT_SLOTS[slot]
     a = CoeffTuple.make(FieldParams(q), coeffs)
     text = canonical_json(multiset_doc(balanced_multiset(a, N), kind=kind, N=N))
+    assert text == corpus_text(f"{slot}.json")
+
+
+def produce(producer: str, args) -> dict:
+    if producer == "int":
+        coeffs, radius, size = args
+        b = min_balanced_search(coeffs, radius, size)
+        assert b is not None and b.size == size
+        return multiset_doc(b, kind="balanced")
+    if producer == "extremal-fqt":
+        q, D, seed = args
+        return extremal_doc(construct_extremal_fqt(q, D, seed=seed))
+    if producer == "extremal-int":
+        return extremal_doc(construct_extremal_int(*args))
+    m, alpha, n = args
+    K = QuadField(m)
+    return numfield_doc(numfield_pipeline(K, parse_quadint(K, alpha), n=n))
+
+
+@pytest.mark.parametrize("slot", sorted(PRODUCER_SLOTS))
+def test_producer_documents_rebuild_byte_for_byte(slot):
+    text = canonical_json(produce(*PRODUCER_SLOTS[slot]))
     assert text == corpus_text(f"{slot}.json")
 
 
@@ -273,3 +325,70 @@ def test_rou_readme_example(capsys):
     assert main(["numfield", "--action", "rou", "--m", "-3", "--coeffs", "1;1;1",
                  "--format", "text"]) == 0
     assert capsys.readouterr().out == line + "\n"
+
+
+# sha256 of stdout, with the exit code, of every `$ smyth` example in the README,
+# run in a directory holding the README's grid.csv and its cert.json.
+README_EXAMPLES = [
+    ('smyth check --q 2 --coeffs "1;t;t+1"', 0,
+     "7fd58b1cd1ac8f7d2af13b25ab48c26a150d47f29fd4601122fe41e8806de1cc"),
+    ('smyth check --q 2 --coeffs "1;1;t"', 1,
+     "51fc4c872b025389bf8d14b0bc2d0ae173ade4ff65de396df0c182ea7cda64fd"),
+    ('smyth check --ring int --coeffs "5;6;7"', 0,
+     "6ab630a811aa80b3c0848f0861f75a24d29bd323c1457c5d935af8faaeceb0dd"),
+    ('smyth enumerate --q 2 --coeffs "1;t;t+1" --N 1 --format csv', 0,
+     "89bd3c2d1cf1bea6b9925c6b2191bf24463ed1f0f6ceb526ff04e361ebce883f"),
+    ('smyth certify --q 2 --coeffs "1;t;t+1" --N 1', 0,
+     "5287532aaf197429c56e3c947bec02cc7f1a7bde962622384321474c2d3a12fb"),
+    ('smyth minimal --q 2 --coeffs "1;t^2;t^2+t+1" --N 2 --size-bound 4 --format text', 0,
+     "89df504daa76ec95c191646d83ef65e748b21fa3f1add17c9c006dba4e280cb5"),
+    ('smyth extremal --q 2 --D 2 --format text', 0,
+     "dececcf5b163139ee5b21a8574a68dd7657f53b78c5a4ca63d91590d3a459d44"),
+    ('smyth extremal --ring int --D 2 --format text', 0,
+     "83eb700d62cc0595c36937880c3c91cc9d83a7d4e35907d77c93646d5c009e0a"),
+    ('smyth heuristic --mode mc --q 2 --coeffs "1;t;t+1" --N 1', 0,
+     "a92b9ef0fd07ae409f98fb62ce458a26ad5535603d5177279efbf5d84f4b21d8"),
+    ('smyth heuristic --mode pn --q 2 --d 1 --n 3 --N 1 --group-size 2 --format text', 0,
+     "5f6b83499edcfcf8925935fcbae9540b83da39e7396c3eab096390af9c93ee08"),
+    ('smyth heuristic --mode scan --q 2 --d 1 --n 3 --growth "1,2,3" --format csv', 0,
+     "6dac2c4b6e30d87c2f2b736a2c0df00141db616cea8afaf90c00f3f1d4959465"),
+    ('smyth numfield --action pipeline --m -7 --alpha w --format text', 0,
+     "96e49ca0cf7e639d558c92d303c07ec0ff2e4845ae47096c5d838407bd893c49"),
+    ('smyth numfield --action rou --m -3 --coeffs "1;1;1" --format text', 0,
+     "86c5f84ad74018a5ee8f79212b35b8da73d180180c5b8dde51ea5f1a9b1cf566"),
+    ('smyth numfield --action check --m -15 --coeffs "1;1;w"', 1,
+     "231e738ff53d6f66065cc3355a65f209a1b524ee591901f180da26797ec2d747"),
+    ("smyth verify cert.json", 0,
+     "e7ed99a18c077fd09cafc2a5d54ec2e7a7d9b961e0ec93e4fa26a714416cc24a"),
+    ("smyth batch --grid grid.csv --format csv", 0,
+     "09552e3c7f6c63f657afb91c77c9988025eec909b49275c11e7b861e44dcbe52"),
+]
+CERTIFY_EXAMPLE = 'smyth certify --q 2 --coeffs "1;t;t+1" --N 1'
+
+
+def readme_commands() -> set[str]:
+    """Each `$ smyth` line of the README, without its `; echo $?` or redirection."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    return {line[2:].replace("; echo $?", "").replace(" > cert.json", "")
+            for line in lines if line.startswith("$ smyth ")}
+
+
+GRID_CSV = "q,N,coeffs\n2,1,1;t;t+1\n2,2,1;t;t+1\n"
+
+
+def test_readme_examples_are_all_pinned():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert f"$ printf '{GRID_CSV}' > grid.csv".replace("\n", "\\n") in readme
+    assert readme_commands() == {command for command, _, _ in README_EXAMPLES}
+
+
+@pytest.mark.parametrize("command, code, digest", README_EXAMPLES,
+                         ids=[command for command, _, _ in README_EXAMPLES])
+def test_readme_example_output(capsys, tmp_path, monkeypatch, command, code, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.csv").write_text(GRID_CSV, encoding="utf-8")
+    assert main(shlex.split(CERTIFY_EXAMPLE)[1:]) == 0
+    (tmp_path / "cert.json").write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(shlex.split(command)[1:]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
