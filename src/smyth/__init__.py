@@ -57,66 +57,7 @@ from . import algebra, core, errors, serialize  # noqa: E402
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BalancedMultiset",
-    "BridgeError",
-    "BudgetExceededError",
-    "CoeffTuple",
-    "CycInt",
-    "DEFAULT_BUDGET",
-    "EqualityHypothesisError",
-    "ExtremalInstance",
-    "FieldParams",
-    "GroupFamily",
-    "NonUnitError",
-    "NoRelationError",
-    "NotSmythTupleError",
-    "NumfieldCertificate",
-    "OrderBoundCertificate",
-    "ParseError",
-    "PermutationCertificate",
-    "Poly",
-    "PrecisionError",
-    "QuadField",
-    "QuadInt",
-    "RelationViolationError",
-    "SmythError",
-    "SqrtSum",
-    "TupleArityError",
-    "balanced_from_certificate",
-    "balanced_multiset",
-    "birkhoff_decompose",
-    "canonical_json",
-    "certificate_from_balanced",
-    "check_criteria",
-    "construct_extremal_fqt",
-    "construct_extremal_int",
-    "covering_radius_squared",
-    "cyclotomic_poly",
-    "enumerate_solutions",
-    "extremal_doc",
-    "fiber_count",
-    "lattice_rounding_step",
-    "limit_scan",
-    "min_balanced_search",
-    "monte_carlo",
-    "multiset_doc",
-    "numfield_doc",
-    "numfield_pipeline",
-    "order_bound_fqt",
-    "order_bound_int",
-    "p_n_closed_form",
-    "parse_poly",
-    "perron_bridge",
-    "rou_relation_search",
-    "rou_twist",
-    "strong_criteria_check",
-    "unimodular_extract",
-    "verify_certificate",
-    "verify_doc",
-    "verify_extremal",
-    "verify_numfield_certificate",
-]
+__all__ = sorted(_SUBMODULE)
 
 
 def __getattr__(name: str):

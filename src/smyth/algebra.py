@@ -24,6 +24,10 @@ NEG_INF = float("-inf")
 
 DEFAULT_FACTOR_BOUND = 1 << 64
 
+# parse_poly refuses higher exponents, far above any degree a budget-bounded
+# command emits, before it allocates the coefficient tuple
+MAX_PARSE_DEGREE = 1 << 16
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -95,12 +99,6 @@ class FieldParams:
         if isinstance(spec, int):
             return self.constant(spec)
         return Poly(self, _trim(int(c) % self.q for c in spec))
-
-    def monomial(self, degree: int, coeff: int = 1) -> "Poly":
-        coeff %= self.q
-        if coeff == 0:
-            return self.zero
-        return Poly(self, (0,) * degree + (coeff,))
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -321,6 +319,8 @@ def parse_poly(field: FieldParams, text: str) -> Poly:
             raise ParseError(f"bad term {tok!r} in {text!r}")
         c = int(cstr) if cstr is not None else 1
         k = 0 if tpart is None else (int(estr) if estr is not None else 1)
+        if k > MAX_PARSE_DEGREE:
+            raise ParseError(f"degree {k} in {text!r} exceeds the cap {MAX_PARSE_DEGREE}")
         coeffs[k] = (coeffs.get(k, 0) + sign * c) % field.q
     if not coeffs:
         return field.zero
@@ -485,16 +485,21 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
+def poly_from_index(field: FieldParams, k: int) -> Poly:
+    """The k-th polynomial in base-q counting order: the base-q digits of k,
+    least significant first, are its ascending coefficients."""
+    digits = []
+    while k:
+        digits.append(k % field.q)
+        k //= field.q
+    return Poly(field, tuple(digits))
+
+
 def monic_polys(field: FieldParams, degree: int) -> Iterator[Poly]:
     """All monic polynomials of the given degree, in base-q counting order."""
-    q = field.q
-    for k in range(q**degree):
-        digits = []
-        v = k
-        for _ in range(degree):
-            digits.append(v % q)
-            v //= q
-        yield Poly(field, tuple(digits) + (1,))
+    lead = field.q**degree
+    for k in range(lead):
+        yield poly_from_index(field, lead + k)
 
 
 def monic_irreducibles(field: FieldParams, degree: int) -> Iterator[Poly]:
@@ -655,18 +660,6 @@ def multiplicative_order_int(a: int, modulus: int) -> int:
         while order % p == 0 and pow(a, order // p, modulus) == 1:
             order //= p
     return order
-
-
-def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit by a byte sieve."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, flag in enumerate(sieve) if flag]
 
 
 def largest_prime_at_most(x: int) -> int:

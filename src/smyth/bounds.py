@@ -28,6 +28,7 @@ from .algebra import (
     largest_prime_at_most,
     mod_inverse,
     multiplicative_order_int,
+    poly_from_index,
     poly_gcd,
     random_irreducible,
 )
@@ -42,7 +43,8 @@ from .core import (
 )
 from .errors import BudgetExceededError, NonUnitError
 
-DEFAULT_SIEVE_BOUND = 10**7
+# construct_extremal_int scans down from e^D for a prime; it refuses e^D above this
+PRIME_SEARCH_BOUND = 10**7
 
 _EXHAUSTIVE_GROUP_LIMIT = 1 << 12
 
@@ -130,15 +132,10 @@ def construct_extremal_fqt(q: int, D: int, seed=0) -> ExtremalInstance:
     c = random_irreducible(q, D, seed)
     rng = random.Random(f"extremal-fqt:{q}:{D}:{seed}")
     g = _find_generator(field, c, rng)
-    g_mod = ModElement.make(g, c)
-    for tail in range(q**D):
-        digits = []
-        v = tail
-        for _ in range(D):
-            digits.append(v % q)
-            v //= q
+    lead = q**D
+    for tail in range(lead):
         for lc in range(1, q):
-            b = Poly(field, tuple(digits) + (lc,))
+            b = poly_from_index(field, tail + lc * lead)
             if not poly_gcd(b, c).is_one:
                 continue
             a = (-(g * b)) % c
@@ -150,13 +147,13 @@ def construct_extremal_fqt(q: int, D: int, seed=0) -> ExtremalInstance:
             if not check_criteria(triple).passes:
                 continue
             cert = order_bound_fqt(a, b, c)
-            if cert.order != field.q**D - 1:
+            if cert.order != lead - 1:
                 continue
             return ExtremalInstance(
                 ring="fqt",
                 triple=(a, b, c),
                 D=D,
-                claimed_min=field.q**D - 1,
+                claimed_min=lead - 1,
                 certificate=cert,
             )
     raise AssertionError("no admissible b of degree D; cannot happen for prime q")
@@ -192,7 +189,7 @@ def smallest_primitive_root(p: int) -> int:
     raise AssertionError("every prime has a primitive root")
 
 
-def construct_extremal_int(D: int, sieve_bound: int = DEFAULT_SIEVE_BOUND) -> ExtremalInstance:
+def construct_extremal_int(D: int) -> ExtremalInstance:
     """The integer triple whose order bound is p - 1 for p the largest prime <= e^D.
 
     With g the least primitive root mod p and n the representative of
@@ -205,9 +202,9 @@ def construct_extremal_int(D: int, sieve_bound: int = DEFAULT_SIEVE_BOUND) -> Ex
     if D < 1:
         raise ValueError("D must be at least 1")
     limit = math.floor(math.exp(D))
-    if limit > sieve_bound:
+    if limit > PRIME_SEARCH_BOUND:
         raise BudgetExceededError(
-            f"e^{D} = {limit} exceeds the prime search bound {sieve_bound}",
+            f"e^{D} = {limit} exceeds the prime search bound {PRIME_SEARCH_BOUND}",
             required=limit,
         )
     if D == 1:
@@ -252,7 +249,8 @@ def verify_extremal(inst: ExtremalInstance) -> bool:
     """Recheck an extremal instance from its triple alone.
 
     order, group_order, generator_flag and claimed_min must match the bound
-    recomputed from the triple, and over F_q[t] the order must be q^D - 1.
+    recomputed from the triple, and over F_q[t] the order must be q^D - 1,
+    so D above deg c fails before q^D is formed.
     Only the integer triple (1, 1, 2) is degenerate. Integer D is not
     checked: its prime comes from a floating-point e^D.
     """
@@ -262,8 +260,9 @@ def verify_extremal(inst: ExtremalInstance) -> bool:
         triple = CoeffTuple.make(a.field, (a, b, c))
         if not check_criteria(triple).passes:
             return False
-        q = a.field.q
-        expected = q**inst.D - 1
+        if inst.D > c.degree:  # every order is at most q^deg(c) - 1 < q^D - 1
+            return False
+        expected = a.field.q**inst.D - 1
     elif inst.ring == "int":
         cert = order_bound_int(a, b, c)
         if not inst.degenerate and not check_criteria_int(inst.triple):
@@ -374,5 +373,5 @@ def min_balanced_search(
             members = [pool[i] for i in combo]
             counters = _coordinate_counters(members, n)
             if all(c == counters[0] for c in counters[1:]):
-                return BalancedMultiset.make(coeffs, members, validate=True)
+                return BalancedMultiset.make(coeffs, members)
     return None

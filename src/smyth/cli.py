@@ -13,10 +13,11 @@ import math
 import os
 import sys
 from collections import Counter
+from functools import partial
 from typing import Optional, Sequence
 
 from . import bounds, heuristic, numfield, quadratic, serialize
-from .algebra import FieldParams, Poly, parse_poly
+from .algebra import FieldParams, parse_poly
 from .core import (
     DEFAULT_BUDGET,
     BalancedMultiset,
@@ -55,37 +56,28 @@ def _resolve_budget(args) -> int:
     return value
 
 
-def _parse_coeffs_fqt(field: FieldParams, text: str) -> list[Poly]:
-    parts = text.split(";")
+def _parse_coeffs(text: str, parse) -> list:
+    """Each ';'-separated entry of text through parse; an error names its position."""
     out = []
-    for idx, tok in enumerate(parts, 1):
+    for idx, tok in enumerate(text.split(";"), 1):
         try:
-            out.append(parse_poly(field, tok))
+            out.append(parse(tok))
         except ParseError as err:
             raise ParseError(f"coefficient {idx}: {err}") from err
     return out
 
 
-def _parse_coeffs_int(text: str) -> list[int]:
-    parts = text.split(";")
-    out = []
-    for idx, tok in enumerate(parts, 1):
-        try:
-            out.append(int(tok.strip()))
-        except ValueError:
-            raise ParseError(f"coefficient {idx}: {tok!r} is not an integer")
-    return out
+def _parse_int(tok: str) -> int:
+    try:
+        return int(tok.strip())
+    except ValueError:
+        raise ParseError(f"{tok!r} is not an integer") from None
 
 
-def _parse_coeffs_quad(K: quadratic.QuadField, text: str) -> list:
-    parts = text.split(";")
-    out = []
-    for idx, tok in enumerate(parts, 1):
-        try:
-            out.append(quadratic.parse_quadint(K, tok))
-        except ParseError as err:
-            raise ParseError(f"coefficient {idx}: {err}") from err
-    return out
+def _fqt_tuple(q: int, text: str) -> CoeffTuple:
+    """The coefficient tuple over F_q[t] that text lists."""
+    field = FieldParams(q)
+    return CoeffTuple.make(field, _parse_coeffs(text, partial(parse_poly, field)))
 
 
 def _emit(args, doc: dict, text_lines: Sequence[str],
@@ -109,7 +101,7 @@ def _emit(args, doc: dict, text_lines: Sequence[str],
 
 def run_check(args) -> int:
     if args.ring == "int":
-        coeffs = _parse_coeffs_int(args.coeffs)
+        coeffs = _parse_coeffs(args.coeffs, _parse_int)
         if len(coeffs) < 3:
             raise TupleArityError("need at least three coefficients")
         if any(c == 0 for c in coeffs):
@@ -119,13 +111,12 @@ def run_check(args) -> int:
                "passes": ok}
         _emit(args, doc, [f"{'pass' if ok else 'fail'}: {coeffs}"])
         return 0 if ok else 1
-    field = FieldParams(args.q)
-    a = CoeffTuple.make(field, _parse_coeffs_fqt(field, args.coeffs))
+    a = _fqt_tuple(args.q, args.coeffs)
     report = check_criteria(a)
     doc = {
         "kind": "criteria-report",
         "ring": "fqt",
-        "q": field.q,
+        "q": a.field.q,
         "coeffs": [str(c) for c in a.coeffs],
         "height": a.height,
         "passes": report.passes,
@@ -136,7 +127,7 @@ def run_check(args) -> int:
         doc["witness_index"] = report.witness_index + 1
     if report.witness_divisor is not None:
         doc["witness_divisor"] = str(report.witness_divisor)
-    lines = [f"{'pass' if report.passes else 'fail'}: {a} over F_{field.q}[t]"]
+    lines = [f"{'pass' if report.passes else 'fail'}: {a} over F_{a.field.q}[t]"]
     if not report.infinite_place_ok:
         lines.append("maximum degree is attained only once")
     if not report.finite_places_ok:
@@ -148,18 +139,17 @@ def run_check(args) -> int:
 
 
 def run_enumerate(args) -> int:
-    field = FieldParams(args.q)
-    a = CoeffTuple.make(field, _parse_coeffs_fqt(field, args.coeffs))
+    a = _fqt_tuple(args.q, args.coeffs)
     budget = _resolve_budget(args)
     sols = enumerate_solutions(a, args.N, budget)
     d = max(a.height, 0)
     doc = {
         "kind": "enumeration",
-        "q": field.q,
+        "q": a.field.q,
         "coeffs": [str(c) for c in a.coeffs],
         "N": args.N,
         "count": len(sols),
-        "expected_count": field.q ** (args.N * (a.n - 1) - d)
+        "expected_count": a.field.q ** (args.N * (a.n - 1) - d)
         if check_criteria(a).passes else None,
         "solutions": [[str(v) for v in row] for row in sols],
     }
@@ -173,8 +163,7 @@ def run_enumerate(args) -> int:
 
 
 def run_certify(args) -> int:
-    field = FieldParams(args.q)
-    a = CoeffTuple.make(field, _parse_coeffs_fqt(field, args.coeffs))
+    a = _fqt_tuple(args.q, args.coeffs)
     budget = _resolve_budget(args)
     b = balanced_multiset(a, args.N, budget)
     doc = serialize.multiset_doc(b, kind="certificate", N=args.N)
@@ -189,16 +178,12 @@ def run_certify(args) -> int:
 def run_minimal(args) -> int:
     budget = _resolve_budget(args)
     if args.ring == "int":
-        coeffs = _parse_coeffs_int(args.coeffs)
-        found = bounds.min_balanced_search(coeffs, args.N, args.size_bound,
-                                           max_multiplicity=args.max_multiplicity,
-                                           budget=budget)
+        a = _parse_coeffs(args.coeffs, _parse_int)
     else:
-        field = FieldParams(args.q)
-        a = CoeffTuple.make(field, _parse_coeffs_fqt(field, args.coeffs))
-        found = bounds.min_balanced_search(a, args.N, args.size_bound,
-                                           max_multiplicity=args.max_multiplicity,
-                                           budget=budget)
+        a = _fqt_tuple(args.q, args.coeffs)
+    found = bounds.min_balanced_search(a, args.N, args.size_bound,
+                                       max_multiplicity=args.max_multiplicity,
+                                       budget=budget)
     if found is None:
         doc = {"kind": "minimal-search", "found": False,
                "size_bound": args.size_bound, "N": args.N}
@@ -235,16 +220,15 @@ def run_extremal(args) -> int:
 
 def run_heuristic(args) -> int:
     if args.mode == "mc":
-        field = FieldParams(args.q)
-        a = CoeffTuple.make(field, _parse_coeffs_fqt(field, args.coeffs))
-        family = heuristic.GroupFamily(args.family, field.q ** args.N)
+        a = _fqt_tuple(args.q, args.coeffs)
+        family = heuristic.GroupFamily(args.family, a.field.q ** args.N)
         report = heuristic.monte_carlo(a, args.N, family, trials=args.trials,
                                        seed=args.seed)
         counts = {str(k): v for k, v in report.sum_counts.items()}
         doc = {
             "kind": "heuristic-report",
             "mode": "monte-carlo",
-            "q": field.q,
+            "q": a.field.q,
             "coeffs": [str(c) for c in a.coeffs],
             "N": args.N,
             "family": {"kind": family.kind, "degree": family.degree,
@@ -297,7 +281,7 @@ def run_heuristic(args) -> int:
 
 def run_numfield(args) -> int:
     if args.action == "twist":
-        coeffs = _parse_coeffs_int(args.coeffs)
+        coeffs = _parse_coeffs(args.coeffs, _parse_int)
         members = []
         for idx, row in enumerate(args.members.split(";"), 1):
             try:
@@ -306,7 +290,7 @@ def run_numfield(args) -> int:
                 raise ParseError(f"member {idx}: {row!r} is not a comma-separated "
                                  "integer tuple")
         try:
-            b = BalancedMultiset.make(tuple(coeffs), members, validate=True)
+            b = BalancedMultiset.make(tuple(coeffs), members)
         except ValueError as err:
             raise ParseError(f"input multiset invalid: {err}") from err
         twisted = numfield.rou_twist(b, args.j, args.order)
@@ -326,7 +310,7 @@ def run_numfield(args) -> int:
         return 0
     K = quadratic.QuadField(args.m)
     if args.action == "check":
-        coeffs = _parse_coeffs_quad(K, args.coeffs)
+        coeffs = _parse_coeffs(args.coeffs, partial(quadratic.parse_quadint, K))
         report = numfield.strong_criteria_check(K, coeffs)
         doc = {
             "kind": "strong-criteria-report",
@@ -344,7 +328,7 @@ def run_numfield(args) -> int:
                           f"nonarchimedean {report.nonarch_status}"])
         return 0 if report.passes else 1
     if args.action == "rou":
-        coeffs = _parse_coeffs_quad(K, args.coeffs)
+        coeffs = _parse_coeffs(args.coeffs, partial(quadratic.parse_quadint, K))
         relation = numfield.rou_relation_search(coeffs, max_order=args.max_order,
                                                 budget=_resolve_budget(args))
         if relation is None:
@@ -406,8 +390,7 @@ def batch_row(item: tuple[int, int, str, int]) -> dict:
     q, N, coeffs_text, budget = item
     out: dict = {"q": q, "N": N, "coeffs": coeffs_text}
     try:
-        field = FieldParams(q)
-        a = CoeffTuple.make(field, _parse_coeffs_fqt(field, coeffs_text))
+        a = _fqt_tuple(q, coeffs_text)
         if not check_criteria(a).passes:
             out["status"] = "not-applicable"
             out["note"] = "criteria fail"
@@ -433,11 +416,7 @@ def batch_row(item: tuple[int, int, str, int]) -> dict:
         out["status"] = "ok"
         out["note"] = ""
         return out
-    except SmythError as err:
-        out["status"] = "error"
-        out["note"] = str(err)
-        return out
-    except ValueError as err:
+    except (SmythError, ValueError) as err:
         out["status"] = "error"
         out["note"] = str(err)
         return out
@@ -481,14 +460,7 @@ def run_batch(args) -> int:
     lines = [f"{r['q']},{r['N']},{r['coeffs']}: {r['status']}"
              + (f" ({r['note']})" if r.get("note") else "")
              for r in results]
-    if args.format == "json":
-        _emit(args, doc, lines)
-    else:
-        fmt = args.format
-        if fmt == "csv":
-            sys.stdout.write(csv_data)
-        else:
-            sys.stdout.write("\n".join(lines) + "\n")
+    _emit(args, doc, lines, csv_data)
     bad = [r for r in results if r["status"] in ("mismatch", "error")]
     return 1 if bad else 0
 

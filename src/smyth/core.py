@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import FieldParams, Poly, kernel_basis, many_gcd
+from .algebra import FieldParams, Poly, kernel_basis, many_gcd, poly_from_index
 from .errors import (
     BudgetExceededError,
     NotSmythTupleError,
@@ -47,15 +47,6 @@ from .errors import (
 )
 
 DEFAULT_BUDGET = 1 << 24
-
-
-def poly_from_index(field: FieldParams, k: int) -> Poly:
-    """The k-th polynomial in base-q counting order."""
-    digits = []
-    while k:
-        digits.append(k % field.q)
-        k //= field.q
-    return Poly(field, tuple(digits))
 
 
 def vn_elements(field: FieldParams, N: int) -> list[Poly]:
@@ -347,7 +338,7 @@ class BalancedMultiset:
     members: tuple
 
     @classmethod
-    def make(cls, coeffs, members, validate: bool = True) -> "BalancedMultiset":
+    def make(cls, coeffs, members) -> "BalancedMultiset":
         coeffs = tuple(coeffs)
         ordered = sorted((tuple(m) for m in members), key=member_sort_key)
         if not ordered:
@@ -355,7 +346,7 @@ class BalancedMultiset:
         for m in ordered:
             if not any(bool(v) for v in m):
                 raise ValueError("balanced multiset must not contain the zero tuple")
-        if validate and not is_balanced(coeffs, ordered):
+        if not is_balanced(coeffs, ordered):
             raise ValueError("coordinate value multisets differ: not balanced")
         return cls(coeffs, tuple(ordered))
 
@@ -366,9 +357,6 @@ class BalancedMultiset:
     @property
     def n(self) -> int:
         return len(self.coeffs)
-
-    def coordinate_counter(self, i: int) -> Counter:
-        return Counter(m[i] for m in self.members)
 
 
 def balanced_multiset(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> BalancedMultiset:
@@ -521,4 +509,4 @@ def balanced_from_certificate(a: CoeffTuple, perms: Sequence[Sequence[int]]) -> 
         row = tuple(cleared[p[k]] for p in perms)
         if any(bool(x) for x in row):
             members.append(row)
-    return BalancedMultiset.make(a.coeffs, members, validate=True)
+    return BalancedMultiset.make(a.coeffs, members)

@@ -31,6 +31,7 @@ from .core import (
     DEFAULT_BUDGET,
     BalancedMultiset,
     certificate_from_balanced,
+    verify_certificate,
 )
 from .errors import (
     BridgeError,
@@ -230,6 +231,12 @@ def rou_relation_search(a: Sequence[Entry], max_order: int = MAX_ROU_ORDER,
     hash prefilter only proposes candidates: each is accepted or rejected by
     an exact zero test in Q(zeta_M), which writes sqrt(m) as a quadratic
     Gauss sum. Entries must lie in one quadratic field; plain ints may mix in.
+
+    The hash proposes every true relation while its float error stays below
+    the grid step 2^-20. With u = 2^-53 and s = |x| + |y|*(isqrt|m| + 1) for
+    an entry x + y*w, each term a*zeta^e is off by at most 43*u*s (embedding,
+    cexp root, product) and the n - 2 additions by (n-2)*u*sum(s): below
+    (n + 41)*u*n*max(s). An entry with n*(n + 41)*s >= 2^33 is a ValueError.
     """
     values = tuple(a)
     field = next((v.field for v in values if isinstance(v, QuadInt)), None)
@@ -245,6 +252,12 @@ def rou_relation_search(a: Sequence[Entry], max_order: int = MAX_ROU_ORDER,
         raise BudgetExceededError(
             f"relation scan needs about {cost} probes, budget {budget}",
             required=cost)
+    width = math.isqrt(abs(field.m)) + 1 if field is not None else 0
+    for i, v in enumerate(values, 1):
+        x, y = (v.x, v.y) if isinstance(v, QuadInt) else (v, 0)
+        if n * (n + 41) * (abs(x) + abs(y) * width) >= 1 << 33:
+            raise ValueError(f"entry {i} is too large for the floating-point "
+                             "prefilter of the relation search")
     embeds = [_embedding_complex(v) for v in values]
     quantum = 2.0 ** -20
     for M in range(1, max_order + 1):
@@ -307,7 +320,7 @@ def rou_twist(b: BalancedMultiset, j: int, m: int) -> BalancedMultiset:
                 CycInt.zeta(m, (k - 1) % m if i == j - 1 else k) * v
                 for i, v in enumerate(row)
             ))
-    return BalancedMultiset.make(coeffs, members, validate=True)
+    return BalancedMultiset.make(coeffs, members)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +374,7 @@ def unimodular_extract(a: Sequence[Entry], b: BalancedMultiset,
         d = abs(divisor)
         members = [tuple(v // d for v in row) for row in sub]
         return UnimodularExtract(
-            multiset=BalancedMultiset.make(coeffs, members, validate=True),
+            multiset=BalancedMultiset.make(coeffs, members),
             scale=None,
             normalized=True,
         )
@@ -372,14 +385,14 @@ def unimodular_extract(a: Sequence[Entry], b: BalancedMultiset,
             q = v.exact_div(divisor)
             if q is None:
                 return UnimodularExtract(
-                    multiset=BalancedMultiset.make(coeffs, sub, validate=True),
+                    multiset=BalancedMultiset.make(coeffs, sub),
                     scale=divisor,
                     normalized=False,
                 )
             out.append(q)
         divided.append(tuple(out))
     return UnimodularExtract(
-        multiset=BalancedMultiset.make(coeffs, divided, validate=True),
+        multiset=BalancedMultiset.make(coeffs, divided),
         scale=None,
         normalized=True,
     )
@@ -389,12 +402,12 @@ def unimodular_extract(a: Sequence[Entry], b: BalancedMultiset,
 # lattice rounding
 
 
-def frac_sqrt_upper(f: Fraction, bits: int = 64) -> Fraction:
-    """A rational upper bound on sqrt(f), tight to about 2^-bits."""
+def frac_sqrt_upper(f: Fraction) -> Fraction:
+    """A rational upper bound on sqrt(f), tight to about 2^-64."""
     if f < 0:
         raise ValueError("radicand must be nonnegative")
     p, q = f.numerator, f.denominator
-    scale = 1 << bits
+    scale = 1 << 64
     return Fraction(math.isqrt(p * q * scale * scale) + 1, q * scale)
 
 
@@ -544,7 +557,7 @@ def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
     m_upper = frac_sqrt_upper(m_squared)
     c_upper = _alpha_abs_upper(alpha)
     if c_upper >= n - 1:
-        raise PrecisionError("upper bound for |alpha| touched n-1; widen bits")
+        raise PrecisionError("upper bound for |alpha| touched n-1")
     r_bound = (n - 2) * m_upper * (n - 1) / ((n - 1) - c_upper)
     k = 0
     while Fraction(2) ** k <= r_bound:
@@ -788,19 +801,15 @@ def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
     for r, i in enumerate(member_source):
         coords = tuple(points[slots[mt[r]]] for mt in matchings)
         members.append(coords + (points[i],))
-    balanced = BalancedMultiset.make(coeffs, members, validate=True)
-    cert = certificate_from_balanced(balanced.coeffs, balanced)
-    dim = cert.m
-    D = permutation_sum(cert.perms[:-1], dim)
-    vec_out = cert.kernel
-    if any(sum(row) != n - 1 for row in D):
-        raise BridgeError("rebalanced rows do not sum to n-1", matrix=matrix)
-    if any(col != n - 1 for col in map(sum, zip(*D))):
-        raise BridgeError("rebalanced columns do not sum to n-1", matrix=matrix)
-    if not matrix_fixes(D, vec_out, alpha):
+    balanced = BalancedMultiset.make(coeffs, members)
+    cert = certificate_from_balanced(coeffs, balanced)
+    # each row of the certificate is (D v)[k] = alpha*v[k] with D the sum of
+    # its first n-1 permutations, whose rows and columns then sum to n-1
+    if not verify_certificate(coeffs, cert):
         raise BridgeError("rebalanced matrix fails the eigen identity",
                           matrix=matrix)
-    return BridgeResult(matrix=D, eigenvector=tuple(vec_out), strategy="sink-class")
+    D = permutation_sum(cert.perms[:-1], cert.m)
+    return BridgeResult(matrix=D, eigenvector=tuple(cert.kernel), strategy="sink-class")
 
 
 def permutation_sum(perms: Sequence[Sequence[int]], size: int) -> IntMatrix:

@@ -231,7 +231,7 @@ def _verify_multiset(doc: dict) -> bool:
     if "tuples" in doc:
         members = [tuple(entry(v) for v in row) for row in doc["tuples"]]
         try:
-            b = BalancedMultiset.make(coeffs, members, validate=True)
+            b = BalancedMultiset.make(coeffs, members)
         except ValueError:
             return False
         if certificate_from_balanced(coeffs, b) != cert:

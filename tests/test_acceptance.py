@@ -236,7 +236,7 @@ def test_criterion_08_number_field_pipeline():
 
 
 def test_criterion_09_twists():
-    base = BalancedMultiset.make((1, 1, -2), [(1, 1, 1)], validate=True)
+    base = BalancedMultiset.make((1, 1, -2), [(1, 1, 1)])
     for m in (2, 3, 4):
         tw = rou_twist(base, 1, m)
         assert tw.size == m
@@ -267,7 +267,7 @@ def _round_trip_docs():
         ks = rng.sample([k for k in range(-9, 10) if k != 0],
                         rng.randrange(1, 5))
         members = [(k, k, k) for k in ks]
-        b = BalancedMultiset.make(coeffs, members, validate=True)
+        b = BalancedMultiset.make(coeffs, members)
         docs.append(multiset_doc(b, kind="balanced"))
     for q, D in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
         for seed in (0, 1):

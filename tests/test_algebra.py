@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smyth.algebra import (
+    MAX_PARSE_DEGREE,
     FieldParams,
     ModElement,
     Poly,
@@ -83,6 +84,12 @@ class TestPolyBasics:
     def test_parse_rejects_garbage(self):
         for bad in ("", "t^", "x+1", "t**2", "1++1"):
             with pytest.raises(ParseError):
+                parse_poly(F2, bad)
+
+    def test_parse_caps_the_degree(self):
+        assert P(F2, f"t^{MAX_PARSE_DEGREE}+1").degree == MAX_PARSE_DEGREE
+        for bad in (f"t^{MAX_PARSE_DEGREE + 1}", "1+t^100000000"):
+            with pytest.raises(ParseError, match="exceeds the cap"):
                 parse_poly(F2, bad)
 
     def test_arithmetic_identities(self):

@@ -1,4 +1,6 @@
 """Order bounds, extremal instances, and minimal search tests."""
+import dataclasses
+
 import pytest
 
 from smyth.algebra import FieldParams, parse_poly
@@ -57,6 +59,12 @@ class TestExtremalFqt:
         inst = construct_extremal_fqt(q, D)
         assert verify_extremal(inst)
         assert inst.claimed_min == max(q ** D - 1, 1) or inst.degenerate
+
+    def test_D_above_the_modulus_degree_fails(self):
+        # every order is at most q^deg(c) - 1, so no q^D is formed
+        inst = construct_extremal_fqt(2, 3)
+        for D in (4, 10**12):
+            assert not verify_extremal(dataclasses.replace(inst, D=D))
 
     def test_q2_d1_degenerate(self):
         # the unit group of F_2[t]/(t+1) is trivial; the triple is the

@@ -3,6 +3,7 @@ import concurrent.futures
 import io
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,16 @@ class TestNumfield:
                            "--max-order", "30")
         assert code == 1
 
+    @pytest.mark.parametrize("coeffs", ["100000000000;100000000000;100000000000",
+                                        f"{10**400};1;1"], ids=["1e11", "1e400"])
+    def test_rou_entry_too_large_exit_two(self, capsys, coeffs):
+        code, out, err = run(capsys, "numfield", "--action", "rou",
+                             "--m", "-3", "--coeffs", coeffs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "too large" in err
+        assert "Traceback" not in err
+
     def test_twist(self, capsys):
         code, out, _ = run(capsys, "numfield", "--action", "twist",
                            "--coeffs", "1;1;-2", "--members", "1,1,1;2,2,2",
@@ -281,6 +292,20 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "must be an integer" in err
+
+    @pytest.mark.parametrize("name, field, value, code", [
+        ("fqt-m15-certificate.json", "coeffs", ["t^100000000", "t", "t+1"], 2),
+        ("extremal-fqt-q2.json", "D", 10**12, 1),
+    ], ids=["degree-1e8", "extremal-D-1e12"])
+    def test_huge_field_answered_quickly(self, capsys, tmp_path, name, field, value, code):
+        doc = json.loads((CORPUS / name).read_text(encoding="utf-8"))
+        doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        got, _, _ = run(capsys, "verify", str(bad))
+        assert got == code
+        assert time.perf_counter() - start < 1.0
 
     def test_missing_file_exit_two(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/cert.json")

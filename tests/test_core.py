@@ -148,14 +148,14 @@ class TestBalancedMultiset:
     def test_make_validates(self):
         coeffs = tuple(parse_poly(F2, s) for s in ("1", "t", "t+1"))
         good = [(parse_poly(F2, "1"), parse_poly(F2, "1"), parse_poly(F2, "1"))]
-        b = BalancedMultiset.make(coeffs, good, validate=True)
+        b = BalancedMultiset.make(coeffs, good)
         assert b.size == 1
 
     def test_make_rejects_unbalanced(self):
         coeffs = tuple(parse_poly(F2, s) for s in ("1", "t", "t+1"))
         bad = [(parse_poly(F2, "1"), parse_poly(F2, "1"), parse_poly(F2, "t"))]
         with pytest.raises(ValueError):
-            BalancedMultiset.make(coeffs, bad, validate=True)
+            BalancedMultiset.make(coeffs, bad)
 
     def test_from_enumeration(self):
         a = tup(F2, "1", "t", "t+1")
@@ -168,7 +168,7 @@ class TestBalancedMultiset:
             balanced_multiset(tup(F2, "1", "1", "t"), 2)
 
     def test_integer_members(self):
-        b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)], validate=True)
+        b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)])
         assert b.size == 2
 
 
@@ -221,9 +221,9 @@ class TestCertificates:
             balanced_from_certificate(a, ident)
 
     def test_one_factor_detection(self):
-        b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)], validate=True)
+        b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)])
         assert is_one_factor(b)
-        b2 = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (1, 1, 1)], validate=True)
+        b2 = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (1, 1, 1)])
         assert not is_one_factor(b2)
 
     @given(st.integers(0, 2))
@@ -320,7 +320,7 @@ def reference_balanced_multiset(a, N, budget):
         raise NotSmythTupleError("criteria fail")
     pool = reference_enumerate(a, N, budget)
     members = [m for m in pool if any(m)]
-    return BalancedMultiset.make(a.coeffs, members, validate=True)
+    return BalancedMultiset.make(a.coeffs, members)
 
 
 def outcome(fn, *args):
@@ -383,7 +383,7 @@ class TestAgainstDepthFirstReference:
         assert list(b.members) == sorted(b.members, key=member_sort_key)
         counters = [Counter(m[i] for m in b.members) for i in range(a.n)]
         assert all(c == counters[0] for c in counters)
-        assert b == BalancedMultiset.make(a.coeffs, b.members, validate=True)
+        assert b == BalancedMultiset.make(a.coeffs, b.members)
 
     def test_relation_check_catches_a_wrong_kernel(self, monkeypatch):
         # with no pivots every candidate counts as a kernel vector; the

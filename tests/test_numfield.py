@@ -344,6 +344,16 @@ class TestRouRelationSearch:
         with pytest.raises(ValueError, match="different quadratic field"):
             rou_relation_search([M7.omega, REAL2.omega])
 
+    def test_entries_too_large_for_the_prefilter_rejected(self):
+        # n = 3: an entry is refused once 3 * 44 * (|x| + |y|*(isqrt|m| + 1)) >= 2^33
+        limit = ((1 << 33) - 1) // (3 * 44)
+        rel = rou_relation_search([limit] * 3, max_order=3)
+        assert rel is not None and rel.common_order == 3
+        for values in ([limit + 1] * 3, [10**11] * 3, [10**400, 1, 1],
+                       [GAUSS.one, GAUSS.one, GAUSS.element(0, limit // 2 + 1)]):
+            with pytest.raises(ValueError, match="too large"):
+                rou_relation_search(values)
+
     def test_plain_ints_mix_with_one_field(self):
         rel = rou_relation_search([1, GAUSS.one, GAUSS.element(-1), GAUSS.omega], max_order=4)
         assert rel is not None and rel.common_order == 4
@@ -456,7 +466,7 @@ class TestRouZeroTest:
 
 class TestRouTwist:
     def _base(self):
-        return BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)], validate=True)
+        return BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)])
 
     def test_order_one_is_identity(self):
         b = self._base()
@@ -488,7 +498,6 @@ class TestRouTwist:
         b = BalancedMultiset.make(
             (GAUSS.one, GAUSS.one, GAUSS.element(-2)),
             [(GAUSS.one, GAUSS.one, GAUSS.one)],
-            validate=True,
         )
         with pytest.raises(ValueError):
             rou_twist(b, 1, 2)
@@ -496,7 +505,7 @@ class TestRouTwist:
 
 class TestUnimodularExtract:
     def test_requires_equality(self):
-        b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1)], validate=True)
+        b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1)])
         with pytest.raises(EqualityHypothesisError):
             unimodular_extract((1, 1, -3), b)
 
@@ -504,7 +513,7 @@ class TestUnimodularExtract:
         # |-2| = |1| + |1| holds; only (2,2,2) attains the max modulus in
         # every coordinate, and dividing by 2 normalizes it to units
         b = BalancedMultiset.make(
-            (1, 1, -2), [(2, 2, 2), (1, 1, 1), (1, 1, 1)], validate=True
+            (1, 1, -2), [(2, 2, 2), (1, 1, 1), (1, 1, 1)]
         )
         res = unimodular_extract((1, 1, -2), b)
         assert res.normalized
@@ -513,7 +522,7 @@ class TestUnimodularExtract:
 
     def test_unit_rows_pass_through(self):
         b = BalancedMultiset.make(
-            (1, 1, -2), [(1, 1, 1), (-1, -1, -1)], validate=True
+            (1, 1, -2), [(1, 1, 1), (-1, -1, -1)]
         )
         res = unimodular_extract((1, 1, -2), b)
         assert res.normalized

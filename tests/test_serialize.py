@@ -122,13 +122,13 @@ class TestFqtRoundTrip:
 
 class TestIntRoundTrip:
     def test_integer_multiset_verifies(self):
-        b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)], validate=True)
+        b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)])
         doc = multiset_doc(b, kind="balanced")
         assert doc["ring"] == "int"
         assert verify_doc(doc) is True
 
     def test_corrupt_coeff_fails(self):
-        b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)], validate=True)
+        b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)])
         doc = json.loads(canonical_json(multiset_doc(b, kind="balanced")))
         doc["coeffs"][0] = 3
         assert verify_doc(doc) is False
@@ -195,7 +195,7 @@ class TestNumfieldRoundTrip:
 
 def _witness_docs():
     F3 = FieldParams(3)
-    int_b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)], validate=True)
+    int_b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)])
     a3 = CoeffTuple.make(F3, [parse_poly(F3, s) for s in ("2", "t", "2*t+1")])
     return [
         pytest.param(fqt_doc(N=2, kind="balanced"), id="fqt-q2-balanced"),
