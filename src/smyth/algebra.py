@@ -432,15 +432,33 @@ def mod_inverse(u: ModElement) -> ModElement:
     return ModElement(s % u.modulus, u.modulus)
 
 
+def unit_group_order(q: int, degree: int) -> int:
+    """q^degree - 1: the order of the unit group modulo an irreducible
+    polynomial of that degree over F_q.
+
+    Orders in that group are found by factoring it, so a group above
+    DEFAULT_FACTOR_BOUND raises BudgetExceededError here, before any
+    polynomial of that degree is tested for irreducibility (about cubic in
+    the degree). As q >= 2, a degree of at least the bound's bit length is
+    refused without forming q^degree.
+    """
+    group = q**degree - 1 if degree < DEFAULT_FACTOR_BOUND.bit_length() else None
+    if group is None or group > DEFAULT_FACTOR_BOUND:
+        raise BudgetExceededError(
+            f"the unit group modulo a degree-{degree} polynomial over F_{q} "
+            f"has order above the factoring bound {DEFAULT_FACTOR_BOUND}",
+            required=group,
+        )
+    return group
+
+
 def element_order(u: ModElement) -> int:
     """Multiplicative order modulo an irreducible modulus."""
     if u.is_zero:
         raise NonUnitError("zero has no multiplicative order", witness=u.modulus)
+    group = unit_group_order(u.modulus.field.q, int(u.modulus.degree))
     if not is_irreducible(u.modulus):
         raise ValueError("element_order requires an irreducible modulus")
-    q = u.modulus.field.q
-    d = int(u.modulus.degree)
-    group = q**d - 1
     if group == 1:
         return 1
     order = group

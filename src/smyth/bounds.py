@@ -31,6 +31,7 @@ from .algebra import (
     poly_from_index,
     poly_gcd,
     random_irreducible,
+    unit_group_order,
 )
 from .core import (
     DEFAULT_BUDGET,
@@ -45,6 +46,9 @@ from .errors import BudgetExceededError, NonUnitError
 
 # construct_extremal_int scans down from e^D for a prime; it refuses e^D above this
 PRIME_SEARCH_BOUND = 10**7
+# the largest D with e^D <= PRIME_SEARCH_BOUND (e^16 < 8.9e6 < 10^7 < 2.4e7 < e^17),
+# compared before e^D is formed, which overflows a float past D = 709
+MAX_INT_EXTREMAL_D = 16
 
 _EXHAUSTIVE_GROUP_LIMIT = 1 << 12
 
@@ -76,6 +80,9 @@ class ExtremalInstance:
 
 def order_bound_fqt(a: Poly, b: Poly, c: Poly) -> OrderBoundCertificate:
     """Size bound from the order of -a/b in (F_q[t]/c)*, c irreducible."""
+    if c.degree < 1:
+        raise ValueError(f"modulus {c} is constant; the order bound needs an irreducible c")
+    group_order = unit_group_order(c.field.q, int(c.degree))
     if not is_irreducible(c):
         raise ValueError(f"modulus {c} is reducible; the order bound needs an irreducible c")
     c = c.monic()
@@ -86,7 +93,6 @@ def order_bound_fqt(a: Poly, b: Poly, c: Poly) -> OrderBoundCertificate:
     if u.is_zero:
         raise NonUnitError(f"{a} vanishes mod {c}, so -a/b is not a unit", witness=c)
     order = element_order(u)
-    group_order = c.field.q ** int(c.degree) - 1
     return OrderBoundCertificate(
         triple=(a, b, c),
         order=order,
@@ -129,10 +135,10 @@ def construct_extremal_fqt(q: int, D: int, seed=0) -> ExtremalInstance:
     if D < 1:
         raise ValueError("D must be at least 1")
     field = FieldParams(q)
+    lead = unit_group_order(q, D) + 1
     c = random_irreducible(q, D, seed)
     rng = random.Random(f"extremal-fqt:{q}:{D}:{seed}")
     g = _find_generator(field, c, rng)
-    lead = q**D
     for tail in range(lead):
         for lc in range(1, q):
             b = poly_from_index(field, tail + lc * lead)
@@ -201,12 +207,12 @@ def construct_extremal_int(D: int) -> ExtremalInstance:
     """
     if D < 1:
         raise ValueError("D must be at least 1")
-    limit = math.floor(math.exp(D))
-    if limit > PRIME_SEARCH_BOUND:
+    if D > MAX_INT_EXTREMAL_D:
         raise BudgetExceededError(
-            f"e^{D} = {limit} exceeds the prime search bound {PRIME_SEARCH_BOUND}",
-            required=limit,
+            f"e^{D} exceeds the prime search bound {PRIME_SEARCH_BOUND}: "
+            f"D must be at most {MAX_INT_EXTREMAL_D}"
         )
+    limit = math.floor(math.exp(D))
     if D == 1:
         cert = order_bound_int(1, 1, 2)
         return ExtremalInstance(

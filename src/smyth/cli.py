@@ -369,8 +369,10 @@ def run_verify(args) -> int:
                 text = fh.read()
         except OSError as err:
             raise ParseError(f"cannot read {args.path}: {err}") from err
-    doc = serialize.parse_json(text)
-    ok = verify_doc_safely(doc)
+    with serialize.cycle_collection_paused():
+        doc = serialize.parse_json(text)
+        ok = verify_doc_safely(doc)
+        del doc
     _emit(args, {"kind": "verification", "verified": ok},
           ["verified" if ok else "FAILED"])
     return 0 if ok else 1

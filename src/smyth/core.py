@@ -32,10 +32,12 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .algebra import FieldParams, Poly, kernel_basis, many_gcd, poly_from_index
 from .errors import (
@@ -168,6 +170,19 @@ def _digit_adder(q: int, ndigits: int):
     return add
 
 
+def _combinations(add, generators: Sequence[Sequence[int]]) -> list[int]:
+    """All q^k sums of d_j * g_j over j < k, each d_j in F_q, packed.
+
+    generators[j] lists the packed multiples 1*g_j, ..., (q-1)*g_j. The sum
+    with coefficients (d_j) sits at index sum_j d_j * q^j, so for g_j = t^j
+    the sums run in the base-q counting order of V_N.
+    """
+    sums = [0]
+    for multiples in generators:
+        sums += [add(s, b) for b in multiples for s in sums]
+    return sums
+
+
 def _shifted(p: Poly, k: int) -> Poly:
     """t^k * p for nonzero p."""
     return Poly(p.field, (0,) * k + p.coeffs)
@@ -221,14 +236,14 @@ def _kernel_indices(a: CoeffTuple, N: int, budget: int) -> tuple[list[Poly], lis
     columns = [_shifted(a.coeffs[n - 1 - p // N], p % N) for p in range(width)]
     reduced, pivots = _echelon(columns, N + a.height, q)
     add = _digit_adder(q, width)
-    rows = [0]
+    generators = []
     for free in sorted(set(range(width)) - set(pivots)):
         vec = [0] * width
         vec[free] = 1
         for row, p in zip(reduced, pivots):
             vec[p] = -row[free] % q
-        multiples = [_pack([c * v % q for v in vec], w) for c in range(1, q)]
-        rows += [add(r, b) for b in multiples for r in rows]
+        generators.append([_pack([c * v % q for v in vec], w) for c in range(1, q)])
+    rows = _combinations(add, generators)
     rows.sort()
     vn = vn_elements(field, N)
     index_of = {_pack(x.coeffs, w): k for k, x in enumerate(vn)}
@@ -292,10 +307,6 @@ def sort_key_of(value):
     return key if key is not None else value
 
 
-def member_sort_key(member: Sequence) -> tuple:
-    return tuple(sort_key_of(v) for v in member)
-
-
 def relation_holds(coeffs: Sequence, member: Sequence) -> bool:
     """Whether sum(c_i * x_i) is zero, over any exact ring."""
     s = 0
@@ -330,33 +341,61 @@ def is_balanced(coeffs: Sequence, members: Sequence[Sequence]) -> bool:
 class BalancedMultiset:
     """A nonempty multiset of nonzero solution tuples, balanced by coordinate.
 
-    members is stored sorted by entry sort keys, with multiplicity, so two
-    equal multisets compare equal structurally.
+    Held as a value table and index rows. values lists the distinct entries
+    in sort_key order; each row is one member as a tuple of indices into
+    values, and rows is sorted, with multiplicity. Index order is sort_key
+    order, so the rows run in the lexicographic order of their entries'
+    sort keys, and two equal multisets compare equal structurally. members,
+    the rows as tuples of entries, is derived on first use and cached.
     """
 
     coeffs: tuple
-    members: tuple
+    values: tuple
+    rows: tuple
 
     @classmethod
     def make(cls, coeffs, members) -> "BalancedMultiset":
         coeffs = tuple(coeffs)
-        ordered = sorted((tuple(m) for m in members), key=member_sort_key)
-        if not ordered:
+        members = [tuple(m) for m in members]
+        values = tuple(sorted(set(itertools.chain.from_iterable(members)), key=sort_key_of))
+        index = dict(zip(values, range(len(values))))
+        rows = sorted(tuple(map(index.__getitem__, m)) for m in members)
+        if not rows:
             raise ValueError("balanced multiset must be nonempty")
-        for m in ordered:
-            if not any(bool(v) for v in m):
-                raise ValueError("balanced multiset must not contain the zero tuple")
-        if not is_balanced(coeffs, ordered):
+        b = cls(coeffs, values, tuple(rows))
+        if not all(map(any, b.members)):
+            raise ValueError("balanced multiset must not contain the zero tuple")
+        if not is_balanced(coeffs, b.members):
             raise ValueError("coordinate value multisets differ: not balanced")
-        return cls(coeffs, tuple(ordered))
+        return b
+
+    @functools.cached_property
+    def members(self) -> tuple:
+        """The rows as tuples of entries, in the order of rows."""
+        values = self.values
+        return tuple(tuple(map(values.__getitem__, row)) for row in self.rows)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
     @property
     def n(self) -> int:
         return len(self.coeffs)
+
+
+def _ranked_multiset(coeffs: tuple, values: Sequence, columns: Sequence[Sequence[int]],
+                     used: Iterable[int]) -> BalancedMultiset:
+    """The multiset whose members have column i given as indices into
+    values, unchecked: the values in use, the distinct indices used, are
+    re-indexed in sort_key order and the rows sorted, as
+    BalancedMultiset.make orders them."""
+    used = sorted(used, key=lambda k: sort_key_of(values[k]))
+    rank = [0] * len(values)
+    for r, k in enumerate(used):
+        rank[k] = r
+    rows = sorted(zip(*(map(rank.__getitem__, col) for col in columns)))
+    return BalancedMultiset(coeffs, tuple(map(values.__getitem__, used)), tuple(rows))
 
 
 def balanced_multiset(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> BalancedMultiset:
@@ -380,11 +419,13 @@ def balanced_multiset(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> Ba
     q = a.field.q
     w = _digit_width(q)
     add = _digit_adder(q, N + a.height)
-    # every row meets the relation, checked on products made by Poly
-    # multiplication, apart from the elimination that produced the row
+    # every row meets the relation, checked apart from the elimination that
+    # produced the row: the products c * x for x in V_N are combinations of
+    # the Poly products c * d*t^j, in the base-q counting order of V_N
     sums = [0] * len(coords[0])
     for c, idx in zip(a.coeffs, coords):
-        products = [_pack((c * x).coeffs, w) for x in vn]
+        products = _combinations(add, [[_pack((c * vn[d * q**j]).coeffs, w) for d in range(1, q)]
+                                       for j in range(N)])
         sums = list(map(add, sums, map(products.__getitem__, idx)))
     for k, s in enumerate(sums):
         if s:
@@ -395,15 +436,7 @@ def balanced_multiset(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> Ba
     counters = [Counter(idx) for idx in coords]
     if any(c != counters[0] for c in counters[1:]):
         raise ValueError("coordinate value multisets differ: not balanced")
-    # BalancedMultiset.make's order, by the rank of each value's sort_key
-    order = sorted(range(len(vn)), key=lambda k: vn[k].sort_key)
-    rank = [0] * len(vn)
-    for r, k in enumerate(order):
-        rank[k] = r
-    ranked = sorted(zip(*(map(rank.__getitem__, idx) for idx in coords)))
-    by_rank = [vn[k] for k in order]
-    return BalancedMultiset(a.coeffs, tuple(zip(*(map(by_rank.__getitem__, idx)
-                                                  for idx in zip(*ranked)))))
+    return _ranked_multiset(a.coeffs, vn, coords, counters[0])
 
 
 @dataclass(frozen=True)
@@ -426,24 +459,33 @@ def certificate_from_balanced(a: CoeffTuple, b: BalancedMultiset) -> Permutation
     Within each group of rows sharing a value, matching is in ascending row
     order, which makes the construction canonical and forces X_n = identity.
     """
-    rows = b.members
+    rows = b.rows
     m = len(rows)
     n = b.n
-    last_slots: dict = {}
-    for k, row in enumerate(rows):
-        last_slots.setdefault(row[n - 1], []).append(k)
+    last = [row[n - 1] for row in rows]
+    identity = tuple(range(m))  # each row is its own first free slot
+    last_slots: list[list[int]] = [[] for _ in b.values]
+    for k, v in zip(identity, last):
+        last_slots[v].append(k)
+    # balance gives each value as many rows in coordinate i as slots; the
+    # rows are sorted, so coordinate 1 takes the values in ascending order
+    # and its matching is the slot lists laid end to end
     perms = []
-    for i in range(n):
-        # balance gives each value as many rows in coordinate i as slots
-        avail = {v: iter(idxs) for v, idxs in last_slots.items()}
+    for i in range(n - 1):
+        if i == 0:
+            perms.append(tuple(itertools.chain.from_iterable(last_slots)))
+            continue
+        avail = [iter(slots) for slots in last_slots]
         perms.append(tuple([next(avail[row[i]]) for row in rows]))
-    kernel = tuple(rows[k][n - 1] for k in range(m))
+    perms.append(identity)
+    kernel = tuple(map(b.values.__getitem__, last))
     return PermutationCertificate(m=m, perms=tuple(perms), kernel=kernel)
 
 
 def _validate_perms(perms: Sequence[Sequence[int]], m: int):
+    indices = set(range(m))
     for i, p in enumerate(perms):
-        if len(p) != m or sorted(p) != list(range(m)):
+        if len(p) != m or set(p) != indices:
             raise ValueError(f"malformed permutation at position {i + 1}: {tuple(p)}")
 
 
@@ -463,7 +505,8 @@ def verify_certificate(a, cert: PermutationCertificate) -> bool:
     """Recheck a certificate from scratch.
 
     a is a CoeffTuple or a plain coefficient tuple over any exact ring. The
-    row relations are verified exactly. A nonzero kernel vector that
+    row relations are verified exactly, from one table of products per
+    coefficient and distinct kernel entry. A nonzero kernel vector that
     satisfies them is itself the proof that sum(a_i X_i) is singular, so no
     determinant is computed.
     """
@@ -477,10 +520,39 @@ def verify_certificate(a, cert: PermutationCertificate) -> bool:
     _validate_perms(cert.perms, m)
     if cert.perms[-1] != tuple(range(m)):
         return False
-    if not any(bool(v) for v in cert.kernel):
+    # one table entry per distinct kernel object, found without hashing
+    # entries: a document's parsed kernel repeats the object of each value
+    ids = list(map(id, cert.kernel))
+    index = dict(zip(dict.fromkeys(ids), itertools.count()))
+    kernel_idx = list(map(index.__getitem__, ids))
+    values = list(map(dict(zip(ids, cert.kernel)).__getitem__, index))
+    if not any(values):
         return False
-    v = cert.kernel
-    return all(relation_holds(coeffs, [v[p[k]] for p in cert.perms]) for k in range(m))
+    return not any(_row_relations(coeffs, values, kernel_idx, cert.perms))
+
+
+def _row_relations(coeffs: Sequence, values: Sequence, kernel_idx: Sequence[int],
+                   perms: Sequence[Sequence[int]]) -> list:
+    """sum_i c_i * v[p_i[k]] for every row k, where v[j] = values[kernel_idx[j]].
+
+    Each product comes from one table per (coefficient, distinct value), so
+    the ring multiplies only n * len(values) times. Polynomial products over
+    one field are packed and summed digit-wise mod q, so a row's sum is 0
+    exactly when its relation holds; other rings sum their products with +.
+    """
+    tables = [[c * v for v in values] for c in coeffs]
+    add = operator.add
+    products = list(itertools.chain.from_iterable(tables))
+    field = getattr(products[0], "field", None)
+    if all(type(p) is Poly and p.field == field for p in products):
+        w = _digit_width(field.q)
+        add = _digit_adder(field.q, max(len(p.coeffs) for p in products))
+        tables = [[_pack(p.coeffs, w) for p in table] for table in tables]
+    sums = None
+    for table, p in zip(tables, perms):
+        column = map(table.__getitem__, map(kernel_idx.__getitem__, p))
+        sums = list(column) if sums is None else list(map(add, sums, column))
+    return sums
 
 
 def balanced_from_certificate(a: CoeffTuple, perms: Sequence[Sequence[int]]) -> BalancedMultiset:

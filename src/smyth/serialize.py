@@ -22,16 +22,31 @@ and extremal D over the integers, whose prime comes from a floating-point
 e^D. Integer fields are read strictly: a float, bool or string where a JSON
 integer belongs is a ParseError.
 
+A balanced or certificate document is checked on value indices. Each
+distinct entry text is parsed once, and every coefficient, kernel and tuple
+entry becomes an index into the table of distinct values. The row relations
+are evaluated once per row by verify_certificate, from one product table per
+coefficient and distinct kernel value. tuples are checked by index against
+the certificate: their rows are sorted as BalancedMultiset.make orders
+members, must be balanced with no all-zero row, and must convert to exactly
+the stated permutations and kernel. Row k then is the tuple of kernel entries
+the permutations pick, so its relation is the one already proved and is not
+evaluated again. The verdicts are those of the member-by-member check: rows
+may come in any order, and two spellings of one polynomial are one value.
+
 Emission is canonical (sorted keys, fixed indentation, deterministic list
 orders), so serialize -> parse -> serialize is byte-stable.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
+import gc
 import io
 import itertools
 import json
+from collections import Counter
 from typing import Optional, Sequence
 
 from . import bounds, numfield, quadratic
@@ -40,6 +55,7 @@ from .core import (
     BalancedMultiset,
     CoeffTuple,
     PermutationCertificate,
+    _ranked_multiset,
     certificate_from_balanced,
     verify_certificate,
 )
@@ -88,9 +104,30 @@ def canonical_json(doc: dict) -> str:
     return _indented(doc, "") + "\n"
 
 
+@contextlib.contextmanager
+def cycle_collection_paused():
+    """Pause the cycle collector around work that builds no reference cycles.
+
+    JSON decoding and verification allocate containers in bulk, one or more
+    per row, and each collector pass would traverse all of them for nothing.
+    On a document of 10^5 rows those passes cost about a third of the time.
+    Pauses nest; the outermost one resumes collection. A caller that drops
+    a decoded document before its pause ends spares the collector the pass
+    over it that would otherwise follow.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def parse_json(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        with cycle_collection_paused():
+            doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON at line {err.lineno} column {err.colno}: "
                          f"{err.msg}") from err
@@ -117,10 +154,11 @@ def _one_based(perms: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _zero_based(perms: Sequence[Sequence[int]], m: int) -> Optional[list[tuple[int, ...]]]:
+    indices = set(range(m))
     out = []
     for p in perms:
         row = [k - 1 for k in _ints(p, "permutation entry")]
-        if len(row) != m or sorted(row) != list(range(m)):
+        if len(row) != m or set(row) != indices:
             return None
         out.append(tuple(row))
     return out
@@ -143,17 +181,17 @@ def multiset_doc(b: BalancedMultiset, kind: str = "balanced",
     if isinstance(first, Poly):
         doc["ring"] = "fqt"
         doc["q"] = first.field.q
-        text = {v: str(v) for v in set(itertools.chain.from_iterable(b.members))}
         doc["coeffs"] = [str(c) for c in b.coeffs]
-        doc["kernel_vector"] = [text[v] for v in cert.kernel]
-        doc["tuples"] = [list(map(text.__getitem__, row)) for row in b.members]
+        text = [str(v) for v in b.values]
     elif isinstance(first, int):
         doc["ring"] = "int"
         doc["coeffs"] = list(b.coeffs)
-        doc["kernel_vector"] = list(cert.kernel)
-        doc["tuples"] = [list(row) for row in b.members]
+        text = list(b.values)
     else:
         raise ValueError("only polynomial and integer multisets serialize to this schema")
+    doc["tuples"] = [list(map(text.__getitem__, row)) for row in b.rows]
+    # the certificate's kernel is the last coordinate of each row
+    doc["kernel_vector"] = [row[-1] for row in doc["tuples"]]
     doc["permutations"] = _one_based(cert.perms)
     return doc
 
@@ -202,18 +240,94 @@ def _require(doc: dict, *keys: str):
         raise ParseError(f"document is missing fields: {', '.join(missing)}")
 
 
+class _EntryTable:
+    """The entries of one multiset document, each distinct text parsed once.
+
+    values holds the distinct values in order of first appearance, and an
+    entry's index is the position of its value there; two texts that spell
+    one value share an index. Entries come in lists of texts (JSON integers
+    over Z), which are deduplicated before parsing. Anything else is parsed
+    entry by entry, so a malformed entry raises as it would alone.
+    """
+
+    def __init__(self, parse, kind: type):
+        self._parse = parse
+        self._kind = frozenset((kind,))
+        self._index_of_text: dict = {}
+        self._index_of_value: dict = {}
+        self.values: list = []
+
+    def _index(self, value) -> int:
+        k = self._index_of_value.setdefault(value, len(self.values))
+        if k == len(self.values):
+            self.values.append(value)
+        return k
+
+    def _lookup(self, texts: list) -> list[int]:
+        """Indices of texts of the entry kind; texts not seen before are
+        parsed once each, in order of first appearance."""
+        seen = self._index_of_text
+        found = list(map(seen.get, texts))
+        if None in found:
+            for text in dict.fromkeys(texts):
+                if text not in seen:
+                    seen[text] = self._index(self._parse(text))
+            found = list(map(seen.__getitem__, texts))
+        return found
+
+    def indices(self, entries) -> list[int]:
+        if type(entries) in _LISTS and self._kind.issuperset(map(type, entries)):
+            return self._lookup(entries)
+        return [self._index(self._parse(v)) for v in entries]
+
+    def index_columns(self, rows, n: int) -> Optional[list[list[int]]]:
+        """Column i of rows as value indices, or None unless every row has
+        n entries; every entry is parsed either way."""
+        if type(rows) in _LISTS and _LISTS.issuperset(map(type, rows)):
+            flat = list(itertools.chain.from_iterable(rows))
+            if self._kind.issuperset(map(type, flat)):
+                flat = self._lookup(flat)
+                if set(map(len, rows)) != {n}:
+                    return None
+                return [flat[i::n] for i in range(n)]
+        indexed = [tuple(self._index(self._parse(v)) for v in row) for row in rows]
+        if any(len(row) != n for row in indexed):
+            return None
+        return [list(col) for col in zip(*indexed)]
+
+
+def _tuples_match(coeffs: tuple, values: list, columns: list[list[int]],
+                  cert: PermutationCertificate) -> bool:
+    """Whether the rows with these columns of indices into values are a
+    balanced multiset of nonzero tuples whose canonical certificate is cert.
+
+    Matching cert makes row k the tuple (v[p_1[k]], ..., v[p_n[k]]), whose
+    relation verify_certificate has proved, so none is evaluated here.
+    """
+    if not columns[0]:
+        return False
+    counters = [Counter(col) for col in columns]
+    if any(c != counters[0] for c in counters[1:]):
+        return False
+    b = _ranked_multiset(coeffs, values, columns, counters[0])
+    zero = next((k for k, v in enumerate(b.values) if not v), None)
+    if zero is not None and (zero,) * b.n in b.rows:
+        return False
+    return certificate_from_balanced(coeffs, b) == cert
+
+
 def _verify_multiset(doc: dict) -> bool:
     _require(doc, "n", "coeffs", "m", "permutations", "kernel_vector")
     ring = doc.get("ring", "fqt")
     if ring == "fqt":
         _require(doc, "q")
         field = FieldParams(_int(doc["q"], "q"))
-        entry = functools.partial(parse_poly, field)
+        table = _EntryTable(functools.partial(parse_poly, field), str)
     elif ring == "int":
-        entry = _int
+        table = _EntryTable(_int, int)
     else:
         raise ParseError(f"unknown ring {ring!r}")
-    coeffs = tuple(entry(c) for c in doc["coeffs"])
+    coeffs = tuple(map(table.values.__getitem__, table.indices(doc["coeffs"])))
     if ring == "fqt":
         CoeffTuple.make(field, coeffs)  # refuses pairs, as certify does
     if len(coeffs) != _int(doc["n"], "n") or not all(coeffs):
@@ -222,20 +336,16 @@ def _verify_multiset(doc: dict) -> bool:
     perms = _zero_based(doc["permutations"], m)
     if perms is None or len(perms) != len(coeffs):
         return False
-    kernel = tuple(entry(v) for v in doc["kernel_vector"])
-    if len(kernel) != m:
+    kernel_idx = table.indices(doc["kernel_vector"])
+    if len(kernel_idx) != m:
         return False
+    kernel = tuple(map(table.values.__getitem__, kernel_idx))
     cert = PermutationCertificate(m=m, perms=tuple(perms), kernel=kernel)
     if not verify_certificate(coeffs, cert):
         return False
     if "tuples" in doc:
-        members = [tuple(entry(v) for v in row) for row in doc["tuples"]]
-        try:
-            b = BalancedMultiset.make(coeffs, members)
-        except ValueError:
-            return False
-        if certificate_from_balanced(coeffs, b) != cert:
-            return False
+        columns = table.index_columns(doc["tuples"], len(coeffs))
+        return columns is not None and _tuples_match(coeffs, table.values, columns, cert)
     return True
 
 
@@ -297,12 +407,13 @@ def _verify_numfield(doc: dict) -> bool:
 def verify_doc(doc: dict) -> bool:
     """Re-verify a parsed certificate document from first principles."""
     kind = doc.get("kind")
-    if kind in ("balanced", "certificate"):
-        return _verify_multiset(doc)
-    if kind == "extremal":
-        return _verify_extremal(doc)
-    if kind == "numfield":
-        return _verify_numfield(doc)
+    with cycle_collection_paused():
+        if kind in ("balanced", "certificate"):
+            return _verify_multiset(doc)
+        if kind == "extremal":
+            return _verify_extremal(doc)
+        if kind == "numfield":
+            return _verify_numfield(doc)
     raise ParseError(
         f"kind {kind!r} is not verifiable; expected one of {VERIFIABLE_KINDS}")
 

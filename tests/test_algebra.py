@@ -31,6 +31,7 @@ from smyth.algebra import (
     poly_gcd,
     poly_lcm,
     random_irreducible,
+    unit_group_order,
 )
 from smyth.core import (
     BalancedMultiset,
@@ -40,7 +41,7 @@ from smyth.core import (
     certificate_from_balanced,
     combination_matrix,
 )
-from smyth.errors import NonUnitError, NoRelationError, ParseError
+from smyth.errors import BudgetExceededError, NonUnitError, NoRelationError, ParseError
 from smyth.quadratic import QuadField
 
 F2 = FieldParams(2)
@@ -216,6 +217,13 @@ class TestModularArithmetic:
             if r.is_zero:
                 continue
             assert group % element_order(ModElement.make(r, c)) == 0
+
+    def test_unit_group_order_stops_at_the_factoring_bound(self):
+        assert unit_group_order(2, 64) == 2**64 - 1
+        assert unit_group_order(3, 2) == 8
+        for q, degree in ((2, 65), (5, 28), (2, 1 << 16), ((1 << 61) - 1, 2)):
+            with pytest.raises(BudgetExceededError, match="factoring bound"):
+                unit_group_order(q, degree)
 
     def test_order_oracle(self):
         # t generates F_4* = Z/3 via t^2 = t + 1, t^3 = 1

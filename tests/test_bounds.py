@@ -1,10 +1,14 @@
 """Order bounds, extremal instances, and minimal search tests."""
 import dataclasses
+import math
+import time
 
 import pytest
 
 from smyth.algebra import FieldParams, parse_poly
 from smyth.bounds import (
+    MAX_INT_EXTREMAL_D,
+    PRIME_SEARCH_BOUND,
     check_criteria_int,
     construct_extremal_fqt,
     construct_extremal_int,
@@ -16,7 +20,7 @@ from smyth.bounds import (
     verify_extremal,
 )
 from smyth.core import CoeffTuple
-from smyth.errors import NonUnitError
+from smyth.errors import BudgetExceededError, NonUnitError
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -121,6 +125,13 @@ class TestOrderBoundInt:
             order_bound_int(7, 3, 7)
 
 
+def test_modulus_too_large_to_factor_is_refused_before_irreducibility():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="factoring bound"):
+        order_bound_fqt(P(F2, "t^2"), P(F2, "t^4+1"), P(F2, "t^300+t+1"))
+    assert time.perf_counter() - start < 0.1
+
+
 class TestExtremalInt:
     def test_d1_degenerate(self):
         inst = construct_extremal_int(1)
@@ -139,6 +150,12 @@ class TestExtremalInt:
         assert inst.triple == (12, 13, 19)
         assert inst.claimed_min == 18
         assert verify_extremal(inst)
+
+    def test_d_bound_is_the_largest_within_the_prime_search(self):
+        assert math.exp(MAX_INT_EXTREMAL_D) <= PRIME_SEARCH_BOUND < math.exp(MAX_INT_EXTREMAL_D + 1)
+        for D in (MAX_INT_EXTREMAL_D + 1, 1000, 10**9):
+            with pytest.raises(BudgetExceededError, match="prime search bound"):
+                construct_extremal_int(D)
 
     def test_strict_triangle_holds(self):
         for D in (2, 3):

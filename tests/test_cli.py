@@ -144,6 +144,21 @@ class TestExtremal:
                          "--D", "2", "--seed", "3")
         assert out1 == out2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--ring", "int", "--D", "17"), "prime search bound"),
+        (("--ring", "int", "--D", "1000"), "prime search bound"),
+        (("--ring", "fqt", "--q", "2", "--D", "65"), "factoring bound"),
+        (("--ring", "fqt", "--q", "2", "--D", "300"), "factoring bound"),
+    ], ids=["int-D17", "int-D1000", "fqt-q2-D65", "fqt-q2-D300"])
+    def test_past_the_search_bounds_exit_two_at_once(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "extremal", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
 
 class TestHeuristic:
     def test_mc_exact(self, capsys):
@@ -296,7 +311,9 @@ class TestVerify:
     @pytest.mark.parametrize("name, field, value, code", [
         ("fqt-m15-certificate.json", "coeffs", ["t^100000000", "t", "t+1"], 2),
         ("extremal-fqt-q2.json", "D", 10**12, 1),
-    ], ids=["degree-1e8", "extremal-D-1e12"])
+        # the unit group of a degree-300 modulus is too large to factor
+        ("extremal-fqt-q2.json", "triple", ["t^2", "t^4+1", "t^300+t+1"], 2),
+    ], ids=["degree-1e8", "extremal-D-1e12", "extremal-modulus-degree-300"])
     def test_huge_field_answered_quickly(self, capsys, tmp_path, name, field, value, code):
         doc = json.loads((CORPUS / name).read_text(encoding="utf-8"))
         doc[field] = value

@@ -16,7 +16,6 @@ from smyth.core import (
     enumerate_solutions,
     fiber_count,
     is_balanced,
-    member_sort_key,
     poly_from_index,
     relation_holds,
     verify_certificate,
@@ -380,10 +379,21 @@ class TestAgainstDepthFirstReference:
     def test_multiset_members_sorted_and_balanced(self):
         a = tup(F7, "1", "t", "t+3")
         b = balanced_multiset(a, 2)
-        assert list(b.members) == sorted(b.members, key=member_sort_key)
+        assert list(b.members) == sorted(b.members, key=lambda m: [v.sort_key for v in m])
         counters = [Counter(m[i] for m in b.members) for i in range(a.n)]
         assert all(c == counters[0] for c in counters)
         assert b == BalancedMultiset.make(a.coeffs, b.members)
+
+    def test_value_table_and_index_rows(self):
+        a = tup(F3, "t+1", "2*t", "2")
+        b = balanced_multiset(a, 2)
+        keys = [v.sort_key for v in b.values]
+        assert keys == sorted(set(keys))
+        assert list(b.rows) == sorted(b.rows)
+        assert {k for row in b.rows for k in row} == set(range(len(b.values)))
+        assert b.members is b.members  # derived once, then cached
+        assert b.members == tuple(tuple(b.values[k] for k in row) for row in b.rows)
+        assert b.size == len(b.rows) == len(b.members)
 
     def test_relation_check_catches_a_wrong_kernel(self, monkeypatch):
         # with no pivots every candidate counts as a kernel vector; the

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from smyth.algebra import FieldParams, parse_poly
-from smyth.core import CoeffTuple, PermutationCertificate, member_sort_key, relation_holds
+from smyth.core import CoeffTuple, PermutationCertificate, relation_holds, sort_key_of
 from smyth.errors import ParseError
 from smyth.serialize import verify_doc
 
@@ -61,8 +61,12 @@ def _ref_is_balanced(coeffs, members):
     return all(c == counters[0] for c in counters[1:])
 
 
+def _ref_member_sort_key(member):
+    return tuple(sort_key_of(v) for v in member)
+
+
 def _ref_make(coeffs, members):
-    ordered = sorted((tuple(m) for m in members), key=member_sort_key)
+    ordered = sorted((tuple(m) for m in members), key=_ref_member_sort_key)
     if not ordered:
         raise ValueError("balanced multiset must be nonempty")
     for m in ordered:

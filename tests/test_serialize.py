@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smyth.algebra import FieldParams, parse_poly
+from smyth.algebra import FieldParams, Poly, parse_poly
 from smyth.bounds import construct_extremal_fqt, construct_extremal_int
 from smyth.core import BalancedMultiset, CoeffTuple, balanced_multiset
 from smyth.errors import ParseError
@@ -118,6 +118,46 @@ class TestFqtRoundTrip:
         bad["kind"] = "mystery"
         with pytest.raises(ParseError):
             verify_doc(bad)
+
+
+class TestIndexedMultisets:
+    """Emission and verification work on value indices, not on Poly values."""
+
+    def test_emission_hashes_no_poly(self, monkeypatch):
+        a = CoeffTuple.make(FieldParams(3), ["t+1", "2*t", "2"])
+        calls = []
+
+        def counting_hash(self):
+            calls.append(self)
+            return hash(self.coeffs)
+
+        monkeypatch.setattr(Poly, "__hash__", counting_hash)
+        doc = multiset_doc(balanced_multiset(a, 2), kind="certificate", N=2)
+        assert doc["m"] == 26
+        assert calls == []
+
+    def test_each_distinct_entry_text_parsed_once(self, monkeypatch):
+        import smyth.serialize as serialize
+
+        doc = parse_json(canonical_json(fqt_doc(N=3)))
+        texts = set(doc["coeffs"]) | set(doc["kernel_vector"])
+        texts |= {v for row in doc["tuples"] for v in row}
+        calls = []
+
+        def counting_parse(field, text):
+            calls.append(text)
+            return parse_poly(field, text)
+
+        monkeypatch.setattr(serialize, "parse_poly", counting_parse)
+        assert verify_doc(doc) is True
+        entries = len(doc["kernel_vector"]) + sum(map(len, doc["tuples"]))
+        assert len(calls) <= len(texts) < entries
+
+    def test_reordered_and_respelled_tuples_still_verify(self):
+        doc = parse_json(canonical_json(fqt_doc(N=2)))
+        doc["tuples"].reverse()
+        doc["tuples"][0] = [" + ".join(reversed(v.split("+"))) for v in doc["tuples"][0]]
+        assert verify_doc(doc) is True
 
 
 class TestIntRoundTrip:
