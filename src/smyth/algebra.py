@@ -459,6 +459,12 @@ def element_order(u: ModElement) -> int:
     group = unit_group_order(u.modulus.field.q, int(u.modulus.degree))
     if not is_irreducible(u.modulus):
         raise ValueError("element_order requires an irreducible modulus")
+    return _unit_order(u, group)
+
+
+def _unit_order(u: ModElement, group: int) -> int:
+    """element_order of a unit u modulo a modulus already known to be
+    irreducible, whose unit group has the given order."""
     if group == 1:
         return 1
     order = group

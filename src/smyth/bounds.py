@@ -21,7 +21,7 @@ from .algebra import (
     FieldParams,
     ModElement,
     Poly,
-    element_order,
+    _unit_order,
     euler_phi,
     integer_factor,
     is_irreducible,
@@ -85,14 +85,19 @@ def order_bound_fqt(a: Poly, b: Poly, c: Poly) -> OrderBoundCertificate:
     group_order = unit_group_order(c.field.q, int(c.degree))
     if not is_irreducible(c):
         raise ValueError(f"modulus {c} is reducible; the order bound needs an irreducible c")
-    c = c.monic()
+    return _order_bound_irreducible(a, b, c.monic(), group_order)
+
+
+def _order_bound_irreducible(a: Poly, b: Poly, c: Poly, group_order: int) -> OrderBoundCertificate:
+    """order_bound_fqt for a monic c already known to be irreducible, whose
+    unit group has the given order."""
     b_mod = ModElement.make(b, c)
     if b_mod.is_zero:
         raise NonUnitError(f"{b} vanishes mod {c}", witness=c)
     u = ModElement.make(-a, c) * mod_inverse(b_mod)
     if u.is_zero:
         raise NonUnitError(f"{a} vanishes mod {c}, so -a/b is not a unit", witness=c)
-    order = element_order(u)
+    order = _unit_order(u, group_order)
     return OrderBoundCertificate(
         triple=(a, b, c),
         order=order,
@@ -103,7 +108,8 @@ def order_bound_fqt(a: Poly, b: Poly, c: Poly) -> OrderBoundCertificate:
 
 def _find_generator(field: FieldParams, c: Poly, rng: random.Random) -> Poly:
     # residues of full order in (F_q[t]/c)*: exhaustive for tiny groups,
-    # seeded sampling otherwise
+    # seeded sampling otherwise; c is a monic irreducible, so no candidate
+    # tests it again
     D = int(c.degree)
     group_order = field.q**D - 1
     if group_order == 1:
@@ -112,14 +118,14 @@ def _find_generator(field: FieldParams, c: Poly, rng: random.Random) -> Poly:
         for r in vn_elements(field, D):
             if r.is_zero:
                 continue
-            if element_order(ModElement.make(r, c)) == group_order:
+            if _unit_order(ModElement.make(r, c), group_order) == group_order:
                 return r
         raise AssertionError("a cyclic group always has a generator")
     while True:
         r = field.poly([rng.randrange(field.q) for _ in range(D)])
         if r.is_zero:
             continue
-        if element_order(ModElement.make(r, c)) == group_order:
+        if _unit_order(ModElement.make(r, c), group_order) == group_order:
             return r
 
 
@@ -152,7 +158,7 @@ def construct_extremal_fqt(q: int, D: int, seed=0) -> ExtremalInstance:
             triple = CoeffTuple.make(field, (a, b, c))
             if not check_criteria(triple).passes:
                 continue
-            cert = order_bound_fqt(a, b, c)
+            cert = _order_bound_irreducible(a, b, c, lead - 1)
             if cert.order != lead - 1:
                 continue
             return ExtremalInstance(

@@ -65,7 +65,13 @@ class PrecisionError(SmythError, RuntimeError):
 
 
 class BridgeError(SmythError, RuntimeError):
-    """No doubly regular rebalancing was found; carries the input matrix."""
+    """No doubly regular rebalancing was found; carries the input matrix.
+
+    From perron_bridge, ``matrix`` is the dense matrix it was given. From
+    numfield_pipeline it is the last rounding matrix in sparse form, one
+    tuple of (column, entry) pairs per row, or the dense bridge result when
+    its Birkhoff split fails to sum back to it.
+    """
 
     def __init__(self, message: str, matrix=None):
         super().__init__(message)

@@ -16,20 +16,28 @@ alpha, rebalances it to equal column sums, and splits it into n-1
 permutation matrices. The nonzero eigenvector v with (sum P_i) v = alpha*v
 that travels with the split proves det(sum P_i - alpha*I) = 0;
 verify_numfield_certificate decides the same claim without a witness.
+
+The rounding matrix has at most two nonzero entries per row. The pipeline
+passes it to the bridge as sparse rows and searches on the points' integer
+coordinates and indices, so its memory is linear in the ball; only the
+bridge's result, of dimension at most MAX_BRIDGE_DIMENSION, is dense.
+lattice_rounding_step and perron_bridge are the same steps on dense matrices.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from cmath import exp as cexp, pi as cpi, sqrt as csqrt
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .algebra import kernel_basis
 from .core import (
     DEFAULT_BUDGET,
     BalancedMultiset,
+    _ranked_multiset,
     certificate_from_balanced,
     verify_certificate,
 )
@@ -48,6 +56,10 @@ Entry = Union[int, QuadInt]
 
 MAX_ROU_ORDER = 360
 MAX_TWIST_ORDER = 24
+# The rounding refuses a ball estimated to hold more points than this; the
+# bridge refuses a result of larger dimension than MAX_BRIDGE_DIMENSION.
+MAX_BALL_POINTS = 1 << 14
+MAX_BRIDGE_DIMENSION = 4096
 
 
 def _as_quadint(K: QuadField, value: Entry) -> QuadInt:
@@ -527,21 +539,56 @@ class LatticeStep:
     n: int
 
 
-def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
-                          radius_factor: int = 0) -> LatticeStep:
-    """Round alpha*z/(n-1) to the lattice for every z in an exact-radius ball.
+# A sparse row: its nonzero entries as (column, entry) pairs, in ascending
+# column order.
+SparseRow = tuple[tuple[int, int], ...]
 
-    The radius R is the smallest power of two with
-    upper(|alpha|)/(n-1)*R + (n-2)*upper(M) < R, which guarantees both the
-    rounded point z_1 and the remainder z_2 = alpha*z - (n-2)*z_1 stay in
-    the ball. radius_factor doubles R that many extra times for retries.
-    z_1 is nearest to t = alpha*z/(n-1), ties broken by sort_key. Every
-    nearest point lies within M of t and |t| + M < R, so comparing the few
-    points of Z[alpha] within M of t finds what a scan of the ball would.
-    Each row is written from its sparse form, (n-2) units on z_1 plus one on
-    z_2, and the identity C.z = alpha*z is asserted on that sparse form.
+
+class _Rounding(NamedTuple):
+    rows: tuple[SparseRow, ...]
+    points: tuple[QuadInt, ...]
+    radius_squared: Fraction
+    covering_radius_squared: Fraction
+
+
+def _dense(rows: Sequence[SparseRow], size: int) -> IntMatrix:
+    out = []
+    for row in rows:
+        dense = [0] * size
+        for j, c in row:
+            dense[j] = c
+        out.append(tuple(dense))
+    return tuple(out)
+
+
+def _times(alpha: QuadInt, coords: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The coordinates of alpha*(x + y*w) for each (x, y) in coords."""
+    ax, ay = alpha.x, alpha.y
+    t, nm = alpha.field.omega_trace, alpha.field.omega_norm
+    return [(ax * x - ay * y * nm, ax * y + ay * x + ay * y * t) for x, y in coords]
+
+
+def _ball_size_estimate(K: QuadField, alpha: QuadInt, r_squared: Fraction) -> int:
+    """About how many points of Z[alpha] lie within ambient distance^2 r_squared of 0.
+
+    The ball's area over the lattice's covolume: with the ambient form
+    Q(u, v) = A*u^2 + B*u*v + C*v^2 and disc = 4AC - B^2, {Q <= r^2} has
+    area 2*pi*r^2/sqrt(disc), pi taken as 355/113, and Z + Z*alpha has
+    covolume |ay|. In rank 1 (rational alpha) the count is exact.
     """
-    alpha = _as_quadint(K, alpha)
+    A = K.ambient_q(1, 0)
+    rn, rd = r_squared.numerator, r_squared.denominator
+    if not alpha.y:
+        return 2 * math.isqrt(rn // (rd * A)) + 1
+    C = K.ambient_q(0, 1)
+    B = K.ambient_q(1, 1) - A - C
+    disc = 4 * A * C - B * B
+    # (2*pi*r^2)^2 / (disc * ay^2)
+    return math.isqrt((710 * rn) ** 2 // (113 * 113 * rd * rd * disc * alpha.y ** 2))
+
+
+def _rounding(K: QuadField, alpha: QuadInt, n: int, radius_factor: int) -> _Rounding:
+    """lattice_rounding_step with the rows in sparse form."""
     if not alpha:
         raise ValueError("alpha must be nonzero")
     if n < 3:
@@ -567,38 +614,58 @@ def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
     k += radius_factor
     radius = Fraction(2) ** k
     r_squared = radius * radius
+    estimate = _ball_size_estimate(K, alpha, r_squared)
+    if estimate > MAX_BALL_POINTS:
+        raise BudgetExceededError(
+            f"the rounding ball of radius^2 {r_squared} holds about {estimate} "
+            f"lattice points, more than {MAX_BALL_POINTS}", required=estimate)
     ball = sorted(_points_near(K, alpha, r_squared)(0, 0))
-    points = [z for _, _, z in ball]
-    index = {key: i for i, (_, key, _) in enumerate(ball)}
-    size = len(points)
+    coords = [key for _, key, _ in ball]
+    index = {key: i for i, key in enumerate(coords)}
     nearest = _points_near(K, alpha, m_squared)
     rows = []
-    for z in points:
-        w = alpha * z
-        _, (x1, y1), _ = min(nearest(w.x, w.y, n - 1))
+    for wx, wy in _times(alpha, coords):
+        _, (x1, y1), _ = min(nearest(wx, wy, n - 1))
         j1 = index.get((x1, y1))
-        j2 = index.get((w.x - (n - 2) * x1, w.y - (n - 2) * y1))
+        j2 = index.get((wx - (n - 2) * x1, wy - (n - 2) * y1))
         if j1 is None:
             raise AssertionError("rounded point escaped the ball")
         if j2 is None:
             raise AssertionError("remainder point escaped the ball")
-        sparse = {j1: n - 2}
-        sparse[j2] = sparse.get(j2, 0) + 1
-        acc = K.zero
-        for j, c in sparse.items():
-            acc = acc + c * points[j]
-        if acc != w:
+        (p1, q1), (p2, q2) = coords[j1], coords[j2]
+        if ((n - 2) * p1 + p2, (n - 2) * q1 + q2) != (wx, wy):
             raise AssertionError("rounding row fails C.z = alpha*z")
-        row = [0] * size
-        for j, c in sparse.items():
-            row[j] = c
-        rows.append(tuple(row))
-    matrix = tuple(rows)
+        if j1 == j2:
+            rows.append(((j1, n - 1),))
+        else:
+            rows.append(tuple(sorted(((j1, n - 2), (j2, 1)))))
+    return _Rounding(rows=tuple(rows), points=tuple(z for _, _, z in ball),
+                     radius_squared=r_squared, covering_radius_squared=m_squared)
+
+
+def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
+                          radius_factor: int = 0) -> LatticeStep:
+    """Round alpha*z/(n-1) to the lattice for every z in an exact-radius ball.
+
+    The radius R is the smallest power of two with
+    upper(|alpha|)/(n-1)*R + (n-2)*upper(M) < R, which guarantees both the
+    rounded point z_1 and the remainder z_2 = alpha*z - (n-2)*z_1 stay in
+    the ball. radius_factor doubles R that many extra times for retries.
+    A ball that its area and the lattice covolume put at more than
+    MAX_BALL_POINTS points raises BudgetExceededError before it is listed.
+    z_1 is nearest to t = alpha*z/(n-1), ties broken by sort_key. Every
+    nearest point lies within M of t and |t| + M < R, so comparing the few
+    points of Z[alpha] within M of t finds what a scan of the ball would.
+    Each row is found in its sparse form, (n-2) units on z_1 plus one on
+    z_2, and the identity C.z = alpha*z is asserted on integer coordinates
+    against the stored points; the rows are written out densely only here.
+    """
+    step = _rounding(K, _as_quadint(K, alpha), n, radius_factor)
     return LatticeStep(
-        matrix=matrix,
-        points=tuple(points),
-        radius_squared=r_squared,
-        covering_radius_squared=m_squared,
+        matrix=_dense(step.rows, len(step.points)),
+        points=step.points,
+        radius_squared=step.radius_squared,
+        covering_radius_squared=step.covering_radius_squared,
         n=n,
     )
 
@@ -683,37 +750,65 @@ def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
     guaranteed by irreducibility) sets member multiplicities. Routing those
     members through slots and reading the columns back produces a doubly
     regular matrix; the eigen identity is verified before returning, and
-    failure raises BridgeError carrying C.
+    failure raises BridgeError carrying C. A result of dimension above
+    MAX_BRIDGE_DIMENSION is refused with BridgeError in either case.
     """
     points = tuple(z)
     if not points:
         raise BridgeError("empty point list", matrix=tuple(map(tuple, C)))
-    field = points[0].field
-    alpha = _as_quadint(field, alpha)
+    alpha = _as_quadint(points[0].field, alpha)
     matrix = tuple(tuple(row) for row in C)
     size = len(matrix)
     if size != len(points) or any(len(row) != size for row in matrix):
         raise ValueError("matrix shape must match the point list")
-    row_sums = {sum(row) for row in matrix}
+    rows = tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in matrix)
+    try:
+        return _rebalance(rows, alpha, points)
+    except BridgeError as err:
+        err.matrix = matrix
+        raise
+
+
+def _rebalance(rows: Sequence[SparseRow], alpha: QuadInt,
+               points: Sequence[QuadInt]) -> BridgeResult:
+    """perron_bridge on sparse rows, one per point; a BridgeError carries them.
+
+    The search runs on the points' integer coordinates and indices: QuadInt
+    objects are read only as the values of the rebalanced multiset.
+    """
+    size = len(points)
+    row_sums = {sum(c for _, c in row) for row in rows}
     if len(row_sums) != 1:
         raise ValueError("rows must share a common sum")
     n = row_sums.pop() + 1
     if n < 3:
         raise ValueError("row sums must be at least 2")
-    if all(col == n - 1 for col in map(sum, zip(*matrix))):
+    column_sums = [0] * size
+    for row in rows:
+        for j, c in row:
+            column_sums[j] += c
+    if all(s == n - 1 for s in column_sums):
+        if size > MAX_BRIDGE_DIMENSION:
+            raise BridgeError(f"doubly regular dimension {size} is too large to "
+                              "materialize", matrix=rows)
+        matrix = _dense(rows, size)
         if not matrix_fixes(matrix, points, alpha):
             raise BridgeError("doubly regular input fails the eigen identity",
-                              matrix=matrix)
-        return BridgeResult(matrix=matrix, eigenvector=points, strategy="as-given")
-    index = {p: i for i, p in enumerate(points)}
-    norms = {i: p.abs_squared() for i, p in enumerate(points) if p}
-    scaled = {i: (n - 2) * points[i] for i in norms}
+                              matrix=rows)
+        return BridgeResult(matrix=matrix, eigenvector=tuple(points), strategy="as-given")
+    coords = [(p.x, p.y) for p in points]
+    images = _times(alpha, coords)
+    index = {xy: i for i, xy in enumerate(coords)}
+    ambient_q = alpha.field.ambient_q
+    norms = {i: ambient_q(x, y) for i, (x, y) in enumerate(coords) if x or y}
+    scaled = {i: ((n - 2) * coords[i][0], (n - 2) * coords[i][1]) for i in norms}
 
     def find_decomp(i: int, order: list, allowed: set) -> Optional[tuple[int, int]]:
         """The first (j1, j2) in order with alpha*p_i = (n-2)*p_j1 + p_j2."""
-        w = alpha * points[i]
+        wx, wy = images[i]
         for j1 in order:
-            j2 = index.get(w - scaled[j1])
+            sx, sy = scaled[j1]
+            j2 = index.get((wx - sx, wy - sy))
             if j2 is not None and j2 in allowed:
                 return (j1, j2)
         return None
@@ -740,14 +835,14 @@ def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
             break
     if not decomp:
         raise BridgeError("no nonzero subset closed under the decomposition",
-                          matrix=matrix)
+                          matrix=rows)
     live = set(decomp)
     succ = {i: sorted(set(decomp[i])) for i in live}
     components = _sccs(live, succ)
     sinks = [comp for comp in components
              if all(child in comp for node in comp for child in succ[node])]
     if not sinks:
-        raise BridgeError("no sink component", matrix=matrix)
+        raise BridgeError("no sink component", matrix=rows)
     final = min(sinks, key=min)
     order = sorted(final)
     pos = {i: k for k, i in enumerate(order)}
@@ -762,14 +857,19 @@ def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
     if len(basis) != 1:
         raise BridgeError(
             f"left eigenspace has dimension {len(basis)}, expected 1",
-            matrix=matrix)
+            matrix=rows)
     vec = basis[0]
     if all(x <= 0 for x in vec):
         vec = [-x for x in vec]
     if not all(x > 0 for x in vec):
-        raise BridgeError("left eigenvector is not positive", matrix=matrix)
+        raise BridgeError("left eigenvector is not positive", matrix=rows)
     g = math.gcd(*vec)
     mult = {i: vec[pos[i]] // g for i in order}
+    total = sum(mult.values())
+    if total > MAX_BRIDGE_DIMENSION:
+        raise BridgeError(
+            f"rebalanced dimension {total} is too large to materialize",
+            matrix=rows)
 
     member_source = []
     for i in order:
@@ -779,11 +879,6 @@ def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
     for w in order:
         slot_base[w] = len(slots)
         slots.extend([w] * mult[w])
-    total = len(slots)
-    if total > 4096:
-        raise BridgeError(
-            f"rebalanced dimension {total} is too large to materialize",
-            matrix=matrix)
     fill = {w: 0 for w in order}
     bip = [[0] * total for _ in range(total)]
     for r, i in enumerate(member_source):
@@ -793,21 +888,23 @@ def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
             fill[w] += 1
             bip[r][col] += 1
     if any(fill[w] != (n - 1) * mult[w] for w in order):
-        raise BridgeError("slot routing does not balance", matrix=matrix)
+        raise BridgeError("slot routing does not balance", matrix=rows)
     matchings = birkhoff_decompose(tuple(map(tuple, bip)))
-    one = field.one
+    one = alpha.field.one
     coeffs = tuple([one] * (n - 1) + [-alpha])
-    members = []
-    for r, i in enumerate(member_source):
-        coords = tuple(points[slots[mt[r]]] for mt in matchings)
-        members.append(coords + (points[i],))
-    balanced = BalancedMultiset.make(coeffs, members)
+    # member r is (p[slots[mt[r]]] for each matching mt, then p[member_source[r]])
+    columns = [list(map(slots.__getitem__, mt)) for mt in matchings]
+    columns.append(member_source)
+    counters = [Counter(col) for col in columns]
+    if any(c != counters[0] for c in counters[1:]):
+        raise ValueError("coordinate value multisets differ: not balanced")
+    balanced = _ranked_multiset(coeffs, points, columns, counters[0])
     cert = certificate_from_balanced(coeffs, balanced)
     # each row of the certificate is (D v)[k] = alpha*v[k] with D the sum of
     # its first n-1 permutations, whose rows and columns then sum to n-1
     if not verify_certificate(coeffs, cert):
         raise BridgeError("rebalanced matrix fails the eigen identity",
-                          matrix=matrix)
+                          matrix=rows)
     D = permutation_sum(cert.perms[:-1], cert.m)
     return BridgeResult(matrix=D, eigenvector=tuple(cert.kernel), strategy="sink-class")
 
@@ -955,20 +1052,24 @@ def numfield_pipeline(K: QuadField, alpha: Entry, n: int = 3,
                       attempts: int = 4) -> NumfieldCertificate:
     """Full chain from lattice rounding to a verified permutation certificate.
 
-    Retries with a doubled ball radius when the bridge cannot rebalance; the
-    final BridgeError propagates with the last rounding matrix attached.
+    Rounding hands its rows to the bridge in sparse form, so no matrix of
+    the ball's size is written out; only the bridge's result, of dimension
+    at most MAX_BRIDGE_DIMENSION, is dense. Retries with a doubled ball
+    radius when the bridge cannot rebalance; the final BridgeError
+    propagates with the last rounding matrix attached as sparse rows. A
+    ball past MAX_BALL_POINTS raises BudgetExceededError.
     """
     alpha = _as_quadint(K, alpha)
     last_error: Optional[BridgeError] = None
     for attempt in range(max(attempts, 1)):
-        step = lattice_rounding_step(K, alpha, n, radius_factor=attempt)
+        step = _rounding(K, alpha, n, attempt)
         try:
-            bridge = perron_bridge(step.matrix, alpha, step.points)
+            bridge = _rebalance(step.rows, alpha, step.points)
         except BridgeError as err:
             last_error = err
             continue
         perms = birkhoff_decompose(bridge.matrix)
-        # perron_bridge checked the eigen identity; a nonzero eigenvector of
+        # the bridge checked the eigen identity; a nonzero eigenvector of
         # the matrix the split sums back to proves the determinant vanishes
         if (permutation_sum(perms, len(bridge.matrix)) != bridge.matrix
                 or not any(bridge.eigenvector)):

@@ -2,9 +2,11 @@
 import dataclasses
 import math
 import time
+from pathlib import Path
 
 import pytest
 
+from smyth import algebra, bounds
 from smyth.algebra import FieldParams, parse_poly
 from smyth.bounds import (
     MAX_INT_EXTREMAL_D,
@@ -21,6 +23,9 @@ from smyth.bounds import (
 )
 from smyth.core import CoeffTuple
 from smyth.errors import BudgetExceededError, NonUnitError
+from smyth.serialize import parse_json, verify_doc
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)
@@ -130,6 +135,21 @@ def test_modulus_too_large_to_factor_is_refused_before_irreducibility():
     with pytest.raises(BudgetExceededError, match="factoring bound"):
         order_bound_fqt(P(F2, "t^2"), P(F2, "t^4+1"), P(F2, "t^300+t+1"))
     assert time.perf_counter() - start < 0.1
+
+
+def test_verifying_an_extremal_document_tests_its_modulus_once(monkeypatch):
+    moduli = []
+    test = algebra.is_irreducible
+
+    def counted(f):
+        moduli.append(f)
+        return test(f)
+
+    monkeypatch.setattr(algebra, "is_irreducible", counted)
+    monkeypatch.setattr(bounds, "is_irreducible", counted)
+    doc = parse_json((CORPUS / "extremal-fqt-q2.json").read_text(encoding="utf-8"))
+    assert verify_doc(doc) is True
+    assert len(moduli) == 1
 
 
 class TestExtremalInt:

@@ -3,6 +3,8 @@ import concurrent.futures
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,7 +12,8 @@ import pytest
 
 from smyth.cli import main
 
-CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "perfbench" / "corpus"
 
 
 def run(capsys, *argv):
@@ -228,6 +231,24 @@ class TestNumfield:
         assert out == ""
         assert err.startswith("error:") and "too large" in err
         assert "Traceback" not in err
+
+    def test_large_ball_ends_in_bounded_time_and_memory(self):
+        # the bridge refuses the first two balls (2,453 and 9,741 points),
+        # and the third, of about 39,000, is refused before it is listed
+        def cap_address_space():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "smyth.cli", "numfield", "--m", "-7", "--alpha", "2+w",
+             "--n", "4"], capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=path), preexec_fn=cap_address_space)
+        assert time.perf_counter() - start < 10
+        assert result.returncode in (1, 2)
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
 
     def test_twist(self, capsys):
         code, out, _ = run(capsys, "numfield", "--action", "twist",

@@ -7,19 +7,27 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from smyth.algebra import euler_phi
-from smyth.core import BalancedMultiset
+from smyth.algebra import euler_phi, kernel_basis
+from smyth.core import BalancedMultiset, certificate_from_balanced, verify_certificate
 from smyth.errors import (
     BridgeError,
+    BudgetExceededError,
     EqualityHypothesisError,
     TupleArityError,
 )
 from smyth.numfield import (
+    MAX_BALL_POINTS,
+    MAX_BRIDGE_DIMENSION,
+    BridgeResult,
     LatticeStep,
+    _as_quadint,
     _cyclotomic_sqrt,
     _inner,
     _points_near,
+    _rebalance,
     _rou_sum_is_zero,
+    _rounding,
+    _sccs,
     birkhoff_decompose,
     covering_radius_squared,
     frac_sqrt_upper,
@@ -196,6 +204,149 @@ def fraction_rounding_step(K, alpha, n, r_squared):
         rows.append(tuple(row))
     return LatticeStep(matrix=tuple(rows), points=tuple(points), radius_squared=r_squared,
                        covering_radius_squared=m_squared, n=n)
+
+
+def reference_perron_bridge(C, alpha, z):
+    """Reference for perron_bridge: the bridge as it was on dense rows and
+    QuadInt points, with BalancedMultiset.make checking each member.
+
+    Rebalance a row-regular rounding matrix to equal column sums.
+
+    If C is already doubly regular it is returned as found. Otherwise the
+    nonzero ball points are restricted to the smallest norm shell admitting
+    a nonempty subset closed under the decomposition alpha*p = (n-2)*p_1 +
+    p_2, a sink strongly connected component of the chosen decompositions
+    is isolated, and its positive left eigenvector (eigenvalue n-1,
+    guaranteed by irreducibility) sets member multiplicities. Routing those
+    members through slots and reading the columns back produces a doubly
+    regular matrix; the eigen identity is verified before returning, and
+    failure raises BridgeError carrying C.
+    """
+    points = tuple(z)
+    if not points:
+        raise BridgeError("empty point list", matrix=tuple(map(tuple, C)))
+    field = points[0].field
+    alpha = _as_quadint(field, alpha)
+    matrix = tuple(tuple(row) for row in C)
+    size = len(matrix)
+    if size != len(points) or any(len(row) != size for row in matrix):
+        raise ValueError("matrix shape must match the point list")
+    row_sums = {sum(row) for row in matrix}
+    if len(row_sums) != 1:
+        raise ValueError("rows must share a common sum")
+    n = row_sums.pop() + 1
+    if n < 3:
+        raise ValueError("row sums must be at least 2")
+    if all(col == n - 1 for col in map(sum, zip(*matrix))):
+        if not matrix_fixes(matrix, points, alpha):
+            raise BridgeError("doubly regular input fails the eigen identity",
+                              matrix=matrix)
+        return BridgeResult(matrix=matrix, eigenvector=points, strategy="as-given")
+    index = {p: i for i, p in enumerate(points)}
+    norms = {i: p.abs_squared() for i, p in enumerate(points) if p}
+    scaled = {i: (n - 2) * points[i] for i in norms}
+
+    def find_decomp(i: int, order: list, allowed: set) :
+        """The first (j1, j2) in order with alpha*p_i = (n-2)*p_j1 + p_j2."""
+        w = alpha * points[i]
+        for j1 in order:
+            j2 = index.get(w - scaled[j1])
+            if j2 is not None and j2 in allowed:
+                return (j1, j2)
+        return None
+
+    def fixpoint(candidates):
+        """The largest subset of candidates closed under the decomposition,
+        as each member's decomposition inside it."""
+        live = candidates
+        while True:
+            order = sorted(live)
+            decomp = {}
+            for i in order:
+                found = find_decomp(i, order, live)
+                if found is not None:
+                    decomp[i] = found
+            if len(decomp) == len(live):
+                return decomp
+            live = set(decomp)
+
+    decomp = {}
+    for bound in sorted(set(norms.values())):
+        decomp = fixpoint({i for i, norm in norms.items() if norm <= bound})
+        if decomp:
+            break
+    if not decomp:
+        raise BridgeError("no nonzero subset closed under the decomposition",
+                          matrix=matrix)
+    live = set(decomp)
+    succ = {i: sorted(set(decomp[i])) for i in live}
+    components = _sccs(live, succ)
+    sinks = [comp for comp in components
+             if all(child in comp for node in comp for child in succ[node])]
+    if not sinks:
+        raise BridgeError("no sink component", matrix=matrix)
+    final = min(sinks, key=min)
+    order = sorted(final)
+    pos = {i: k for k, i in enumerate(order)}
+    sub = [[0] * len(order) for _ in order]
+    for i in order:
+        j1, j2 = decomp[i]
+        sub[pos[i]][pos[j1]] += n - 2
+        sub[pos[i]][pos[j2]] += 1
+    eig = [[sub[c][r] - (n - 1 if r == c else 0)
+            for c in range(len(order))] for r in range(len(order))]
+    basis = kernel_basis(eig)
+    if len(basis) != 1:
+        raise BridgeError(
+            f"left eigenspace has dimension {len(basis)}, expected 1",
+            matrix=matrix)
+    vec = basis[0]
+    if all(x <= 0 for x in vec):
+        vec = [-x for x in vec]
+    if not all(x > 0 for x in vec):
+        raise BridgeError("left eigenvector is not positive", matrix=matrix)
+    g = math.gcd(*vec)
+    mult = {i: vec[pos[i]] // g for i in order}
+
+    member_source = []
+    for i in order:
+        member_source.extend([i] * mult[i])
+    slots = []
+    slot_base = {}
+    for w in order:
+        slot_base[w] = len(slots)
+        slots.extend([w] * mult[w])
+    total = len(slots)
+    if total > 4096:
+        raise BridgeError(
+            f"rebalanced dimension {total} is too large to materialize",
+            matrix=matrix)
+    fill = {w: 0 for w in order}
+    bip = [[0] * total for _ in range(total)]
+    for r, i in enumerate(member_source):
+        j1, j2 = decomp[i]
+        for w in [j1] * (n - 2) + [j2]:
+            col = slot_base[w] + fill[w] // (n - 1)
+            fill[w] += 1
+            bip[r][col] += 1
+    if any(fill[w] != (n - 1) * mult[w] for w in order):
+        raise BridgeError("slot routing does not balance", matrix=matrix)
+    matchings = birkhoff_decompose(tuple(map(tuple, bip)))
+    one = field.one
+    coeffs = tuple([one] * (n - 1) + [-alpha])
+    members = []
+    for r, i in enumerate(member_source):
+        coords = tuple(points[slots[mt[r]]] for mt in matchings)
+        members.append(coords + (points[i],))
+    balanced = BalancedMultiset.make(coeffs, members)
+    cert = certificate_from_balanced(coeffs, balanced)
+    # each row of the certificate is (D v)[k] = alpha*v[k] with D the sum of
+    # its first n-1 permutations, whose rows and columns then sum to n-1
+    if not verify_certificate(coeffs, cert):
+        raise BridgeError("rebalanced matrix fails the eigen identity",
+                          matrix=matrix)
+    D = permutation_sum(cert.perms[:-1], cert.m)
+    return BridgeResult(matrix=D, eigenvector=tuple(cert.kernel), strategy="sink-class")
 
 
 def _conjugate_bound(value):
@@ -652,6 +803,15 @@ class TestPerronBridge:
             perron_bridge(C, GAUSS.one, pts)
         assert exc.value.matrix == ((2, 0), (1, 1))
 
+    def test_as_given_past_the_dimension_cap_refused(self):
+        # 2I fixes every vector, but the split would need a 4097 x 4097 matrix
+        size = MAX_BRIDGE_DIMENSION + 1
+        rows = tuple(((i, 2),) for i in range(size))
+        pts = tuple(GAUSS.element(i) for i in range(size))
+        with pytest.raises(BridgeError, match="dimension 4097 is too large") as exc:
+            _rebalance(rows, GAUSS.element(2), pts)
+        assert exc.value.matrix == rows
+
     def test_bad_row_sums_rejected(self):
         pts = (GAUSS.one, GAUSS.omega)
         with pytest.raises(ValueError):
@@ -665,6 +825,37 @@ class TestPerronBridge:
         assert all(sum(row) == 2 for row in res.matrix)
         assert all(sum(res.matrix[i][j] for i in range(size)) == 2 for j in range(size))
         assert matrix_fixes(res.matrix, res.eigenvector, M7.omega)
+
+    # real, imaginary and half-integer rings, rational alpha among them:
+    # sink classes, refusals for size, and balls with no closed subset
+    @given(st.sampled_from([2, 3, 5, -1, -2, -3, -7, -11, -15]), st.integers(-3, 3),
+           st.integers(-2, 2), st.integers(3, 5), st.integers(0, 1))
+    @example(2, 1, 0, 3, 0)  # no nonzero subset closed under the decomposition
+    @example(-1, -1, -1, 4, 1)  # rebalanced dimension 4275
+    @example(-3, 1, -2, 5, 0)  # rebalanced dimension 161590
+    @example(-7, 0, 1, 3, 0)
+    @example(-15, -1, 1, 4, 0)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference(self, m, x, y, n, radius_factor):
+        K = QuadField(m)
+        alpha = K.element(x, y)
+        assume(alpha and all(quadint_abs(alpha, place) < SqrtSum.rational(n - 1)
+                             for place in range(K.places)))
+        try:
+            size = len(_rounding(K, alpha, n, radius_factor).points)
+        except BudgetExceededError:
+            size = MAX_BALL_POINTS + 1
+        assume(size <= 300)  # the reference and the step's matrix are dense
+        step = lattice_rounding_step(K, alpha, n, radius_factor)
+        try:
+            want = reference_perron_bridge(step.matrix, alpha, step.points)
+        except BridgeError as err:
+            with pytest.raises(BridgeError) as exc:
+                perron_bridge(step.matrix, alpha, step.points)
+            assert str(exc.value) == str(err)
+            assert exc.value.matrix == err.matrix
+        else:
+            assert perron_bridge(step.matrix, alpha, step.points) == want
 
 
 class TestBirkhoff:
@@ -788,3 +979,23 @@ class TestPipeline:
     def test_negative_control_raises(self):
         with pytest.raises(ValueError):
             numfield_pipeline(M15, M15.omega, n=3)
+
+    def test_bridge_error_carries_the_sparse_rounding_rows(self):
+        # the three points of the first ball hold no nonzero p = p_1 + p_2
+        K = QuadField(2)
+        with pytest.raises(BridgeError, match="no nonzero subset") as exc:
+            numfield_pipeline(K, K.one, n=3, attempts=1)
+        dense = lattice_rounding_step(K, K.one, 3).matrix
+        assert exc.value.matrix == tuple(
+            tuple((j, c) for j, c in enumerate(row) if c) for row in dense)
+
+    def test_ball_past_the_cap_refused_before_listing(self):
+        # the third attempt for 2 + w in Q(sqrt(-7)) with n = 4 would list
+        # about 39,000 points
+        alpha = M7.element(2, 1)
+        assert len(_rounding(M7, alpha, 4, 1).points) == 9741
+        with pytest.raises(BudgetExceededError) as exc:
+            lattice_rounding_step(M7, alpha, 4, radius_factor=2)
+        assert exc.value.required > MAX_BALL_POINTS
+        with pytest.raises(BudgetExceededError):
+            numfield_pipeline(M7, alpha, n=4)
