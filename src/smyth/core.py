@@ -66,6 +66,15 @@ class CoeffTuple:
     @classmethod
     def make(cls, field: FieldParams, coeffs) -> "CoeffTuple":
         polys = tuple(field.poly(c) for c in coeffs)
+        cls.refuse_malformed(polys)
+        g = many_gcd(polys)
+        if not g.is_one:
+            polys = tuple(p // g for p in polys)
+        return cls(field, polys)
+
+    @staticmethod
+    def refuse_malformed(polys: Sequence[Poly]) -> None:
+        """Raise as make does for a pair, fewer than 3 coefficients or a zero one."""
         if len(polys) == 2:
             raise TupleArityError(
                 "pairs are out of scope: a pair is degenerate and is decided "
@@ -76,10 +85,6 @@ class CoeffTuple:
         for i, p in enumerate(polys):
             if p.is_zero:
                 raise ValueError(f"coefficient {i + 1} is zero")
-        g = many_gcd(polys)
-        if not g.is_one:
-            polys = tuple(p // g for p in polys)
-        return cls(field, polys)
 
     @property
     def n(self) -> int:
@@ -483,9 +488,10 @@ def certificate_from_balanced(a: CoeffTuple, b: BalancedMultiset) -> Permutation
 
 
 def _validate_perms(perms: Sequence[Sequence[int]], m: int):
-    indices = set(range(m))
+    # each length is compared with m before the set of 0..m-1 is built
+    indices = None
     for i, p in enumerate(perms):
-        if len(p) != m or set(p) != indices:
+        if len(p) != m or set(p) != (indices := indices or set(range(m))):
             raise ValueError(f"malformed permutation at position {i + 1}: {tuple(p)}")
 
 
@@ -535,19 +541,29 @@ def _row_relations(coeffs: Sequence, values: Sequence, kernel_idx: Sequence[int]
                    perms: Sequence[Sequence[int]]) -> list:
     """sum_i c_i * v[p_i[k]] for every row k, where v[j] = values[kernel_idx[j]].
 
-    Each product comes from one table per (coefficient, distinct value), so
-    the ring multiplies only n * len(values) times. Polynomial products over
-    one field are packed and summed digit-wise mod q, so a row's sum is 0
-    exactly when its relation holds; other rings sum their products with +.
+    Each product comes from one table per (coefficient, distinct value).
+    Polynomials over one field are packed, and each coefficient's multiples
+    d*c (d in F_q) are packed once: by linearity c*v is the digit-wise sum
+    mod q of those multiples shifted to v's nonzero digits, so no polynomial
+    is multiplied, and a row's sum is 0 exactly when its relation holds.
+    Other rings multiply n * len(values) times and sum their products with +.
     """
-    tables = [[c * v for v in values] for c in coeffs]
-    add = operator.add
-    products = list(itertools.chain.from_iterable(tables))
-    field = getattr(products[0], "field", None)
-    if all(type(p) is Poly and p.field == field for p in products):
-        w = _digit_width(field.q)
-        add = _digit_adder(field.q, max(len(p.coeffs) for p in products))
-        tables = [[_pack(p.coeffs, w) for p in table] for table in tables]
+    field = getattr(coeffs[0], "field", None)
+    if all(type(p) is Poly and p.field == field for p in itertools.chain(coeffs, values)):
+        q = field.q
+        w = _digit_width(q)
+        add = _digit_adder(q, max(len(c.coeffs) for c in coeffs)
+                           + max(len(v.coeffs) for v in values))
+        digits = set(itertools.chain.from_iterable(v.coeffs for v in values)) - {0}
+        tables = []
+        for c in coeffs:
+            multiples = {d: _pack([d * x % q for x in c.coeffs], w) for d in digits}
+            tables.append([functools.reduce(
+                add, (multiples[d] << w * j for j, d in enumerate(v.coeffs) if d), 0)
+                for v in values])
+    else:
+        tables = [[c * v for v in values] for c in coeffs]
+        add = operator.add
     sums = None
     for table, p in zip(tables, perms):
         column = map(table.__getitem__, map(kernel_idx.__getitem__, p))

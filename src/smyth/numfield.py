@@ -683,12 +683,16 @@ class BridgeResult:
 
 def matrix_fixes(matrix: Sequence[Sequence[int]], vec: Sequence[QuadInt],
                   alpha: QuadInt) -> bool:
-    """Whether matrix . vec = alpha * vec, summing each row's nonzero entries."""
-    for i, row in enumerate(matrix):
-        acc = alpha.field.zero
-        for j in itertools.compress(range(len(row)), row):
-            acc = acc + row[j] * vec[j]
-        if acc != alpha * vec[i]:
+    """Whether matrix . vec = alpha * vec, summed on integer coordinates over
+    each row's nonzero entries; an entry of vec from another field raises
+    ValueError."""
+    K = alpha.field
+    if any(v.field is not K and v.field != K for v in vec):
+        raise ValueError("mixed quadratic fields")
+    xs, ys = [v.x for v in vec], [v.y for v in vec]
+    for row, image in zip(matrix, _times(alpha, zip(xs, ys))):
+        cols = list(itertools.compress(range(len(row)), row))
+        if (sum(row[j] * xs[j] for j in cols), sum(row[j] * ys[j] for j in cols)) != image:
             return False
     return True
 

@@ -154,11 +154,16 @@ def _one_based(perms: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _zero_based(perms: Sequence[Sequence[int]], m: int) -> Optional[list[tuple[int, ...]]]:
-    indices = set(range(m))
+    """perms as 0-based tuples, or None unless each is a permutation of 1..m.
+
+    Each length is compared with m before the set of 0..m-1 is built, so a
+    huge m allocates nothing.
+    """
+    indices = None
     out = []
     for p in perms:
         row = [k - 1 for k in _ints(p, "permutation entry")]
-        if len(row) != m or set(row) != indices:
+        if len(row) != m or set(row) != (indices := indices or set(range(m))):
             return None
         out.append(tuple(row))
     return out
@@ -281,8 +286,9 @@ class _EntryTable:
         return [self._index(self._parse(v)) for v in entries]
 
     def index_columns(self, rows, n: int) -> Optional[list[list[int]]]:
-        """Column i of rows as value indices, or None unless every row has
-        n entries; every entry is parsed either way."""
+        """Column i of rows as value indices, or None unless rows is a
+        nonempty list of rows of n entries each; every entry is parsed
+        either way."""
         if type(rows) in _LISTS and _LISTS.issuperset(map(type, rows)):
             flat = list(itertools.chain.from_iterable(rows))
             if self._kind.issuperset(map(type, flat)):
@@ -291,7 +297,7 @@ class _EntryTable:
                     return None
                 return [flat[i::n] for i in range(n)]
         indexed = [tuple(self._index(self._parse(v)) for v in row) for row in rows]
-        if any(len(row) != n for row in indexed):
+        if type(rows) not in _LISTS or not indexed or any(len(row) != n for row in indexed):
             return None
         return [list(col) for col in zip(*indexed)]
 
@@ -304,8 +310,6 @@ def _tuples_match(coeffs: tuple, values: list, columns: list[list[int]],
     Matching cert makes row k the tuple (v[p_1[k]], ..., v[p_n[k]]), whose
     relation verify_certificate has proved, so none is evaluated here.
     """
-    if not columns[0]:
-        return False
     counters = [Counter(col) for col in columns]
     if any(c != counters[0] for c in counters[1:]):
         return False
@@ -329,8 +333,8 @@ def _verify_multiset(doc: dict) -> bool:
         raise ParseError(f"unknown ring {ring!r}")
     coeffs = tuple(map(table.values.__getitem__, table.indices(doc["coeffs"])))
     if ring == "fqt":
-        CoeffTuple.make(field, coeffs)  # refuses pairs, as certify does
-    if len(coeffs) != _int(doc["n"], "n") or not all(coeffs):
+        CoeffTuple.refuse_malformed(coeffs)  # as certify does
+    if len(coeffs) != _int(doc["n"], "n") or not coeffs or not all(coeffs):
         return False
     m = _int(doc["m"], "m")
     perms = _zero_based(doc["permutations"], m)
@@ -398,7 +402,8 @@ def _verify_numfield(doc: dict) -> bool:
         return False
     if numfield.permutation_sum(perms, dim) != matrix:
         return False
-    vec = tuple(quadratic.parse_quadint(K, s) for s in doc["eigenvector"])
+    table = _EntryTable(functools.partial(quadratic.parse_quadint, K), str)
+    vec = list(map(table.values.__getitem__, table.indices(doc["eigenvector"])))
     if len(vec) != dim or not any(bool(v) for v in vec):
         return False
     return numfield.matrix_fixes(matrix, vec, alpha)

@@ -22,6 +22,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_capped(argv, stdin=None):
+    """smyth as a subprocess under a 1 GiB address-space cap and a 10 s timeout."""
+    def cap_address_space():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "smyth.cli", *argv], input=stdin, capture_output=True,
+        text=True, timeout=10, env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=cap_address_space)
+
+
 class TestCheck:
     def test_pass_exit_zero(self, capsys):
         code, out, _ = run(capsys, "check", "--q", "2", "--coeffs", "1;t;t+1")
@@ -235,16 +248,8 @@ class TestNumfield:
     def test_large_ball_ends_in_bounded_time_and_memory(self):
         # the bridge refuses the first two balls (2,453 and 9,741 points),
         # and the third, of about 39,000, is refused before it is listed
-        def cap_address_space():
-            import resource
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         start = time.perf_counter()
-        result = subprocess.run(
-            [sys.executable, "-m", "smyth.cli", "numfield", "--m", "-7", "--alpha", "2+w",
-             "--n", "4"], capture_output=True, text=True, timeout=10,
-            env=dict(os.environ, PYTHONPATH=path), preexec_fn=cap_address_space)
+        result = run_capped(["numfield", "--m", "-7", "--alpha", "2+w", "--n", "4"])
         assert time.perf_counter() - start < 10
         assert result.returncode in (1, 2)
         assert result.stdout == ""
@@ -281,6 +286,22 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         code, out2, _ = run(capsys, "verify", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("int-size3.json", "m", 2**63),
+        ("fqt-m8-balanced.json", "tuples", ""),
+    ], ids=["huge-m", "tuples-empty-string"])
+    def test_hostile_field_fails_in_bounded_time_and_memory(self, name, key, value):
+        # the permutation lengths are compared with m before any set of
+        # range(m) is built; tuples that are not a list of rows fail
+        doc = json.loads((CORPUS / name).read_text(encoding="utf-8"))
+        doc[key] = value
+        start = time.perf_counter()
+        result = run_capped(["verify", "-"], stdin=json.dumps(doc))
+        assert time.perf_counter() - start < 1
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["verified"] is False
+        assert "Traceback" not in result.stderr
 
     def test_malformed_exit_two(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

@@ -1,5 +1,6 @@
 """Certificate document round-trip and tamper-detection tests."""
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,43 @@ class TestIndexedMultisets:
         entries = len(doc["kernel_vector"]) + sum(map(len, doc["tuples"]))
         assert len(calls) <= len(texts) < entries
 
+    def test_fqt_corpus_verifies_without_multiplying_polynomials(self, monkeypatch):
+        # each product table is a sum of shifted multiples d*c, packed once
+        corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+        docs = [parse_json(p.read_text(encoding="utf-8")) for p in sorted(corpus.glob("fqt-*.json"))]
+        calls = []
+        multiply = Poly.__mul__
+
+        def counting_mul(self, other):
+            calls.append(self)
+            return multiply(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting_mul)
+        monkeypatch.setattr(Poly, "__rmul__", counting_mul)
+        verdicts = [verify_doc(doc) for doc in docs]
+        assert len(docs) == 33 and verdicts.count(True) == 11
+        assert calls == []
+
+    @pytest.mark.parametrize("tuples", ["", {}, "t", [], [[]]],
+                             ids=["empty-string", "dict", "string", "no-rows", "empty-row"])
+    def test_tuples_not_a_list_of_rows_fail(self, tuples):
+        doc = parse_json(canonical_json(fqt_doc(N=2)))
+        doc["tuples"] = tuples
+        assert verify_doc(doc) is False
+
+    def test_huge_m_fails_before_allocating(self):
+        doc = parse_json(canonical_json(fqt_doc(N=2)))
+        for m in (2**63, 10**400):
+            doc["m"] = m
+            assert verify_doc(doc) is False
+
+    def test_large_prime_field_builds_no_table_per_element(self):
+        # the relation tables hold multiples d*c only for the digits d used;
+        # over F_p, p = 2^61 - 1, the F_2 relations fail
+        doc = parse_json(canonical_json(fqt_doc(N=2)))
+        doc["q"] = 2**61 - 1
+        assert verify_doc(doc) is False
+
     def test_reordered_and_respelled_tuples_still_verify(self):
         doc = parse_json(canonical_json(fqt_doc(N=2)))
         doc["tuples"].reverse()
@@ -166,6 +204,11 @@ class TestIntRoundTrip:
         doc = multiset_doc(b, kind="balanced")
         assert doc["ring"] == "int"
         assert verify_doc(doc) is True
+
+    def test_no_coefficients_fails(self):
+        doc = {"kind": "balanced", "ring": "int", "n": 0, "coeffs": [], "m": 1,
+               "permutations": [], "kernel_vector": [1]}
+        assert verify_doc(doc) is False
 
     def test_corrupt_coeff_fails(self):
         b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)])
