@@ -609,8 +609,6 @@ def _rounding(K: QuadField, alpha: QuadInt, n: int, radius_factor: int) -> _Roun
     k = 0
     while Fraction(2) ** k <= r_bound:
         k += 1
-    while k > 0 and Fraction(2) ** (k - 1) > r_bound:
-        k -= 1
     k += radius_factor
     radius = Fraction(2) ** k
     r_squared = radius * radius
@@ -683,9 +681,8 @@ class BridgeResult:
 
 def matrix_fixes(matrix: Sequence[Sequence[int]], vec: Sequence[QuadInt],
                   alpha: QuadInt) -> bool:
-    """Whether matrix . vec = alpha * vec, summed on integer coordinates over
-    each row's nonzero entries; an entry of vec from another field raises
-    ValueError."""
+    """Whether matrix . vec = alpha * vec, on integer coordinates over each
+    row's nonzero entries; entries from another field raise ValueError."""
     K = alpha.field
     if any(v.field is not K and v.field != K for v in vec):
         raise ValueError("mixed quadratic fields")

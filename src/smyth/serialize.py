@@ -12,7 +12,9 @@ the document itself:
                over F_q[t]; degenerate holds exactly for the integer
                triple (1, 1, 2)
   numfield     the permutations sum to matrix, which fixes the nonzero
-               eigenvector with eigenvalue alpha
+               eigenvector with eigenvalue alpha; each distinct eigenvector
+               text is parsed once, and the eigen identity is checked on
+               the integer coordinates (x, y) of the entries x + y*w
 
 Singularity is never re-derived: the nonzero kernel vector or eigenvector a
 document carries, checked against the defining equations, is its proof.
@@ -26,7 +28,9 @@ A balanced or certificate document is checked on value indices. Each
 distinct entry text is parsed once, and every coefficient, kernel and tuple
 entry becomes an index into the table of distinct values. The row relations
 are evaluated once per row by verify_certificate, from one product table per
-coefficient and distinct kernel value. tuples are checked by index against
+coefficient and distinct kernel value; over F_q[t] each table entry is a
+digit-wise sum of packed multiples of the coefficient, so no polynomial is
+multiplied. tuples are checked by index against
 the certificate: their rows are sorted as BalancedMultiset.make orders
 members, must be balanced with no all-zero row, and must convert to exactly
 the stated permutations and kernel. Row k then is the tuple of kernel entries
