@@ -543,9 +543,10 @@ def _row_relations(coeffs: Sequence, values: Sequence, kernel_idx: Sequence[int]
 
     Each product comes from one table per (coefficient, distinct value).
     Polynomials over one field are packed, and each coefficient's multiples
-    d*c (d in F_q) are packed once: by linearity c*v is the digit-wise sum
-    mod q of those multiples shifted to v's nonzero digits, so no polynomial
-    is multiplied, and a row's sum is 0 exactly when its relation holds.
+    d*c are packed once, for the nonzero digits d the values use: by
+    linearity c*v is the digit-wise sum mod q of those multiples shifted to
+    v's nonzero digits, so no polynomial is multiplied, and a row's sum is 0
+    exactly when its relation holds.
     Other rings multiply n * len(values) times and sum their products with +.
     """
     field = getattr(coeffs[0], "field", None)

@@ -30,10 +30,10 @@ entry becomes an index into the table of distinct values. The row relations
 are evaluated once per row by verify_certificate, from one product table per
 coefficient and distinct kernel value; over F_q[t] each table entry is a
 digit-wise sum of packed multiples of the coefficient, so no polynomial is
-multiplied. tuples are checked by index against
-the certificate: their rows are sorted as BalancedMultiset.make orders
-members, must be balanced with no all-zero row, and must convert to exactly
-the stated permutations and kernel. Row k then is the tuple of kernel entries
+multiplied. tuples are checked by index against the certificate: their rows
+are sorted as BalancedMultiset.make orders members, must be balanced with no
+all-zero row, and must convert to exactly the stated permutations and
+kernel. Row k then is the tuple of kernel entries
 the permutations pick, so its relation is the one already proved and is not
 evaluated again. The verdicts are those of the member-by-member check: rows
 may come in any order, and two spellings of one polynomial are one value.
