@@ -682,10 +682,10 @@ class BridgeResult:
 def matrix_fixes(matrix: Sequence[Sequence[int]], vec: Sequence[QuadInt],
                   alpha: QuadInt) -> bool:
     """Whether matrix . vec = alpha * vec, on integer coordinates over each
-    row's nonzero entries; entries from another field raise ValueError."""
+    row's nonzero entries; a vector of another length or field raises ValueError."""
     K = alpha.field
-    if any(v.field is not K and v.field != K for v in vec):
-        raise ValueError("mixed quadratic fields")
+    if len(vec) != len(matrix) or any(v.field is not K and v.field != K for v in vec):
+        raise ValueError("vector length or field differs from the matrix and alpha")
     xs, ys = [v.x for v in vec], [v.y for v in vec]
     for row, image in zip(matrix, _times(alpha, zip(xs, ys))):
         cols = list(itertools.compress(range(len(row)), row))

@@ -10,7 +10,8 @@ permutation sum, so it does not follow later changes to `smyth.numfield` or
 Each single-edit class is applied to every numfield document of the stored
 corpus, valid and tampered, and the reference and `verify_doc` must reach
 the same outcome: the same boolean, or the same exception class.
-`matrix_fixes` is compared with the reference on drawn matrices and vectors.
+`matrix_fixes` is compared with the reference on drawn matrices and vectors,
+and must refuse a vector whose length differs from the matrix dimension.
 """
 import itertools
 import json
@@ -241,6 +242,28 @@ def test_matrix_fixes_agrees_with_reference(case):
         outcome(lambda args: reference_matrix_fixes(*args), case)
 
 
+@st.composite
+def resized_cases(draw):
+    """A drawn case whose vector is one or two entries short or long."""
+    matrix, vec, alpha = draw(drawn_cases())
+    k = draw(st.sampled_from([-2, -1, 1, 2]))
+    if k < 0:
+        return matrix, vec[:k], alpha
+    return matrix, vec + draw(st.lists(_quadints(alpha.field), min_size=k, max_size=k)), alpha
+
+
+@settings(max_examples=100, deadline=None)
+@given(resized_cases())
+def test_matrix_fixes_refuses_a_vector_of_another_length(case):
+    """matrix_fixes refuses a short or a long vector with ValueError. The
+    reference never accepts a short one (it returns False or raises
+    IndexError) and ignores the tail of a long one."""
+    matrix, vec, alpha = case
+    assert outcome(lambda args: matrix_fixes(*args), case) == "ValueError"
+    if len(vec) < len(matrix):
+        assert outcome(lambda args: reference_matrix_fixes(*args), case) in (False, "IndexError")
+
+
 def test_matrix_fixes_examples():
     K = QuadField(-3)
     w = K.element(0, 1)
@@ -251,3 +274,7 @@ def test_matrix_fixes_examples():
     assert not matrix_fixes(doc["matrix"], vec, w + 1)
     with pytest.raises(ValueError):
         matrix_fixes(doc["matrix"], [QuadField(-1).element(v.x, v.y) for v in vec], w)
+    with pytest.raises(ValueError):
+        matrix_fixes([[1, 0], [0, 1]], [K.element(1)], K.element(1))
+    with pytest.raises(ValueError):
+        matrix_fixes(doc["matrix"], vec[:-1], w)
