@@ -397,12 +397,7 @@ def _verify_numfield(doc: dict) -> bool:
         return False
     alpha = quadratic.parse_quadint(K, doc["alpha"])
     n = _int(doc["n"], "n")
-    rows = doc["matrix"]
-    if (type(rows) in _LISTS and _LISTS.issuperset(map(type, rows))
-            and _INT.issuperset(map(type, itertools.chain.from_iterable(rows)))):
-        matrix = tuple(map(tuple, rows))  # all JSON integers, checked in one pass
-    else:
-        matrix = tuple(_ints(row, "matrix entry") for row in rows)
+    matrix = tuple(_ints(row, "matrix entry") for row in doc["matrix"])
     dim = len(matrix)
     if any(len(row) != dim for row in matrix):
         return False
