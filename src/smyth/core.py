@@ -539,37 +539,46 @@ def verify_certificate(a, cert: PermutationCertificate) -> bool:
 
 def _row_relations(coeffs: Sequence, values: Sequence, kernel_idx: Sequence[int],
                    perms: Sequence[Sequence[int]]) -> list:
-    """sum_i c_i * v[p_i[k]] for every row k, where v[j] = values[kernel_idx[j]].
+    """One entry per row k, falsy exactly when sum_i c_i * v[p_i[k]] = 0,
+    where v[j] = values[kernel_idx[j]].
 
-    Each product comes from one table per (coefficient, distinct value).
-    Polynomials over one field are packed, and each coefficient's multiples
-    d*c are packed once, for the nonzero digits d the values use: by
-    linearity c*v is the digit-wise sum mod q of those multiples shifted to
-    v's nonzero digits, so no polynomial is multiplied, and a row's sum is 0
-    exactly when its relation holds.
-    Other rings multiply n * len(values) times and sum their products with +.
+    Each product comes from one table per (coefficient, distinct value), so
+    the ring multiplies only n * len(values) times. Polynomials over one
+    field are multiplied as ints (Kronecker substitution): each is packed in
+    byte-aligned digits wide enough that no product or row sum carries, so
+    a packed row sum holds the integer coefficients of the row's sum, and
+    the relation holds when all of them are 0 mod q. Other rings sum their
+    products with +, and a row's sum is 0 exactly when its relation holds.
     """
     field = getattr(coeffs[0], "field", None)
-    if all(type(p) is Poly and p.field == field for p in itertools.chain(coeffs, values)):
+    packed = all(type(p) is Poly and p.field == field for p in itertools.chain(coeffs, values))
+    if packed:
         q = field.q
-        w = _digit_width(q)
-        add = _digit_adder(q, max(len(c.coeffs) for c in coeffs)
-                           + max(len(v.coeffs) for v in values))
-        digits = set(itertools.chain.from_iterable(v.coeffs for v in values)) - {0}
-        tables = []
-        for c in coeffs:
-            multiples = {d: _pack([d * x % q for x in c.coeffs], w) for d in digits}
-            tables.append([functools.reduce(
-                add, (multiples[d] << w * j for j, d in enumerate(v.coeffs) if d), 0)
-                for v in values])
+        lc = max(len(c.coeffs) for c in coeffs)
+        lv = max(len(v.coeffs) for v in values)
+        # every coefficient of a row sum is below 2^h, and q * 2^h fits a digit
+        h = (len(coeffs) * min(lc, lv) * (q - 1) ** 2).bit_length()
+        size = (h + q.bit_length() + 7) // 8
+        w = 8 * size
+
+        def pack(p: Poly) -> int:
+            return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in p.coeffs),
+                                  "little")
+
+        vs = list(map(pack, values))
+        tables = [[c * v for v in vs] for c in map(pack, coeffs)]
     else:
         tables = [[c * v for v in values] for c in coeffs]
-        add = operator.add
     sums = None
     for table, p in zip(tables, perms):
         column = map(table.__getitem__, map(kernel_idx.__getitem__, p))
-        sums = list(column) if sums is None else list(map(add, sums, column))
-    return sums
+        sums = list(column) if sums is None else list(map(operator.add, sums, column))
+    if not packed:
+        return sums
+    # all digits of s are 0 mod q exactly when s = q * t with every digit of
+    # t below 2^h: then q * t has no carry, so its digits are q times t's
+    high = ((1 << w * (lc + lv - 1)) - 1) // ((1 << w) - 1) * ((1 << w) - (1 << h))
+    return [s % q or (s // q) & high for s in sums]
 
 
 def balanced_from_certificate(a: CoeffTuple, perms: Sequence[Sequence[int]]) -> BalancedMultiset:

@@ -28,9 +28,9 @@ A balanced or certificate document is checked on value indices. Each
 distinct entry text is parsed once, and every coefficient, kernel and tuple
 entry becomes an index into the table of distinct values. The row relations
 are evaluated once per row by verify_certificate, from one product table per
-coefficient and distinct kernel value; over F_q[t] each table entry is a
-digit-wise sum of packed multiples of the coefficient, so no polynomial is
-multiplied. tuples are checked by index against the certificate: their rows
+coefficient and distinct kernel value; over F_q[t] each table entry is one
+integer product of packed coefficients, wide enough that nothing carries,
+so no polynomial is multiplied. tuples are checked by index against the certificate: their rows
 are sorted as BalancedMultiset.make orders members, must be balanced with no
 all-zero row, and must convert to exactly the stated permutations and
 kernel. Row k then is the tuple of kernel entries

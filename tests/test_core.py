@@ -237,6 +237,45 @@ class TestCertificates:
         cert = certificate_from_balanced(a.coeffs, b)
         assert verify_certificate(a, cert)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_packed_row_relations_match_polynomial_arithmetic(self, data):
+        # a, b, c with values b*c*s, a*c*r, -a*b*(r+s): the first row's relation
+        # holds and the rotated rows mostly fail; one value may be a unit off.
+        # Digits are often q - 1, where the packed row sums need most headroom.
+        import smyth.core as core
+
+        q = data.draw(st.sampled_from([2, 3, 5, 2**61 - 1]))
+        field = FieldParams(q)
+        digit = st.one_of(st.just(q - 1), st.integers(0, q - 1))
+        poly = st.lists(digit, min_size=1, max_size=6).map(field.poly)
+        a, b, c = (data.draw(poly.filter(bool)) for _ in range(3))
+        r, s = data.draw(poly), data.draw(poly)
+        values = [b * c * s, a * c * r, -(a * b * (r + s))]
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, 2))
+            values[k] = values[k] + field.poly([0] * data.draw(st.integers(0, 12)) + [1])
+        perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+        coeffs = (a, b, c)
+        expected = [bool(sum((x * values[p[k]] for x, p in zip(coeffs, perms)), field.zero))
+                    for k in range(3)]
+        rows = core._row_relations(coeffs, values, [0, 1, 2], perms)
+        assert [bool(row) for row in rows] == expected
+
+    @pytest.mark.parametrize("q, n", [(2, 4), (2, 6), (3, 3), (3, 6), (5, 5)])
+    def test_packed_row_relations_at_the_headroom_bound(self, q, n):
+        # n coefficients P, all of whose digits are q - 1, against the value P:
+        # every coefficient of the row sum reaches n * len(P) * (q - 1)^2, and
+        # the relation n * P^2 = 0 holds because q divides n
+        import smyth.core as core
+
+        field = FieldParams(q)
+        for length in range(1, 20):
+            P = field.poly([q - 1] * length)
+            assert not any(core._row_relations((P,) * n, [P], [0], [(0,)] * n))
+            tampered = (P,) * (n - 1) + (P + field.one,)
+            assert all(core._row_relations(tampered, [P], [0], [(0,)] * n))
+
 
 # Reference: the depth-first enumerators that F_q linear algebra replaced.
 # They probe all q^(N(n-1)) candidates (q^(N(n-2)) for a fiber) and read the

@@ -1,5 +1,7 @@
 """Certificate document round-trip and tamper-detection tests."""
 import json
+import random
+import time
 from pathlib import Path
 
 import pytest
@@ -155,7 +157,7 @@ class TestIndexedMultisets:
         assert len(calls) <= len(texts) < entries
 
     def test_fqt_corpus_verifies_without_multiplying_polynomials(self, monkeypatch):
-        # each product table is a sum of shifted multiples d*c, packed once
+        # each product is one integer product of packed coefficients
         corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
         docs = [parse_json(p.read_text(encoding="utf-8")) for p in sorted(corpus.glob("fqt-*.json"))]
         calls = []
@@ -185,11 +187,24 @@ class TestIndexedMultisets:
             assert verify_doc(doc) is False
 
     def test_large_prime_field_builds_no_table_per_element(self):
-        # the relation tables hold multiples d*c only for the digits d used;
-        # over F_p, p = 2^61 - 1, the F_2 relations fail
+        # no table grows with q: over F_p, p = 2^61 - 1, the packed digits
+        # are a few words wide, and the F_2 relations fail there
         doc = parse_json(canonical_json(fqt_doc(N=2)))
         doc["q"] = 2**61 - 1
         assert verify_doc(doc) is False
+
+    def test_dense_kernel_entries_of_the_largest_degree_end_quickly(self):
+        # each product is one integer multiplication, linear in the degree
+        # here: three dense entries of degree 65,535 over F_p, p = 2^61 - 1
+        rng = random.Random(5)
+        q = 2**61 - 1
+        doc = parse_json(canonical_json(fqt_doc(N=2)))
+        doc["q"] = q
+        for k in range(3):
+            doc["kernel_vector"][k] = "+".join(f"{rng.randrange(1, q)}*t^{j}" for j in range(65536))
+        start = time.perf_counter()
+        assert verify_doc(doc) is False
+        assert time.perf_counter() - start < 10
 
     def test_reordered_and_respelled_tuples_still_verify(self):
         doc = parse_json(canonical_json(fqt_doc(N=2)))
