@@ -8,6 +8,7 @@ stored, as are the stdout and exit code of every `$ smyth` example in the
 README.
 """
 import hashlib
+import itertools
 import json
 import shlex
 from pathlib import Path
@@ -18,6 +19,7 @@ from smyth import (CoeffTuple, FieldParams, balanced_multiset, canonical_json,
                    construct_extremal_fqt, construct_extremal_int, extremal_doc,
                    min_balanced_search, multiset_doc)
 from smyth.cli import main
+from smyth.heuristic import limit_scan, p_n_closed_form
 from smyth.numfield import numfield_pipeline
 from smyth.quadratic import QuadField, parse_quadint
 from smyth.serialize import numfield_doc, parse_json, verify_doc
@@ -392,3 +394,69 @@ def test_readme_example_output(capsys, tmp_path, monkeypatch, command, code, dig
     assert main(shlex.split(command)[1:]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The repr of heuristic.p_n_closed_form and of limit_scan rows, pinned as the
+# mpmath routine in tests/test_heuristic_reference.py computed them. The p_N
+# grid spans q in {2, 3, 5, 7}, d <= 2, 3 <= n <= 5 and N <= 5; each entry
+# lists log p_N for the group sizes, then the log group sizes, below. Each
+# scan runs a growth schedule from `start` up to N = SCAN_TOP[q] and lists
+# (log|G|, log p_N) per row.
+HEURISTIC_GOLDEN = json.loads((ROOT / "tests" / "heuristic_golden.json").read_text(encoding="utf-8"))
+PN_SIZES = ([{"group_size": g} for g in (1, 2, 3, 6, 24, 120, 720, 5040, 10 ** 6, 10 ** 12, 10 ** 30)]
+            + [{"log_group_size": x} for x in (0.0, 0.5, 1.0, 2.5, 10.0, 33.3, 100.0, 300.7,
+                                               1e300, -1e300)])
+SCAN_TOP = {2: 10, 3: 6, 5: 4, 7: 3}
+SCAN_SCHEDULES = [
+    (1, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]),
+    (1, [1.0] * 10),
+    (1, [0.5] * 10),
+    (1, [0.25, 3.5, 0.001, 7.0, 42.0, 1.5, 0.9, 100.0, 2.0, 0.1]),
+    (2, [0.75, 1.25, 20.0, 0.01, 5.5, 1.0, 3.0, 0.3, 12.0]),
+]
+# the README's `heuristic --mode scan` example
+README_SCAN = (2, 1, 3, 1, [1.0, 2.0, 3.0])
+
+
+def pn_grid(q: int) -> dict:
+    """Key -> (q, d, n, N) for the p_N grid entries of one q."""
+    return {f"q={q} d={d} n={n} N={N}": (q, d, n, N)
+            for d, n, N in itertools.product(range(3), range(3, 6), range(1, 6))}
+
+
+def scan_grid() -> dict:
+    """Key -> limit_scan arguments (q, d, n, start, growth) for every pinned scan."""
+    scans = [README_SCAN]
+    for q, top in SCAN_TOP.items():
+        for d, n in itertools.product(range(3), range(3, 6)):
+            scans += [(q, d, n, start, growth[:top - start + 1]) for start, growth in SCAN_SCHEDULES]
+    return {f"q={q} d={d} n={n} start={start} growth={','.join(map(repr, growth))}":
+            (q, d, n, start, growth) for q, d, n, start, growth in scans}
+
+
+def test_heuristic_golden_covers_the_grids():
+    pn_keys = set().union(*map(pn_grid, SCAN_TOP))
+    assert set(HEURISTIC_GOLDEN["p_n"]) == pn_keys
+    assert {len(v) for v in HEURISTIC_GOLDEN["p_n"].values()} == {len(PN_SIZES)} == {21}
+    assert set(HEURISTIC_GOLDEN["scan"]) == set(scan_grid())
+    assert "q=2 d=1 n=3 N=1" in pn_keys and {"group_size": 2} in PN_SIZES  # README `--mode pn`
+
+
+@pytest.mark.parametrize("q", sorted(SCAN_TOP))
+def test_p_n_closed_form_repr(q):
+    changed = {}
+    for key, args in pn_grid(q).items():
+        reprs = [repr(p_n_closed_form(*args, **size)) for size in PN_SIZES]
+        if reprs != HEURISTIC_GOLDEN["p_n"][key]:
+            changed[key] = reprs
+    assert changed == {}
+
+
+def test_limit_scan_rows_repr():
+    changed = {}
+    for key, (q, d, n, start, growth) in scan_grid().items():
+        rows = [[repr(r.log_group_size), repr(r.log_p)]
+                for r in limit_scan(q, d, n, growth, start=start)]
+        if rows != HEURISTIC_GOLDEN["scan"][key]:
+            changed[key] = rows
+    assert changed == {}
