@@ -636,13 +636,20 @@ def _floyd_split(n: int) -> int:
         c += 1
 
 
+def _digit_count(m: int) -> int:
+    """Decimal digits of m >= 1, without str(m), which refuses past 4,300 digits."""
+    digits = int((m.bit_length() - 1) * math.log10(2)) + 1  # those of 2^(bit_length - 1)
+    return digits + (m >= 10 ** digits)
+
+
 def integer_factor(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
     """Prime factorization as {prime: exponent}; refuses inputs above bound."""
     if m < 1:
         raise ValueError("integer_factor requires a positive integer")
     if m > bound:
         raise BudgetExceededError(
-            f"{m} exceeds the factoring bound {bound}", required=m
+            f"an integer of {_digit_count(m)} digits exceeds the factoring bound {bound}",
+            required=m,
         )
     factors: dict[int, int] = {}
     for p in _SMALL_PRIMES:

@@ -598,8 +598,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             EqualityHypothesisError, TupleArityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, ImportError) as err:
-        # ImportError: a dependency that is loaded on demand is not installed
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -9,8 +9,9 @@ q^(-(N+d)*q^N) per trial and
     p_N = (1 - q^(-(N+d)*q^N)) ** |G|^(n-1)
 
 for the probability that no trial among |G|^(n-1) succeeds. Exponents grow
-doubly exponentially, so p_N is computed in log space at a working precision
-wide enough that log1p(-q^(-E)) keeps its leading bits.
+doubly exponentially, so log p_N = -exp(Y) is computed through its log Y, in
+the standard library's decimal arithmetic at a precision sized from the
+exponent's length rather than its value.
 
 monte_carlo measures the empirical rate. When the family is small enough it
 switches to exhaustive enumeration of all permutation combinations, making
@@ -18,11 +19,13 @@ the counts exact and independent of the seed.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Optional, Sequence
 
 from .core import CoeffTuple, vn_elements
@@ -30,6 +33,10 @@ from .core import CoeffTuple, vn_elements
 FAMILY_KINDS = ("symmetric", "alternating", "cyclic", "dihedral")
 
 MAX_SAMPLING_DEGREE = 16
+
+# p_n_closed_form refuses E = (N+d)*q^N above this size: decimal ln and exp at
+# its 1,040 digits take about 30 ms each
+MAX_EXPONENT_BITS = 3000
 
 
 @dataclass(frozen=True)
@@ -108,6 +115,11 @@ def p_n_closed_form(q: int, d: int, n: int, N: int,
     Exactly one of log_group_size (natural log of |G|) and group_size must be
     given; the log form exists because interesting group sizes overflow any
     float long before the model becomes boring.
+
+    log p_N = |G|^(n-1) * log1p(-x), x = q^-E, E = (N+d)*q^N, is -exp(Y) with
+    Y = (n-1)*ln|G| - E*ln(q) + ln(-log1p(-x)/x). Y is computed in decimal at
+    about 40 digits past the size of E; it is -0.0 below Y = -800 and -inf
+    above Y = 800, where every double has long underflowed or overflowed.
     """
     if (log_group_size is None) == (group_size is None):
         raise ValueError("give exactly one of log_group_size and group_size")
@@ -115,18 +127,35 @@ def p_n_closed_form(q: int, d: int, n: int, N: int,
         raise ValueError("need q >= 2, n >= 3, N >= 1, d >= 0")
     if group_size is not None and group_size < 1:
         raise ValueError("group_size must be positive")
+    if log_group_size is not None and not math.isfinite(log_group_size):
+        raise ValueError(f"log_group_size must be finite, not {log_group_size!r}")
+    # (n-1)*ln|G| <= count_bits and E >= 2^e_bits, so once 2^e_bits exceeds
+    # 2*(count_bits + 801), E*ln(q) > (n-1)*ln|G| + 801 and Y < -800: decided
+    # before q**N is formed, which bounds E by about count_bits^2 below
+    count_bits = (n - 1) * (group_size.bit_length() if group_size is not None
+                            else max(math.ceil(log_group_size), 0))
+    e_bits = (N + d).bit_length() - 1 + N * (q.bit_length() - 1)
+    if e_bits >= (2 * count_bits + 1602).bit_length():
+        return -0.0
     exponent = (N + d) * q ** N
-    bits = max(64, int(exponent * math.log2(q)) + 80)
-    import mpmath
-
-    with mpmath.workprec(bits):
-        per_trial = mpmath.mpf(q) ** (-exponent)
-        log_term = mpmath.log1p(-per_trial)
-        if group_size is not None:
-            count = mpmath.mpf(group_size) ** (n - 1)
-        else:
-            count = mpmath.exp(mpmath.mpf(log_group_size) * (n - 1))
-        return float(count * log_term)
+    if exponent.bit_length() > MAX_EXPONENT_BITS:
+        raise ValueError(f"(N+d)*q^N has {exponent.bit_length()} bits, past the "
+                         f"{MAX_EXPONENT_BITS}-bit limit of the estimate")
+    with localcontext() as ctx:
+        ctx.prec = exponent.bit_length() // 3 + 40
+        log_count = (n - 1) * (Decimal(group_size).ln() if group_size is not None
+                               else Decimal(log_group_size))
+        e_log_q = exponent * Decimal(q).ln()
+        y = log_count - e_log_q
+        if e_log_q < 400:  # past that, ln(-log1p(-x)/x) < x is below any double's resolution
+            ctx.prec += int(e_log_q) // 2 + 1  # 1 - x spends E*log10(q) digits on x
+            x = Decimal(q) ** -exponent
+            y += (-(1 - x).ln() / x).ln()
+        if y < -800:
+            return -0.0
+        if y > 800:
+            return -math.inf
+        return -float(y.exp())
 
 
 def model_rate(q: int, d: int, n: int, N: int) -> float:
@@ -238,10 +267,15 @@ def limit_scan(q: int, d: int, n: int, growth: Sequence[float],
     rows = []
     for i, c in enumerate(growth):
         c = float(c)
-        if c <= 0:
-            raise ValueError("growth constants must be positive")
+        if not (0 < c < math.inf):
+            raise ValueError(f"growth constants must be positive and finite, not {c!r}")
         N = start + i
-        log_group = math.log(c) + (N + d) * (q ** N) * math.log(q) / (n - 1)
+        log_group = math.inf
+        if N * (q.bit_length() - 1) <= 1024:  # else q**N alone is past the float range
+            with contextlib.suppress(OverflowError):
+                log_group = math.log(c) + (N + d) * (q ** N) * math.log(q) / (n - 1)
+        if not math.isfinite(log_group):
+            raise ValueError(f"log|G| at N = {N} is past the float range")
         log_p = p_n_closed_form(q, d, n, N, log_group_size=log_group)
         rows.append(ScanRow(N=N, growth_constant=c, log_group_size=log_group, log_p=log_p))
     return rows

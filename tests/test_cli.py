@@ -208,6 +208,34 @@ class TestHeuristic:
         assert code == 0
         assert out.splitlines()[0] == "N,growth_constant,log_group_size,log_p"
 
+    @pytest.mark.parametrize("argv, code, out", [
+        (("--mode", "pn", "--N", "16", "--group-size", "6"), 0, "log p_N = -0\n"),
+        (("--mode", "pn", "--N", "30", "--group-size", "6"), 0, "log p_N = -0\n"),
+        (("--mode", "pn", "--N", "1000000", "--group-size", "6"), 0, "log p_N = -0\n"),
+        (("--mode", "pn", "--N", "1", "--log-group-size", "1e300"), 0, "log p_N = -inf\n"),
+        (("--mode", "scan", "--growth", "1", "--start", "1100"), 2, ""),
+    ], ids=["pn-N16", "pn-N30", "pn-N1000000", "pn-log-size-1e300", "scan-start-1100"])
+    def test_estimates_end_in_bounded_time(self, argv, code, out):
+        start = time.perf_counter()
+        result = run_capped(["heuristic", "--q", "2", "--d", "1", "--n", "3", *argv,
+                             "--format", "text"])
+        assert time.perf_counter() - start < 1
+        assert (result.returncode, result.stdout) == (code, out)
+        if code:
+            assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        else:
+            assert result.stderr == ""
+
+    @pytest.mark.parametrize("option", ["--log-group-size=nan", "--log-group-size=inf",
+                                        "--log-group-size=-inf", "--growth=nan",
+                                        "--growth=1,inf"])
+    def test_non_finite_input_exit_two(self, capsys, option):
+        mode = "scan" if option.startswith("--growth") else "pn"
+        code, out, err = run(capsys, "heuristic", "--mode", mode, "--q", "2", "--d", "1",
+                             "--n", "3", "--N", "1", option)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestNumfield:
     def test_pipeline(self, capsys):
@@ -302,6 +330,16 @@ class TestVerify:
         assert result.returncode == 1
         assert json.loads(result.stdout)["verified"] is False
         assert "Traceback" not in result.stderr
+
+    def test_huge_m_error_line_stays_short(self, capsys, tmp_path):
+        doc = json.loads((CORPUS / "numfield-d3.json").read_text(encoding="utf-8"))
+        doc["m"] = 10 ** 400
+        path = tmp_path / "huge-m.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: an integer of 401 digits exceeds the factoring bound "
+                       "18446744073709551616\n")
 
     def test_malformed_exit_two(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

@@ -87,6 +87,22 @@ class TestClosedForm:
         assert log_p <= 0
         assert math.isfinite(log_p)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_log_size_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            p_n_closed_form(2, 1, 3, 1, log_group_size=value)
+
+    def test_ends_at_once_past_the_float_range(self):
+        assert repr(p_n_closed_form(2, 1, 3, 30, group_size=6)) == "-0.0"
+        assert repr(p_n_closed_form(2, 1, 3, 10 ** 6, group_size=6)) == "-0.0"
+        assert repr(p_n_closed_form(2, 10 ** 4000, 3, 5, group_size=6)) == "-0.0"
+        assert p_n_closed_form(2, 1, 10 ** 4000, 1, group_size=6) == -math.inf
+
+    def test_refuses_an_exponent_past_the_limit(self):
+        # (n-1)*ln|G| near 10^1000 keeps E = 3101 * 2^3100 from being ruled out unformed
+        with pytest.raises(ValueError, match="3000-bit limit"):
+            p_n_closed_form(2, 1, 10 ** 1000, 3100, group_size=6)
+
     def test_model_rate(self):
         assert abs(model_rate(2, 1, 3, 1) - 2 ** -4) < 1e-15
 
@@ -157,6 +173,16 @@ class TestLimitScan:
     def test_start_offset(self):
         rows = limit_scan(3, 2, 4, [1.0, 1.0], start=4)
         assert [r.N for r in rows] == [4, 5]
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_growth_rejected(self, c):
+        with pytest.raises(ValueError, match="positive and finite"):
+            limit_scan(2, 1, 3, [1.0, c])
+
+    @pytest.mark.parametrize("start", [1020, 1100, 10 ** 9])
+    def test_log_group_past_the_float_range_rejected(self, start):
+        with pytest.raises(ValueError, match=f"N = {start} is past the float range"):
+            limit_scan(2, 1, 3, [1.0], start=start)
 
     def test_not_decreasing_detection(self):
         # constant growth sits at the critical rate: log p climbs toward -1

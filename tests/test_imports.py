@@ -63,41 +63,34 @@ print(json.dumps([code, "mpmath" in sys.modules, sorted(loaded)]))
                                           "smyth.errors", "smyth.serialize"]]
 
 
-def test_pn_loads_mpmath_on_demand():
-    code, out, mpmath_loaded = run_cli(["heuristic", "--mode", "pn", "--q", "3", "--d", "1",
-                                        "--n", "3", "--N", "1", "--group-size", "6"])
-    assert (code, mpmath_loaded) == (0, True)
-    assert out == canonical({
-        "N": 1, "d": 1, "group_size": 6, "kind": "heuristic-report", "log_group_size": None,
-        "log_p": -0.049416617230998446, "mode": "closed-form", "n": 3,
-        "p": 0.9517845172563663, "q": 3})
-
-
+PN_ARGV = ["heuristic", "--mode", "pn", "--q", "3", "--d", "1", "--n", "3", "--N", "1",
+           "--group-size", "6"]
+PN_OUT = canonical({
+    "N": 1, "d": 1, "group_size": 6, "kind": "heuristic-report", "log_group_size": None,
+    "log_p": -0.049416617230998446, "mode": "closed-form", "n": 3,
+    "p": 0.9517845172563663, "q": 3})
+SCAN_ARGV = ["heuristic", "--mode", "scan", "--q", "2", "--d", "1", "--n", "3",
+             "--growth", "1,2,3", "--format", "csv"]
 ROU_ARGV = ["numfield", "--action", "rou", "--m", "-3", "--coeffs", "1;1;1"]
 ROU_OUT = canonical({
     "coeffs": ["1", "1", "1"], "common_order": 3, "exponents": [0, 1, 2],
     "found": True, "kind": "rou-relation", "m": -3, "orders": [1, 3, 3]})
 
 
-def test_rou_loads_mpmath_on_demand():
+def test_pn_loads_no_mpmath():
+    assert run_cli(PN_ARGV) == (0, PN_OUT, False)
+
+
+def test_rou_loads_no_mpmath():
     """The root-of-unity search is exact and never demands mpmath."""
     assert run_cli(ROU_ARGV) == (0, ROU_OUT, False)
 
 
-def test_without_mpmath_rou_runs_and_the_estimates_exit_2():
-    assert run_cli(ROU_ARGV, block_mpmath=True) == (0, ROU_OUT, False)
-    code = """
-import sys
-sys.modules["mpmath"] = None
-from smyth import cli
-sys.exit(cli.main(sys.argv[1:]))
-"""
-    for mode in (["--mode", "pn", "--group-size", "6"], ["--mode", "scan", "--growth", "1,2"]):
-        proc = fresh("-c", code, "heuristic", *mode, "--q", "3", "--d", "1", "--n", "3",
-                     "--N", "1")
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert "mpmath" in proc.stderr and "Traceback" not in proc.stderr
+@pytest.mark.parametrize("argv", [ROU_ARGV, PN_ARGV, SCAN_ARGV], ids=["rou", "pn", "scan"])
+def test_without_mpmath_the_same_bytes(argv):
+    code, out, _ = run_cli(argv, block_mpmath=True)
+    assert (code, out) == run_cli(argv)[:2]
+    assert code == 0 and out
 
 
 def test_module_run_warns_nothing():
