@@ -34,8 +34,8 @@ FAMILY_KINDS = ("symmetric", "alternating", "cyclic", "dihedral")
 
 MAX_SAMPLING_DEGREE = 16
 
-# p_n_closed_form refuses E = (N+d)*q^N above this size: decimal ln and exp at
-# its 1,040 digits take about 30 ms each
+# p_n_closed_form refuses E = (N+d)*q^N above this size, which keeps its
+# decimal ln and exp at most 1,040 digits wide (about 20 ms each)
 MAX_EXPONENT_BITS = 3000
 
 

@@ -92,9 +92,7 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="finite"):
             p_n_closed_form(2, 1, 3, 1, log_group_size=value)
 
-    def test_ends_at_once_past_the_float_range(self):
-        assert repr(p_n_closed_form(2, 1, 3, 30, group_size=6)) == "-0.0"
-        assert repr(p_n_closed_form(2, 1, 3, 10 ** 6, group_size=6)) == "-0.0"
+    def test_huge_d_or_n_ends_at_once(self):
         assert repr(p_n_closed_form(2, 10 ** 4000, 3, 5, group_size=6)) == "-0.0"
         assert p_n_closed_form(2, 1, 10 ** 4000, 1, group_size=6) == -math.inf
 
