@@ -411,14 +411,7 @@ class ModElement:
     def __pow__(self, exp: int) -> "ModElement":
         if exp < 0:
             return mod_inverse(self) ** (-exp)
-        result = ModElement(self.modulus.field.one % self.modulus, self.modulus)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
+        return ModElement(_powmod(self.residue, exp, self.modulus), self.modulus)
 
 
 def mod_inverse(u: ModElement) -> ModElement:

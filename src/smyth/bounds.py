@@ -37,7 +37,7 @@ from .core import (
     DEFAULT_BUDGET,
     BalancedMultiset,
     CoeffTuple,
-    _coordinate_counters,
+    _balanced,
     _solution_pool,
     check_criteria,
     vn_elements,
@@ -372,7 +372,6 @@ def min_balanced_search(
         coeffs = tuple(a)
         pool = int_solution_box(coeffs, N, budget)
     pool = [m for m in pool if any(bool(v) for v in m)]
-    n = len(coeffs)
     needed = _submultiset_count(len(pool), min(size_bound, len(pool) * max_multiplicity), max_multiplicity)
     if needed > budget:
         raise BudgetExceededError(
@@ -383,7 +382,6 @@ def min_balanced_search(
     for s in range(1, top + 1):
         for combo in _candidate_indices(len(pool), s, max_multiplicity):
             members = [pool[i] for i in combo]
-            counters = _coordinate_counters(members, n)
-            if all(c == counters[0] for c in counters[1:]):
+            if _balanced(list(zip(*members))) is not None:
                 return BalancedMultiset.make(coeffs, members)
     return None

@@ -27,8 +27,6 @@ Conventions used throughout:
   holds the most significant digits and integer order is the lexicographic
   order of the value indices. Rows are added digit-wise mod q: XOR for
   q = 2, a SWAR add with one conditional subtract of q per digit otherwise.
-  Products a_i * x for the relation check are packed the same way (Kronecker
-  substitution), N + d digits each.
 """
 from __future__ import annotations
 
@@ -179,8 +177,7 @@ def _combinations(add, generators: Sequence[Sequence[int]]) -> list[int]:
     """All q^k sums of d_j * g_j over j < k, each d_j in F_q, packed.
 
     generators[j] lists the packed multiples 1*g_j, ..., (q-1)*g_j. The sum
-    with coefficients (d_j) sits at index sum_j d_j * q^j, so for g_j = t^j
-    the sums run in the base-q counting order of V_N.
+    with coefficients (d_j) sits at index sum_j d_j * q^j.
     """
     sums = [0]
     for multiples in generators:
@@ -312,34 +309,21 @@ def sort_key_of(value):
     return key if key is not None else value
 
 
-def relation_holds(coeffs: Sequence, member: Sequence) -> bool:
-    """Whether sum(c_i * x_i) is zero, over any exact ring."""
-    s = 0
-    for c, x in zip(coeffs, member):
-        s = s + c * x
-    return not s
+def _balanced(columns: Sequence[Sequence]) -> Optional[Counter]:
+    """The Counter every column shares, or None when two columns differ;
+    columns[i][k] is row k's entry in coordinate i, any hashable."""
+    first = Counter(columns[0])
+    return first if all(Counter(col) == first for col in columns[1:]) else None
 
 
-def _coordinate_counters(members: Sequence[Sequence], n: int) -> list[Counter]:
-    return [Counter(m[i] for m in members) for i in range(n)]
-
-
-def is_balanced(coeffs: Sequence, members: Sequence[Sequence]) -> bool:
-    """True iff every coordinate carries the same value multiset.
-
-    Every member must satisfy the linear relation; a violator raises
-    RelationViolationError naming it.
-    """
-    n = len(coeffs)
-    for m in members:
-        if len(m) != n:
-            raise RelationViolationError(f"member {m} has arity {len(m)}, expected {n}", member=m)
-        if not relation_holds(coeffs, m):
+def _require_relations(coeffs: Sequence, values: Sequence, columns: Sequence[Sequence[int]]) -> None:
+    """Raise RelationViolationError naming the first row whose relation fails."""
+    for k, s in enumerate(_row_relations(coeffs, values, columns)):
+        if s:
+            member = tuple(values[col[k]] for col in columns)
             raise RelationViolationError(
-                f"member {tuple(str(v) for v in m)} violates the linear relation", member=m
-            )
-    counters = _coordinate_counters(members, n)
-    return all(c == counters[0] for c in counters[1:])
+                f"member {tuple(str(v) for v in member)} violates the linear relation",
+                member=member)
 
 
 @dataclass(frozen=True)
@@ -370,7 +354,16 @@ class BalancedMultiset:
         b = cls(coeffs, values, tuple(rows))
         if not all(map(any, b.members)):
             raise ValueError("balanced multiset must not contain the zero tuple")
-        if not is_balanced(coeffs, b.members):
+        # the first row of the wrong arity or violating its relation is named
+        n = len(coeffs)
+        arity = next((k for k, row in enumerate(rows) if len(row) != n), len(rows))
+        columns = list(zip(*rows[:arity]))
+        if columns:
+            _require_relations(coeffs, values, columns)
+        if arity < len(rows):
+            m = b.members[arity]
+            raise RelationViolationError(f"member {m} has arity {len(m)}, expected {n}", member=m)
+        if _balanced(columns) is None:
             raise ValueError("coordinate value multisets differ: not balanced")
         return b
 
@@ -421,27 +414,13 @@ def balanced_multiset(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> Ba
     _check_N(a, N)
     vn, coords = _kernel_indices(a, N, budget)
     coords = [idx[1:] for idx in coords]  # drop the zero tuple, which sorts first
-    q = a.field.q
-    w = _digit_width(q)
-    add = _digit_adder(q, N + a.height)
     # every row meets the relation, checked apart from the elimination that
-    # produced the row: the products c * x for x in V_N are combinations of
-    # the Poly products c * d*t^j, in the base-q counting order of V_N
-    sums = [0] * len(coords[0])
-    for c, idx in zip(a.coeffs, coords):
-        products = _combinations(add, [[_pack((c * vn[d * q**j]).coeffs, w) for d in range(1, q)]
-                                       for j in range(N)])
-        sums = list(map(add, sums, map(products.__getitem__, idx)))
-    for k, s in enumerate(sums):
-        if s:
-            member = tuple(vn[idx[k]] for idx in coords)
-            raise RelationViolationError(
-                f"member {tuple(str(v) for v in member)} violates the linear relation",
-                member=member)
-    counters = [Counter(idx) for idx in coords]
-    if any(c != counters[0] for c in counters[1:]):
+    # produced the row
+    _require_relations(a.coeffs, vn, coords)
+    used = _balanced(coords)
+    if used is None:
         raise ValueError("coordinate value multisets differ: not balanced")
-    return _ranked_multiset(a.coeffs, vn, coords, counters[0])
+    return _ranked_multiset(a.coeffs, vn, coords, used)
 
 
 @dataclass(frozen=True)
@@ -511,10 +490,9 @@ def verify_certificate(a, cert: PermutationCertificate) -> bool:
     """Recheck a certificate from scratch.
 
     a is a CoeffTuple or a plain coefficient tuple over any exact ring. The
-    row relations are verified exactly, from one table of products per
-    coefficient and distinct kernel entry. A nonzero kernel vector that
-    satisfies them is itself the proof that sum(a_i X_i) is singular, so no
-    determinant is computed.
+    row relations are verified exactly by _row_relations. A nonzero kernel
+    vector that satisfies them is itself the proof that sum(a_i X_i) is
+    singular, so no determinant is computed.
     """
     coeffs = a.coeffs if isinstance(a, CoeffTuple) else tuple(a)
     if len(cert.perms) != len(coeffs):
@@ -524,38 +502,59 @@ def verify_certificate(a, cert: PermutationCertificate) -> bool:
     if len(cert.kernel) != m:
         raise ValueError("kernel vector length differs from certificate dimension")
     _validate_perms(cert.perms, m)
-    if cert.perms[-1] != tuple(range(m)):
-        return False
-    # one table entry per distinct kernel object, found without hashing
-    # entries: a document's parsed kernel repeats the object of each value
+    # one value index per distinct kernel object, found without hashing
+    # entries: a certificate's kernel repeats the object of each value
     ids = list(map(id, cert.kernel))
     index = dict(zip(dict.fromkeys(ids), itertools.count()))
-    kernel_idx = list(map(index.__getitem__, ids))
     values = list(map(dict(zip(ids, cert.kernel)).__getitem__, index))
-    if not any(values):
+    return _certificate_holds(coeffs, values, list(map(index.__getitem__, ids)), cert.perms)
+
+
+def _certificate_holds(coeffs: Sequence, values: Sequence, kernel_idx: Sequence[int],
+                       perms: Sequence[Sequence[int]]) -> bool:
+    """Whether the kernel vector v, v[j] = values[kernel_idx[j]], is nonzero,
+    perms[-1] is the identity and sum_i c_i * v[p_i[k]] = 0 for every row k.
+
+    perms must already be permutations of range(len(kernel_idx)), one per
+    coefficient.
+    """
+    if perms[-1] != tuple(range(len(kernel_idx))) or not any(map(values.__getitem__, kernel_idx)):
         return False
-    return not any(_row_relations(coeffs, values, kernel_idx, cert.perms))
+    columns = [list(map(kernel_idx.__getitem__, p)) for p in perms[:-1]] + [kernel_idx]
+    return not any(_row_relations(coeffs, values, columns))
 
 
-def _row_relations(coeffs: Sequence, values: Sequence, kernel_idx: Sequence[int],
-                   perms: Sequence[Sequence[int]]) -> list:
-    """One entry per row k, falsy exactly when sum_i c_i * v[p_i[k]] = 0,
-    where v[j] = values[kernel_idx[j]].
+def _row_relations(coeffs: Sequence, values: Sequence, columns: Sequence[Sequence[int]]) -> list:
+    """One entry per row k, falsy exactly when sum_i c_i * values[columns[i][k]] = 0.
 
     Each product comes from one table per (coefficient, distinct value), so
     the ring multiplies only n * len(values) times. Polynomials over one
     field are multiplied as ints (Kronecker substitution): each is packed in
     byte-aligned digits wide enough that no product or row sum carries, so
     a packed row sum holds the integer coefficients of the row's sum, and
-    the relation holds when all of them are 0 mod q. Other rings sum their
-    products with +, and a row's sum is 0 exactly when its relation holds.
+    the relation holds when all of them are 0 mod q. The digit products,
+    sum len(c) * len(v) over coefficients c and the values v some row uses,
+    are refused past DEFAULT_BUDGET. Other rings sum their products with +,
+    and a row's sum is 0 exactly when its relation holds.
     """
     field = getattr(coeffs[0], "field", None)
     packed = all(type(p) is Poly and p.field == field for p in itertools.chain(coeffs, values))
     if packed:
         q = field.q
+        lens = [len(v.coeffs) for v in values]
+        width = sum(len(c.coeffs) for c in coeffs)
+        cost = width * sum(lens)
+        if cost > DEFAULT_BUDGET:
+            # values no row uses, such as coefficients among a document's
+            # entries, are not multiplied
+            used = set().union(*columns)
+            lens = [n if k in used else 0 for k, n in enumerate(lens)]
+            cost = width * sum(lens)
+        if cost > DEFAULT_BUDGET:
+            raise BudgetExceededError(f"the row relations need {cost} digit products, "
+                                      f"budget is {DEFAULT_BUDGET}", required=cost)
         lc = max(len(c.coeffs) for c in coeffs)
-        lv = max(len(v.coeffs) for v in values)
+        lv = max(lens)
         # every coefficient of a row sum is below 2^h, and q * 2^h fits a digit
         h = (len(coeffs) * min(lc, lv) * (q - 1) ** 2).bit_length()
         size = (h + q.bit_length() + 7) // 8
@@ -565,13 +564,13 @@ def _row_relations(coeffs: Sequence, values: Sequence, kernel_idx: Sequence[int]
             return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in p.coeffs),
                                   "little")
 
-        vs = list(map(pack, values))
+        vs = [pack(v) if n else 0 for v, n in zip(values, lens)]
         tables = [[c * v for v in vs] for c in map(pack, coeffs)]
     else:
         tables = [[c * v for v in values] for c in coeffs]
     sums = None
-    for table, p in zip(tables, perms):
-        column = map(table.__getitem__, map(kernel_idx.__getitem__, p))
+    for table, col in zip(tables, columns):
+        column = map(table.__getitem__, col)
         sums = list(column) if sums is None else list(map(operator.add, sums, column))
     if not packed:
         return sums

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from cmath import exp as cexp, pi as cpi, sqrt as csqrt
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +36,7 @@ from .algebra import kernel_basis
 from .core import (
     DEFAULT_BUDGET,
     BalancedMultiset,
+    _balanced,
     _ranked_multiset,
     certificate_from_balanced,
     verify_certificate,
@@ -896,10 +896,10 @@ def _rebalance(rows: Sequence[SparseRow], alpha: QuadInt,
     # member r is (p[slots[mt[r]]] for each matching mt, then p[member_source[r]])
     columns = [list(map(slots.__getitem__, mt)) for mt in matchings]
     columns.append(member_source)
-    counters = [Counter(col) for col in columns]
-    if any(c != counters[0] for c in counters[1:]):
+    used = _balanced(columns)
+    if used is None:
         raise ValueError("coordinate value multisets differ: not balanced")
-    balanced = _ranked_multiset(coeffs, points, columns, counters[0])
+    balanced = _ranked_multiset(coeffs, points, columns, used)
     cert = certificate_from_balanced(coeffs, balanced)
     # each row of the certificate is (D v)[k] = alpha*v[k] with D the sum of
     # its first n-1 permutations, whose rows and columns then sum to n-1

@@ -26,17 +26,19 @@ integer belongs is a ParseError.
 
 A balanced or certificate document is checked on value indices. Each
 distinct entry text is parsed once, and every coefficient, kernel and tuple
-entry becomes an index into the table of distinct values. The row relations
-are evaluated once per row by verify_certificate, from one product table per
-coefficient and distinct kernel value; over F_q[t] each table entry is one
-integer product of packed coefficients, wide enough that nothing carries,
-so no polynomial is multiplied. tuples are checked by index against the certificate: their rows
-are sorted as BalancedMultiset.make orders members, must be balanced with no
-all-zero row, and must convert to exactly the stated permutations and
-kernel. Row k then is the tuple of kernel entries
-the permutations pick, so its relation is the one already proved and is not
-evaluated again. The verdicts are those of the member-by-member check: rows
-may come in any order, and two spellings of one polynomial are one value.
+entry becomes an index into the table of distinct values. Each permutation
+is validated once, and core._row_relations, which certify also uses,
+evaluates each row relation once on the kernel's indices: over F_q[t] each
+product is one integer product of packed coefficients, wide enough that
+nothing carries, and past DEFAULT_BUDGET digit products it raises
+BudgetExceededError. tuples are checked by index against the certificate:
+their rows are sorted as BalancedMultiset.make orders members, must be
+balanced with no all-zero row, and must convert to exactly the stated
+permutations and kernel. Row k then is the tuple of kernel entries the
+permutations pick, so its relation is the one already proved and is not
+evaluated again. The verdicts are those of the member-by-member check:
+rows may come in any order, and two spellings of one polynomial are one
+value.
 
 Emission is canonical (sorted keys, fixed indentation, deterministic list
 orders), so serialize -> parse -> serialize is byte-stable.
@@ -50,7 +52,6 @@ import gc
 import io
 import itertools
 import json
-from collections import Counter
 from typing import Optional, Sequence
 
 from . import bounds, numfield, quadratic
@@ -59,9 +60,10 @@ from .core import (
     BalancedMultiset,
     CoeffTuple,
     PermutationCertificate,
+    _balanced,
+    _certificate_holds,
     _ranked_multiset,
     certificate_from_balanced,
-    verify_certificate,
 )
 from .errors import ParseError
 
@@ -74,7 +76,7 @@ _INT = frozenset((int,))
 
 # Items separated by NUL with no whitespace: JSON escapes NUL inside strings,
 # so every raw NUL in this encoder's output is a separator.
-_NUL_SEPARATED = json.JSONEncoder(separators=("\x00", ":"))
+_NUL_SEPARATED = json.JSONEncoder(separators=("\x00", ":"), allow_nan=False)
 
 
 def _indented(value, pad: str) -> str:
@@ -100,11 +102,12 @@ def _indented(value, pad: str) -> str:
         items = ",".join(f"\n{inner}{json.dumps(k)}: {_indented(value[k], inner)}"
                          for k in sorted(value))
         return f"{{{items}\n{pad}}}"
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad)
 
 
 def canonical_json(doc: dict) -> str:
-    """The bytes of json.dumps(doc, sort_keys=True, indent=2) plus a newline."""
+    """The bytes of json.dumps(doc, sort_keys=True, indent=2) plus a newline;
+    a NaN or infinite float, which JSON lacks, raises ValueError."""
     return _indented(doc, "") + "\n"
 
 
@@ -312,12 +315,12 @@ def _tuples_match(coeffs: tuple, values: list, columns: list[list[int]],
     balanced multiset of nonzero tuples whose canonical certificate is cert.
 
     Matching cert makes row k the tuple (v[p_1[k]], ..., v[p_n[k]]), whose
-    relation verify_certificate has proved, so none is evaluated here.
+    relation the kernel check has proved, so none is evaluated here.
     """
-    counters = [Counter(col) for col in columns]
-    if any(c != counters[0] for c in counters[1:]):
+    used = _balanced(columns)
+    if used is None:
         return False
-    b = _ranked_multiset(coeffs, values, columns, counters[0])
+    b = _ranked_multiset(coeffs, values, columns, used)
     zero = next((k for k, v in enumerate(b.values) if not v), None)
     if zero is not None and (zero,) * b.n in b.rows:
         return False
@@ -345,14 +348,12 @@ def _verify_multiset(doc: dict) -> bool:
     if perms is None or len(perms) != len(coeffs):
         return False
     kernel_idx = table.indices(doc["kernel_vector"])
-    if len(kernel_idx) != m:
-        return False
-    kernel = tuple(map(table.values.__getitem__, kernel_idx))
-    cert = PermutationCertificate(m=m, perms=tuple(perms), kernel=kernel)
-    if not verify_certificate(coeffs, cert):
+    if len(kernel_idx) != m or not _certificate_holds(coeffs, table.values, kernel_idx, perms):
         return False
     if "tuples" in doc:
         columns = table.index_columns(doc["tuples"], len(coeffs))
+        kernel = tuple(map(table.values.__getitem__, kernel_idx))
+        cert = PermutationCertificate(m=m, perms=tuple(perms), kernel=kernel)
         return columns is not None and _tuples_match(coeffs, table.values, columns, cert)
     return True
 

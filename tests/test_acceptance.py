@@ -25,7 +25,6 @@ from smyth.core import (
     certificate_from_balanced,
     check_criteria,
     enumerate_solutions,
-    is_balanced,
     verify_certificate,
 )
 from smyth.heuristic import GroupFamily, limit_scan, monte_carlo, p_n_closed_form, strictly_decreasing
@@ -45,6 +44,7 @@ from smyth.serialize import (
     parse_json,
     verify_doc,
 )
+from test_multiset_reference import is_balanced
 
 BUDGET = 1 << 24
 

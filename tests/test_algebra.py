@@ -230,6 +230,15 @@ class TestModularArithmetic:
         c = P(F2, "t^2+t+1")
         assert element_order(ModElement.make(P(F2, "t"), c)) == 3
 
+    def test_power_matches_repeated_products(self):
+        c = P(F5, "t^3+t+1")
+        u = ModElement.make(P(F5, "2*t^2+3"), c)
+        acc = ModElement.make(F5.one, c)
+        for e in range(40):
+            assert u ** e == acc
+            assert (u ** -e) * acc == ModElement.make(F5.one, c)
+            acc = acc * u
+
     def test_multiplicative_order_int(self):
         assert multiplicative_order_int(2, 7) == 3
         assert multiplicative_order_int(3, 7) == 6

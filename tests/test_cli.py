@@ -3,6 +3,7 @@ import concurrent.futures
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -226,6 +227,13 @@ class TestHeuristic:
         else:
             assert result.stderr == ""
 
+    def test_infinite_estimate_is_not_written_as_json(self, capsys):
+        # log p_N = -inf prints in text (above) but is not JSON
+        code, out, err = run(capsys, "heuristic", "--mode", "pn", "--q", "2", "--d", "1",
+                             "--n", "3", "--N", "1", "--log-group-size", "1e300")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("option", ["--log-group-size=nan", "--log-group-size=inf",
                                         "--log-group-size=-inf", "--growth=nan",
                                         "--growth=1,inf"])
@@ -330,6 +338,21 @@ class TestVerify:
         assert result.returncode == 1
         assert json.loads(result.stdout)["verified"] is False
         assert "Traceback" not in result.stderr
+
+    def test_dense_coefficient_times_dense_kernel_entry_exits_two(self):
+        # one dense coefficient and one dense kernel entry of degree 65,535
+        # over F_p, p = 2^61 - 1, need 2^32 digit products: past the budget
+        rng = random.Random(7)
+        q = 2**61 - 1
+        doc = json.loads((CORPUS / "fqt-m8-balanced.json").read_text(encoding="utf-8"))
+        doc["q"] = q
+        for entries in (doc["coeffs"], doc["kernel_vector"]):
+            entries[0] = "+".join(f"{rng.randrange(1, q)}*t^{j}" for j in range(65536))
+        start = time.perf_counter()
+        result = run_capped(["verify", "-"], stdin=json.dumps(doc))
+        assert time.perf_counter() - start < 1
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
     def test_huge_m_error_line_stays_short(self, capsys, tmp_path):
         doc = json.loads((CORPUS / "numfield-d3.json").read_text(encoding="utf-8"))

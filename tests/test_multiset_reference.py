@@ -10,18 +10,29 @@ so it does not follow later changes to `smyth.core`.
 Each single-edit class is applied to every F_q[t] and integer document of
 the stored corpus, valid and tampered, and the reference and `verify_doc`
 must reach the same outcome: the same boolean, or the same exception class.
+
+`relation_holds` and `is_balanced` are the member-by-member checks that
+`BalancedMultiset.make` ran before it checked value indices with
+`smyth.core._row_relations` and `smyth.core._balanced`. `_ref_make` builds
+on them, and a property test holds `make` to it over Z, F_q[t], `QuadInt`
+and `CycInt`: the same multiset, or the same exception class, and a
+`RelationViolationError` names the same member.
 """
 import functools
+import itertools
 import json
 import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smyth.algebra import FieldParams, parse_poly
-from smyth.core import CoeffTuple, PermutationCertificate, relation_holds, sort_key_of
-from smyth.errors import ParseError
+from smyth.core import BalancedMultiset, CoeffTuple, PermutationCertificate, sort_key_of
+from smyth.errors import ParseError, RelationViolationError
+from smyth.quadratic import CycInt, QuadField, cyclotomic_poly
 from smyth.serialize import verify_doc
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
@@ -50,13 +61,27 @@ def _ref_zero_based(perms, m):
     return out
 
 
-def _ref_is_balanced(coeffs, members):
+def relation_holds(coeffs, member):
+    """Whether sum(c_i * x_i) is zero, over any exact ring."""
+    s = 0
+    for c, x in zip(coeffs, member):
+        s = s + c * x
+    return not s
+
+
+def is_balanced(coeffs, members):
+    """True iff every coordinate carries the same value multiset.
+
+    Every member must satisfy the linear relation; a violator raises
+    RelationViolationError naming it.
+    """
     n = len(coeffs)
     for m in members:
         if len(m) != n:
-            raise ValueError(f"member {m} has arity {len(m)}, expected {n}")
+            raise RelationViolationError(f"member {m} has arity {len(m)}, expected {n}", member=m)
         if not relation_holds(coeffs, m):
-            raise ValueError("member violates the linear relation")
+            raise RelationViolationError(
+                f"member {tuple(str(v) for v in m)} violates the linear relation", member=m)
     counters = [Counter(m[i] for m in members) for i in range(n)]
     return all(c == counters[0] for c in counters[1:])
 
@@ -72,7 +97,7 @@ def _ref_make(coeffs, members):
     for m in ordered:
         if not any(bool(v) for v in m):
             raise ValueError("balanced multiset must not contain the zero tuple")
-    if not _ref_is_balanced(coeffs, ordered):
+    if not is_balanced(coeffs, ordered):
         raise ValueError("coordinate value multisets differ: not balanced")
     return tuple(ordered)
 
@@ -229,3 +254,100 @@ def test_reference_and_verifier_agree_on_every_edit(name):
         assert outcome(verify_doc, bad) == want, label
         verdicts[want] += 1
     assert verdicts[False] > 0
+
+
+# ---------------------------------------------------------------------------
+# BalancedMultiset.make against _ref_make
+
+
+def _fqt_ring(q):
+    field = FieldParams(q)
+    digit = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    # adding q to every digit spells the same polynomial
+    return (st.lists(digit, max_size=3).map(field.poly),
+            lambda v: field.poly([c + q for c in v.coeffs]))
+
+
+def _quad_ring(m):
+    K = QuadField(m)
+    small = st.integers(-3, 3)
+    # an equal field object that is not the same one
+    return (st.tuples(small, small).map(lambda xy: K.element(*xy)),
+            lambda v: QuadField(m).element(v.x, v.y))
+
+
+def _cyc_ring(order):
+    phi = cyclotomic_poly(order)
+    coeffs = st.lists(st.integers(-2, 2), max_size=len(phi) - 1)
+    # adding the cyclotomic polynomial spells the same element
+    return (coeffs.map(lambda cs: CycInt.make(order, cs)),
+            lambda v: CycInt.make(order, [a + b for a, b in
+                                          itertools.zip_longest(v.coeffs, phi, fillvalue=0)]))
+
+
+RINGS = {
+    "int": (st.integers(-4, 4), lambda v: int(str(v))),
+    "fqt2": _fqt_ring(2),
+    "fqt3": _fqt_ring(3),
+    "fqt5": _fqt_ring(5),
+    "fqtP": _fqt_ring(2**61 - 1),
+    "quad-7": _quad_ring(-7),
+    "quad5": _quad_ring(5),
+    "cyc3": _cyc_ring(3),
+    "cyc4": _cyc_ring(4),
+}
+
+
+@st.composite
+def make_inputs(draw):
+    """Coefficients k * (1, 1, -2) or k * (1, 1, -1, -1) and members built
+    from solutions (x, x, ...) and (x + d, x - d, x, ...), some of them then
+    broken: a violator, a wrong arity, the zero tuple, an unmatched
+    (x + d, x - d, ...) that leaves the set unbalanced, or a member spelled
+    a second way."""
+    elements, respell = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    k = draw(elements.filter(bool))
+    tail = draw(st.sampled_from([(-2,), (-1, -1)]))
+    coeffs = tuple(k * c for c in (1, 1) + tail)
+    rest = len(tail)
+    members = []
+    kinds = ["diag", "pair", "pair", "pair", "half", "violator", "arity", "zero", "respell"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=5)):
+        x, d = draw(elements.filter(bool)), draw(elements)
+        solution = (x + d, x - d) + (x,) * rest
+        if kind == "diag":
+            members.append((x,) * (2 + rest))
+        elif kind == "pair":
+            members += [solution, (x - d, x + d) + (x,) * rest]
+        elif kind == "half":
+            members.append(solution)
+        elif kind == "violator":
+            i = draw(st.integers(0, 1 + rest))
+            members.append(solution[:i] + (solution[i] + draw(elements),) + solution[i + 1:])
+        elif kind == "arity":
+            members.append(solution[:-1] if draw(st.booleans()) else solution + (x,))
+        elif kind == "zero":
+            members.append((x - x,) * (2 + rest))
+        elif members:
+            members.append(tuple(map(respell, draw(st.sampled_from(members)))))
+    return coeffs, draw(st.permutations(members))
+
+
+def _make_outcome(make, coeffs, members):
+    try:
+        return make(coeffs, members)
+    except RelationViolationError as err:
+        return RelationViolationError, err.member
+    except ValueError as err:
+        return type(err)
+
+
+@given(make_inputs())
+@settings(max_examples=300, deadline=None)
+def test_make_agrees_with_reference_make(inputs):
+    coeffs, members = inputs
+    got = _make_outcome(BalancedMultiset.make, coeffs, members)
+    want = _make_outcome(_ref_make, coeffs, members)
+    if isinstance(got, BalancedMultiset):
+        got = got.members
+    assert got == want

@@ -50,7 +50,14 @@ class TestCanonicalJson:
     @given(st.dictionaries(st.text() | _TRICKY, _JSON, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_same_bytes_as_pure_python_encoder(self, doc):
-        assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        # NaN and infinities are not JSON: both refuse them
+        try:
+            want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            with pytest.raises(ValueError):
+                canonical_json(doc)
+        else:
+            assert canonical_json(doc) == want
 
     def test_edge_layouts(self):
         for doc in ({}, {"a": []}, {"a": [[]]}, {"a": [1]}, {"a": [[1]]}, {"a": [["]\x00["]]},
@@ -205,6 +212,16 @@ class TestIndexedMultisets:
         start = time.perf_counter()
         assert verify_doc(doc) is False
         assert time.perf_counter() - start < 10
+
+    def test_only_kernel_entries_count_against_the_product_budget(self):
+        # 3f = 0 over F_3 for every f: a dense coefficient of degree 65,535
+        # is multiplied by the kernel entry 1 only, not by itself
+        rng = random.Random(6)
+        f = "+".join(f"{rng.randrange(1, 3)}*t^{j}" for j in range(65536))
+        doc = {"kind": "certificate", "ring": "fqt", "q": 3, "n": 3, "coeffs": [f] * 3,
+               "m": 1, "permutations": [[1]] * 3, "kernel_vector": ["1"],
+               "tuples": [["1"] * 3]}
+        assert verify_doc(doc) is True
 
     def test_reordered_and_respelled_tuples_still_verify(self):
         doc = parse_json(canonical_json(fqt_doc(N=2)))
