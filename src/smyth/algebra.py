@@ -16,7 +16,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, NonUnitError, ParseError
 
@@ -291,42 +291,51 @@ def format_poly(p: Poly) -> str:
     return "+".join(parts)
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*?)?(t(?:\^(\d+))?)?$")
+# one signed term, ending where the next sign or the text begins; a term
+# may close with one newline, as a "$" at the end of its text would allow
+_TERM_RE = re.compile(r"([+-]?)(?:(\d+)\*?)?(t(?:\^(\d+))?)?\n?(?=[+-]|\Z)")
+_TOKEN_RE = re.compile(r"[+-]?[^+-]*")
+# a sign followed by another sign or by the end of the text
+_LONE_SIGN_RE = re.compile(r"[+-](?![^+-])")
 
 
 def parse_poly(field: FieldParams, text: str) -> Poly:
-    """Parse polynomial text in any term order, e.g. '1+t+1*t^2'."""
+    """Parse polynomial text in any term order, e.g. '1+t+1*t^2'.
+
+    The terms are read in one pass, and their matches must tile the text.
+    A text that does not parse is refused as malformed when it holds a lone
+    sign, before any of its terms is named.
+    """
     if not isinstance(text, str):
         raise ParseError(f"polynomial text must be a string, not {type(text).__name__}")
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty polynomial text")
-    tokens = re.findall(r"[+-]?[^+-]+", s)
-    if "".join(tokens) != s:
-        raise ParseError(f"malformed polynomial text: {text!r}")
     coeffs: dict[int, int] = {}
-    for tok in tokens:
-        sign = 1
-        body = tok
-        if body[0] in "+-":
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
-        m = _TERM_RE.match(body)
-        if not m or not body:
-            raise ParseError(f"bad term {tok!r} in {text!r}")
-        cstr, tpart, estr = m.group(1), m.group(2), m.group(3)
-        if cstr is None and tpart is None:
-            raise ParseError(f"bad term {tok!r} in {text!r}")
-        c = int(cstr) if cstr is not None else 1
-        k = 0 if tpart is None else (int(estr) if estr is not None else 1)
-        if k > MAX_PARSE_DEGREE:
-            raise ParseError(f"degree {k} in {text!r} exceeds the cap {MAX_PARSE_DEGREE}")
-        coeffs[k] = (coeffs.get(k, 0) + sign * c) % field.q
+    pos = 0
+    try:
+        # the loop stops at the last term, before the empty match at the end
+        for m in _TERM_RE.finditer(s):
+            sign, cstr, tpart, estr = m.groups()
+            if m.start() != pos or (cstr is None and tpart is None):
+                raise ParseError(f"bad term {_TOKEN_RE.match(s, pos).group()!r} in {text!r}")
+            c = int(cstr) if cstr is not None else 1
+            k = 0 if tpart is None else (int(estr) if estr is not None else 1)
+            if k > MAX_PARSE_DEGREE:
+                raise ParseError(f"degree {k} in {text!r} exceeds the cap {MAX_PARSE_DEGREE}")
+            coeffs[k] = coeffs.get(k, 0) + (-c if sign == "-" else c)
+            pos = m.end()
+            if pos == len(s):
+                break
+    except ValueError:  # a bad term, a degree past the cap or an int of too many digits
+        if _LONE_SIGN_RE.search(s):
+            raise ParseError(f"malformed polynomial text: {text!r}") from None
+        raise
     if not coeffs:
         return field.zero
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
-        out[k] = c
+        out[k] = c % field.q
     return Poly(field, _trim(out))
 
 
@@ -555,8 +564,9 @@ def _exact_div(a, b):
     return quot
 
 
-def kernel_basis(matrix: Sequence[Sequence]) -> list[list]:
-    """A basis of the right kernel of a matrix over Z, F_q[t] or a quadratic ring.
+def kernel_basis(matrix: Sequence[Sequence], q: Optional[int] = None) -> list[list]:
+    """A basis of the right kernel of a matrix over Z, F_q[t], a quadratic
+    ring or, given a prime modulus q, F_q on int entries.
 
     Fraction-free throughout: Bareiss elimination (Math. Comp. 1968) brings
     the rows to echelon form, each entry then a minor of the input, and back
@@ -566,6 +576,9 @@ def kernel_basis(matrix: Sequence[Sequence]) -> list[list]:
     columns after f; its entry at f is the leading minor on the pivots
     before f, so f is its last nonzero entry. Returns [] when the columns
     are independent. Entries share one ring, with ints mixing in freely.
+
+    With q, entries are reduced mod q and each pivot row is scaled to 1, so
+    the divisions become reductions mod q and each vector is 1 at its f.
     """
     rows = [list(row) for row in matrix]
     if not rows or not rows[0]:
@@ -573,10 +586,14 @@ def kernel_basis(matrix: Sequence[Sequence]) -> list[list]:
     ncols = len(rows[0])
     if any(len(row) != ncols for row in rows):
         raise ValueError("matrix rows must have equal length")
-    sample = next((e for row in rows for e in row if not isinstance(e, int)), 0)
-    zero = sample * 0
+    if q is None:
+        sample = next((e for row in rows for e in row if not isinstance(e, int)), 0)
+        zero = sample * 0
+        rows = [[zero + e for e in row] for row in rows]
+    else:
+        zero = 0
+        rows = [[e % q for e in row] for row in rows]
     one = zero + 1
-    rows = [[zero + e for e in row] for row in rows]
     pivots: list[int] = []
     prev = one
     for c in range(ncols):
@@ -587,11 +604,20 @@ def kernel_basis(matrix: Sequence[Sequence]) -> list[list]:
         rows[r], rows[found] = rows[found], rows[r]
         top = rows[r]
         p = top[c]
+        if q is not None and p != 1:
+            inv = pow(p, -1, q)
+            top = rows[r] = [e * inv % q for e in top]
+            p = 1
         for row in rows[r + 1:]:
             f = row[c]
-            for j in range(c + 1, ncols):
-                num = row[j] * p - f * top[j]
-                row[j] = _exact_div(num, prev) if r else num
+            if not f and p == prev:
+                continue  # the update would leave the row as it is
+            if q is not None:
+                row[c + 1:] = [(u - f * v) % q for u, v in zip(row[c + 1:], top[c + 1:])]
+            else:
+                for j in range(c + 1, ncols):
+                    num = row[j] * p - f * top[j]
+                    row[j] = _exact_div(num, prev) if r else num
             row[c] = zero
         pivots.append(c)
         prev = p
@@ -606,7 +632,7 @@ def kernel_basis(matrix: Sequence[Sequence]) -> list[list]:
             s = zero
             for c in pivots[k + 1:t] + [free]:
                 s = s + rows[k][c] * v[c]
-            v[pivots[k]] = _exact_div(-s, rows[k][pivots[k]])
+            v[pivots[k]] = -s % q if q is not None else _exact_div(-s, rows[k][pivots[k]])
         basis.append(v)
     return basis
 

@@ -21,7 +21,7 @@ Conventions used throughout:
   sum_i a_i * v[p_i[k]] = 0 for every row k, with p_n the identity.
 * T_N is the kernel of the F_q-linear map V_N^n -> V_{N+d},
   (x_i) -> sum(a_i x_i), with d the height. Enumeration takes a kernel
-  basis by Gauss-Jordan over F_q and works on packed rows: a row is one
+  basis by kernel_basis over F_q and works on packed rows: a row is one
   int of nN digits, w bits each (w = 1 for q = 2, else bit_length(q) + 1),
   and coefficient k of x_i is digit (n - i) * N + k (1-based i), so x_1
   holds the most significant digits and integer order is the lexicographic
@@ -190,30 +190,11 @@ def _shifted(p: Poly, k: int) -> Poly:
     return Poly(p.field, (0,) * k + p.coeffs)
 
 
-def _echelon(columns: Sequence[Poly], length: int, q: int) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan over F_q on the matrix whose columns are the coefficient
-    vectors (length entries each) of the given polynomials.
-
-    Returns the nonzero rows of the reduced echelon form and their pivot
-    columns.
-    """
-    rows = [[c.coeffs[r] if r < len(c.coeffs) else 0 for c in columns]
-            for r in range(length)]
-    pivots: list[int] = []
-    for col in range(len(columns)):
-        top = len(pivots)
-        found = next((i for i in range(top, length) if rows[i][col]), None)
-        if found is None:
-            continue
-        rows[top], rows[found] = rows[found], rows[top]
-        inv = pow(rows[top][col], -1, q)
-        pivot_row = rows[top] = [v * inv % q for v in rows[top]]
-        for i in range(length):
-            f = rows[i][col]
-            if f and i != top:
-                rows[i] = [(u - f * v) % q for u, v in zip(rows[i], pivot_row)]
-        pivots.append(col)
-    return rows[:len(pivots)], pivots
+def _column_kernel(columns: Sequence[Poly], length: int, q: int) -> list[list[int]]:
+    """kernel_basis over F_q of the matrix whose columns are the coefficient
+    vectors (length entries each) of the given polynomials."""
+    return kernel_basis([[c.coeffs[r] if r < len(c.coeffs) else 0 for c in columns]
+                         for r in range(length)], q)
 
 
 def _kernel_indices(a: CoeffTuple, N: int, budget: int) -> tuple[list[Poly], list[list[int]]]:
@@ -236,16 +217,10 @@ def _kernel_indices(a: CoeffTuple, N: int, budget: int) -> tuple[list[Poly], lis
     width = n * N
     w = _digit_width(q)
     columns = [_shifted(a.coeffs[n - 1 - p // N], p % N) for p in range(width)]
-    reduced, pivots = _echelon(columns, N + a.height, q)
-    add = _digit_adder(q, width)
-    generators = []
-    for free in sorted(set(range(width)) - set(pivots)):
-        vec = [0] * width
-        vec[free] = 1
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[free] % q
-        generators.append([_pack([c * v % q for v in vec], w) for c in range(1, q)])
-    rows = _combinations(add, generators)
+    # each basis vector is 1 at its free column and 0 at the others
+    generators = [[_pack([c * x % q for x in v], w) for c in range(1, q)]
+                  for v in _column_kernel(columns, N + a.height, q)]
+    rows = _combinations(_digit_adder(q, width), generators)
     rows.sort()
     vn = vn_elements(field, N)
     index_of = {_pack(x.coeffs, w): k for k, x in enumerate(vn)}
@@ -297,10 +272,12 @@ def fiber_count(a: CoeffTuple, N: int, j: int, x: Poly, budget: int = DEFAULT_BU
         )
     columns = [_shifted(a.coeffs[i], k) for i in range(n) if i != j - 1 for k in range(N)]
     columns.append(a.coeffs[j - 1] * x)
-    _, pivots = _echelon(columns, N + a.height, q)
-    if pivots and pivots[-1] == len(columns) - 1:
+    # the last column is free exactly when the last basis vector, whose
+    # last nonzero entry sits at its free column, is nonzero there
+    basis = _column_kernel(columns, N + a.height, q)
+    if not basis or not basis[-1][-1]:
         return 0
-    return q ** (len(columns) - len(pivots) - 1)
+    return q ** (len(basis) - 1)
 
 
 def sort_key_of(value):
@@ -474,18 +451,6 @@ def _validate_perms(perms: Sequence[Sequence[int]], m: int):
             raise ValueError(f"malformed permutation at position {i + 1}: {tuple(p)}")
 
 
-def combination_matrix(a: CoeffTuple, perms: Sequence[Sequence[int]]) -> list[list[Poly]]:
-    """The matrix sum_i a_i X_i, with X_i the permutation matrix of perms[i]."""
-    m = len(perms[0])
-    zero = a.field.zero
-    rows = [[zero] * m for _ in range(m)]
-    for i, p in enumerate(perms):
-        c = a.coeffs[i]
-        for k in range(m):
-            rows[k][p[k]] = rows[k][p[k]] + c
-    return rows
-
-
 def verify_certificate(a, cert: PermutationCertificate) -> bool:
     """Recheck a certificate from scratch.
 
@@ -494,20 +459,27 @@ def verify_certificate(a, cert: PermutationCertificate) -> bool:
     vector that satisfies them is itself the proof that sum(a_i X_i) is
     singular, so no determinant is computed.
     """
-    coeffs = a.coeffs if isinstance(a, CoeffTuple) else tuple(a)
-    if len(cert.perms) != len(coeffs):
-        raise ValueError(f"certificate has {len(cert.perms)} permutations, "
-                         f"tuple has arity {len(coeffs)}")
-    m = cert.m
-    if len(cert.kernel) != m:
-        raise ValueError("kernel vector length differs from certificate dimension")
-    _validate_perms(cert.perms, m)
+    coeffs = _certificate_coeffs(a, cert)
     # one value index per distinct kernel object, found without hashing
     # entries: a certificate's kernel repeats the object of each value
     ids = list(map(id, cert.kernel))
     index = dict(zip(dict.fromkeys(ids), itertools.count()))
     values = list(map(dict(zip(ids, cert.kernel)).__getitem__, index))
     return _certificate_holds(coeffs, values, list(map(index.__getitem__, ids)), cert.perms)
+
+
+def _certificate_coeffs(a, cert: PermutationCertificate) -> tuple:
+    """The coefficients of a, a CoeffTuple or a plain tuple, once cert is
+    found to hold one permutation of range(cert.m) per coefficient and a
+    kernel vector of length cert.m; ValueError otherwise."""
+    coeffs = a.coeffs if isinstance(a, CoeffTuple) else tuple(a)
+    if len(cert.perms) != len(coeffs):
+        raise ValueError(f"certificate has {len(cert.perms)} permutations, "
+                         f"tuple has arity {len(coeffs)}")
+    if len(cert.kernel) != cert.m:
+        raise ValueError("kernel vector length differs from certificate dimension")
+    _validate_perms(cert.perms, cert.m)
+    return coeffs
 
 
 def _certificate_holds(coeffs: Sequence, values: Sequence, kernel_idx: Sequence[int],
@@ -518,7 +490,8 @@ def _certificate_holds(coeffs: Sequence, values: Sequence, kernel_idx: Sequence[
     perms must already be permutations of range(len(kernel_idx)), one per
     coefficient.
     """
-    if perms[-1] != tuple(range(len(kernel_idx))) or not any(map(values.__getitem__, kernel_idx)):
+    if (tuple(perms[-1]) != tuple(range(len(kernel_idx)))
+            or not any(map(values.__getitem__, kernel_idx))):
         return False
     columns = [list(map(kernel_idx.__getitem__, p)) for p in perms[:-1]] + [kernel_idx]
     return not any(_row_relations(coeffs, values, columns))
@@ -580,30 +553,26 @@ def _row_relations(coeffs: Sequence, values: Sequence, columns: Sequence[Sequenc
     return [s % q or (s // q) & high for s in sums]
 
 
-def balanced_from_certificate(a: CoeffTuple, perms: Sequence[Sequence[int]]) -> BalancedMultiset:
-    """Rebuild a balanced multiset from permutations alone.
+def balanced_from_certificate(a, cert: PermutationCertificate) -> BalancedMultiset:
+    """The balanced multiset of the nonzero rows X_i v of a certificate.
 
-    Takes the first kernel vector of sum(a_i X_i) from fraction-free
-    elimination, divides out the gcd of its entries and makes its last
-    nonzero entry monic, reads off rows v_i = X_i v, and drops all-zero
-    rows. Raises NoRelationError when the matrix is nonsingular.
+    a is a CoeffTuple or a plain coefficient tuple over any exact ring. The
+    certificate is checked as verify_certificate checks it, on its kernel
+    vector v indexed by value, and NoRelationError is raised when v is no
+    nonzero kernel vector of sum(a_i X_i). Each coordinate of the rows is a
+    permutation of v, so once the all-zero rows are dropped the rows are
+    balanced. The certificate of a balanced multiset rebuilds that multiset.
     """
-    if len(perms) != a.n:
-        raise ValueError(f"got {len(perms)} permutations for arity {a.n}")
-    m = len(perms[0])
-    _validate_perms(perms, m)
-    basis = kernel_basis(combination_matrix(a, perms))
-    if not basis:
-        raise NoRelationError(
-            "sum(a_i X_i) is nonsingular: these permutations witness no relation"
-        )
-    v = basis[0]
-    g = many_gcd([w for w in v if w])
-    unit = pow(next(w for w in reversed(v) if w).lc, -1, a.field.q)
-    cleared = [w // g * unit for w in v]
-    members = []
-    for k in range(m):
-        row = tuple(cleared[p[k]] for p in perms)
-        if any(bool(x) for x in row):
-            members.append(row)
-    return BalancedMultiset.make(a.coeffs, members)
+    coeffs = _certificate_coeffs(a, cert)
+    index: dict = {}
+    kernel_idx = [index.setdefault(v, len(index)) for v in cert.kernel]
+    values = list(index)
+    if not _certificate_holds(coeffs, values, kernel_idx, cert.perms):
+        raise NoRelationError("the kernel vector does not witness a relation of "
+                              "sum(a_i X_i) for these permutations")
+    columns = [list(map(kernel_idx.__getitem__, p)) for p in cert.perms[:-1]] + [kernel_idx]
+    zero = next((k for k, v in enumerate(values) if not v), None)
+    if zero is not None:
+        keep = [k for k, row in enumerate(zip(*columns)) if row.count(zero) < len(row)]
+        columns = [list(map(col.__getitem__, keep)) for col in columns]
+    return _ranked_multiset(coeffs, values, columns, set(columns[-1]))

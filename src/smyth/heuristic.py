@@ -23,6 +23,7 @@ import contextlib
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -273,6 +274,11 @@ def limit_scan(q: int, d: int, n: int, growth: Sequence[float],
         log_group = math.inf
         if N * (q.bit_length() - 1) <= 1024:  # else q**N alone is past the float range
             with contextlib.suppress(OverflowError):
+                # the float below divides by n - 1: a float whose quotient must not underflow
+                if (n - 1 > sys.float_info.max
+                        or (N + d) * q ** N / (n - 1) * math.log(q) < sys.float_info.min):
+                    raise ValueError(f"n of {len(str(n))} digits is too large for the "
+                                     f"float log|G| at N = {N}")
                 log_group = math.log(c) + (N + d) * (q ** N) * math.log(q) / (n - 1)
         if not math.isfinite(log_group):
             raise ValueError(f"log|G| at N = {N} is past the float range")

@@ -14,8 +14,8 @@ The pipeline for tuples (1, ..., 1, -alpha):
 builds a nonnegative integer matrix with row sums n-1 and exact eigenvalue
 alpha, rebalances it to equal column sums, and splits it into n-1
 permutation matrices. The nonzero eigenvector v with (sum P_i) v = alpha*v
-that travels with the split proves det(sum P_i - alpha*I) = 0;
-verify_numfield_certificate decides the same claim without a witness.
+that travels with the split proves det(sum P_i - alpha*I) = 0, and
+verify_numfield_certificate checks exactly that witness.
 
 The rounding matrix has at most two nonzero entries per row. The pipeline
 passes it to the bridge as sparse rows and searches on the points' integer
@@ -38,6 +38,7 @@ from .core import (
     BalancedMultiset,
     _balanced,
     _ranked_multiset,
+    _validate_perms,
     certificate_from_balanced,
     verify_certificate,
 )
@@ -993,41 +994,31 @@ def birkhoff_decompose(D: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 # certificate verification
 
 
-def verify_numfield_certificate(alpha: Entry, n: int,
-                                perms: Sequence[Sequence[int]]) -> bool:
-    """Check det(S - alpha*I) = 0 exactly, S the sum of the permutation matrices.
+def verify_numfield_certificate(alpha: Entry, n: int, matrix: Sequence[Sequence[int]],
+                                perms: Sequence[Sequence[int]],
+                                eigenvector: Sequence[QuadInt]) -> bool:
+    """Whether the n - 1 permutations sum to matrix and eigenvector is a
+    nonzero vector with matrix . eigenvector = alpha * eigenvector.
 
-    Needs no witness: the integer matrix below is singular exactly when
-    kernel_basis finds a kernel vector. For rational alpha the
-    matrix is S - alpha*I itself. Otherwise it is f(S) with f(x) = x^2 -
-    tr(alpha)*x + N(alpha) the minimal polynomial of alpha: det f(S) is
-    Norm(det(S - alpha*I)), which vanishes exactly when det(S - alpha*I)
-    does. S^2 is accumulated as the sum of the products P_i P_j.
+    Such a vector proves det(sum P_i - alpha*I) = 0. Malformed permutations,
+    or too few or too many of them, raise ValueError.
     """
-    perms = [tuple(p) for p in perms]
-    if len(perms) != n - 1:
-        raise ValueError(f"expected {n - 1} permutations, got {len(perms)}")
-    if not perms or not perms[0]:
-        raise ValueError("need at least one nonempty permutation")
-    size = len(perms[0])
-    for p in perms:
-        if len(p) != size or sorted(p) != list(range(size)):
-            raise ValueError("malformed permutation")
-    if isinstance(alpha, QuadInt) and not alpha.is_rational:
-        mat = [[0] * size for _ in range(size)]
-        trace = alpha.trace()
-        for p in perms:
-            for k, image in enumerate(p):
-                mat[k][image] -= trace
-                for q in perms:
-                    mat[k][q[image]] += 1
-        diagonal = alpha.norm()
-    else:
-        mat = [list(row) for row in permutation_sum(perms, size)]
-        diagonal = -alpha.x if isinstance(alpha, QuadInt) else -alpha
-    for k in range(size):
-        mat[k][k] += diagonal
-    return bool(kernel_basis(mat))
+    size = len(matrix)
+    if len(perms) != n - 1 or not perms or not size:
+        raise ValueError(f"expected n - 1 = {n - 1} >= 1 permutations of a nonempty "
+                         f"matrix, got {len(perms)}")
+    _validate_perms(perms, size)
+    return (permutation_sum(perms, size) == tuple(map(tuple, matrix))
+            and _eigenvector_holds(matrix, eigenvector, alpha))
+
+
+def _eigenvector_holds(matrix: Sequence[Sequence[int]], vec: Sequence[QuadInt],
+                       alpha: Entry) -> bool:
+    """Whether vec is a nonzero vector of the matrix's dimension with
+    matrix . vec = alpha * vec; an int alpha is taken in vec's field."""
+    if len(vec) != len(matrix) or not any(vec):
+        return False
+    return matrix_fixes(matrix, vec, _as_quadint(vec[0].field, alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -405,13 +405,12 @@ def _verify_numfield(doc: dict) -> bool:
     perms = _zero_based(doc["permutations"], dim)
     if not perms or len(perms) != n - 1:
         return False
+    # the split is checked before the eigenvector is parsed
     if numfield.permutation_sum(perms, dim) != matrix:
         return False
     table = _EntryTable(functools.partial(quadratic.parse_quadint, K), str)
     vec = list(map(table.values.__getitem__, table.indices(doc["eigenvector"])))
-    if len(vec) != dim or not any(bool(v) for v in vec):
-        return False
-    return numfield.matrix_fixes(matrix, vec, alpha)
+    return numfield._eigenvector_holds(matrix, vec, alpha)
 
 
 def verify_doc(doc: dict) -> bool:

@@ -45,6 +45,7 @@ from smyth.serialize import (
     verify_doc,
 )
 from test_multiset_reference import is_balanced
+from test_numfield import quadint_det_verdict
 
 BUDGET = 1 << 24
 
@@ -222,7 +223,9 @@ def test_criterion_08_number_field_pipeline():
     start = time.time()
     K = QuadField(-7)
     cert = numfield_pipeline(K, K.omega, n=3)
-    assert verify_numfield_certificate(cert.alpha, cert.n, cert.perms)
+    assert verify_numfield_certificate(cert.alpha, cert.n, cert.matrix, cert.perms,
+                                       cert.eigenvector)
+    assert quadint_det_verdict(cert.alpha, cert.perms)
     elapsed = time.time() - start
     assert elapsed < 30
     M15 = QuadField(-15)

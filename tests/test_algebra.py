@@ -36,10 +36,10 @@ from smyth.algebra import (
 from smyth.core import (
     BalancedMultiset,
     CoeffTuple,
+    PermutationCertificate,
     balanced_from_certificate,
     balanced_multiset,
     certificate_from_balanced,
-    combination_matrix,
 )
 from smyth.errors import BudgetExceededError, NonUnitError, NoRelationError, ParseError
 from smyth.quadratic import QuadField
@@ -314,9 +314,39 @@ def gauss_jordan_kernel(matrix, one):
     return basis
 
 
+def combination_matrix(a, perms):
+    """The matrix sum_i a_i X_i, with X_i the permutation matrix of perms[i]."""
+    m = len(perms[0])
+    rows = [[a.field.zero] * m for _ in range(m)]
+    for c, p in zip(a.coeffs, perms):
+        for k in range(m):
+            rows[k][p[k]] = rows[k][p[k]] + c
+    return rows
+
+
+def members_of(a, perms, v):
+    """The balanced multiset of the nonzero rows X_i v."""
+    members = [tuple(v[p[k]] for p in perms) for k in range(len(v))]
+    return BalancedMultiset.make(a.coeffs, [m for m in members if any(m)])
+
+
+def bareiss_balanced_from_certificate(a, perms):
+    """Reference for balanced_from_certificate without a witness: the first
+    kernel vector of sum(a_i X_i) by kernel_basis over F_q[t], the gcd of
+    its entries divided out and its last nonzero entry made monic."""
+    basis = kernel_basis(combination_matrix(a, perms))
+    if not basis:
+        raise NoRelationError("nonsingular")
+    v = basis[0]
+    g = many_gcd([w for w in v if w])
+    unit = pow(next(w for w in reversed(v) if w).lc, -1, a.field.q)
+    return members_of(a, perms, [w // g * unit for w in v])
+
+
 def reference_balanced_from_certificate(a, perms):
     """The F_q(t) route: first kernel vector over RatFunc, denominators
-    cleared by their lcm, then the gcd of the numerators divided out."""
+    cleared by their lcm, then the gcd of the numerators divided out.
+    Returns that vector and the multiset of the nonzero rows X_i v."""
     matrix = [[RatFunc.of(e) for e in row] for row in combination_matrix(a, perms)]
     basis = gauss_jordan_kernel(matrix, RatFunc.of(a.field.one))
     if not basis:
@@ -328,8 +358,7 @@ def reference_balanced_from_certificate(a, perms):
     cleared = [e.num * (common // e.den) for e in kv]
     g = many_gcd([w for w in cleared if w])
     cleared = [w // g for w in cleared]
-    members = [tuple(cleared[p[k]] for p in perms) for k in range(len(cleared))]
-    return BalancedMultiset.make(a.coeffs, [m for m in members if any(m)])
+    return tuple(cleared), members_of(a, perms, cleared)
 
 
 def annihilates(matrix, v):
@@ -440,6 +469,17 @@ class TestKernelBasis:
             assert all(RatFunc.of(x) == RatFunc.of(v[free]) * y for x, y in zip(v, r))
             assert annihilates(matrix, v)
 
+    @given(st.sampled_from([F2, F3, F5]), int_low_rank())
+    @settings(max_examples=100, deadline=None)
+    def test_mod_q_matches_gauss_jordan(self, field, matrix):
+        # F_q as the constants of F_q(t); the vector for a free column is 1
+        # there and 0 at the other free columns, as in the reduced form
+        basis = kernel_basis(matrix, field.q)
+        ref = gauss_jordan_kernel([[RatFunc.of(field.constant(e)) for e in row]
+                                   for row in matrix], RatFunc.of(field.one))
+        assert all(0 <= x < field.q for v in basis for x in v)
+        assert [[RatFunc.of(field.constant(x)) for x in v] for v in basis] == ref
+
     def test_zero_one_by_one_poly_matrix(self):
         assert kernel_basis([[F2.zero]]) == [[F2.one]]
         assert isinstance(kernel_basis([[F2.zero]])[0][0], Poly)
@@ -472,9 +512,9 @@ class TestKernelBasis:
             _exact_div(F2.t, F2.t + 1)
 
 
-def canonical_perms(field, text, N):
+def canonical_cert(field, text, N):
     a = CoeffTuple.make(field, [parse_poly(field, s) for s in text.split(";")])
-    return a, certificate_from_balanced(a.coeffs, balanced_multiset(a, N)).perms
+    return a, certificate_from_balanced(a.coeffs, balanced_multiset(a, N))
 
 
 def swapped(perms, i, j, k):
@@ -484,14 +524,22 @@ def swapped(perms, i, j, k):
     return perms[:i] + (tuple(p),) + perms[i + 1:]
 
 
-def assert_matches_ratfunc_route(a, perms):
+def assert_matches_ratfunc_route(a, perms, stale):
+    """The RatFunc route's kernel vector rebuilds its multiset, as does the
+    Bareiss route; with no relation, the stale kernel of the permutations
+    before a swap is refused."""
+    cert = PermutationCertificate(m=len(perms[0]), perms=perms, kernel=stale)
     try:
-        expected = reference_balanced_from_certificate(a, perms)
+        kernel, expected = reference_balanced_from_certificate(a, perms)
     except NoRelationError:
         with pytest.raises(NoRelationError):
-            balanced_from_certificate(a, perms)
+            bareiss_balanced_from_certificate(a, perms)
+        with pytest.raises(NoRelationError):
+            balanced_from_certificate(a, cert)
         return
-    assert balanced_from_certificate(a, perms) == expected
+    assert bareiss_balanced_from_certificate(a, perms) == expected
+    assert balanced_from_certificate(a, PermutationCertificate(
+        m=cert.m, perms=perms, kernel=kernel)) == expected
 
 
 class TestBalancedFromCertificate:
@@ -501,19 +549,21 @@ class TestBalancedFromCertificate:
         (F2, "1;t;t+1", 2), (F2, "1;t;t;t+1", 1), (F3, "2;t;2*t+1", 1), (F3, "1;t;2*t+2", 1),
     ])
     def test_every_single_swap_matches_ratfunc_route(self, field, text, N):
-        a, perms = canonical_perms(field, text, N)
-        assert_matches_ratfunc_route(a, perms)
+        a, cert = canonical_cert(field, text, N)
+        perms = cert.perms
+        assert_matches_ratfunc_route(a, perms, cert.kernel)
         for i in range(len(perms) - 1):
             for j, k in itertools.combinations(range(len(perms[0])), 2):
-                assert_matches_ratfunc_route(a, swapped(perms, i, j, k))
+                assert_matches_ratfunc_route(a, swapped(perms, i, j, k), cert.kernel)
 
     @given(st.sampled_from(["2;t;2*t+1", "1;t;2*t+2"]), st.data())
     @settings(max_examples=5, deadline=None)
     def test_drawn_swaps_match_ratfunc_route(self, text, data):
-        a, perms = canonical_perms(F3, text, 2)
+        a, cert = canonical_cert(F3, text, 2)
+        perms = cert.perms
         i = data.draw(st.integers(0, len(perms) - 2))
         j, k = data.draw(st.lists(st.integers(0, len(perms[0]) - 1), min_size=2, max_size=2))
-        assert_matches_ratfunc_route(a, swapped(perms, i, j, k))
+        assert_matches_ratfunc_route(a, swapped(perms, i, j, k), cert.kernel)
 
 
 class TestIntegerHelpers:

@@ -65,6 +65,22 @@ class TestCheck:
         assert out.startswith("pass")
 
 
+class TestFieldSizeCap:
+    def test_q_past_a_machine_word_exits_two(self):
+        big, huge = str(2 ** 127 - 1), str(2 ** 521 - 1)
+        for argv in (["check", "--q", big, "--coeffs", "1;t;t+1"],
+                     ["certify", "--q", big, "--coeffs", "1;t;t+1", "--N", "2"],
+                     ["extremal", "--q", big, "--D", "2"],
+                     ["heuristic", "--mode", "mc", "--q", big, "--coeffs", "1;t;t+1",
+                      "--N", "1"],
+                     ["enumerate", "--q", huge, "--coeffs", "1;t;t+1", "--N", "1"]):
+            start = time.perf_counter()
+            result = run_capped(argv)
+            assert time.perf_counter() - start < 1, argv[0]
+            assert (result.returncode, result.stdout) == (2, ""), argv[0]
+            assert result.stderr == "error: q must fit in a machine word\n", argv[0]
+
+
 class TestEnumerate:
     def test_json_count(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--q", "2",
@@ -208,6 +224,12 @@ class TestHeuristic:
                            "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "N,growth_constant,log_group_size,log_p"
+
+    def test_scan_names_a_huge_n(self, capsys):
+        code, out, err = run(capsys, "heuristic", "--mode", "scan", "--q", "2", "--d", "1",
+                             "--n", "1" + "0" * 400, "--growth", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: n of 401 digits is too large for the float log|G| at N = 1\n"
 
     @pytest.mark.parametrize("argv, code, out", [
         (("--mode", "pn", "--N", "16", "--group-size", "6"), 0, "log p_N = -0\n"),

@@ -9,6 +9,7 @@ from smyth.algebra import FieldParams, parse_poly
 from smyth.core import (
     BalancedMultiset,
     CoeffTuple,
+    PermutationCertificate,
     balanced_from_certificate,
     balanced_multiset,
     certificate_from_balanced,
@@ -205,18 +206,29 @@ class TestCertificates:
         a = tup(F2, "1", "t", "t+1")
         b = balanced_multiset(a, 2)
         cert = certificate_from_balanced(a.coeffs, b)
-        rebuilt = balanced_from_certificate(a, cert.perms)
+        rebuilt = balanced_from_certificate(a, cert)
+        assert rebuilt == b  # the multiset the certificate came from
         assert is_balanced(rebuilt.coeffs, rebuilt.members)
         cert2 = certificate_from_balanced(a.coeffs, rebuilt)
         assert verify_certificate(a, cert2)
 
+    def test_permutations_given_as_lists(self):
+        a = tup(F3, "t+1", "2*t", "2")
+        b = balanced_multiset(a, 2)
+        cert = certificate_from_balanced(a.coeffs, b)
+        as_lists = PermutationCertificate(m=cert.m, perms=[list(p) for p in cert.perms],
+                                          kernel=list(cert.kernel))
+        assert verify_certificate(a, as_lists)
+        assert balanced_from_certificate(a, as_lists) == b
+
     def test_balanced_from_identity_perms_fails(self):
         # coefficients sum to 2t+2, nonzero over F_3, so a_1 I + a_2 I + a_3 I
-        # is invertible and witnesses no relation
+        # is invertible and no vector witnesses a relation
         a = tup(F3, "1", "t", "t+1")
         ident = tuple(tuple(range(4)) for _ in range(3))
+        cert = PermutationCertificate(m=4, perms=ident, kernel=(F3.one,) * 4)
         with pytest.raises(NoRelationError):
-            balanced_from_certificate(a, ident)
+            balanced_from_certificate(a, cert)
 
     def test_one_factor_detection(self):
         b = BalancedMultiset.make((1, 1, -2), [(1, 1, 1), (2, 2, 2)])
@@ -434,11 +446,15 @@ class TestAgainstDepthFirstReference:
         assert b.size == len(b.rows) == len(b.members)
 
     def test_relation_check_catches_a_wrong_kernel(self, monkeypatch):
-        # with no pivots every candidate counts as a kernel vector; the
-        # per-row relation check on the product tables must refuse them
+        # with every column free every candidate counts as a kernel vector;
+        # the per-row relation check on the product tables must refuse them
         import smyth.core as core
 
-        monkeypatch.setattr(core, "_echelon", lambda columns, length, q: ([], []))
+        def every_unit_vector(matrix, q=None):
+            width = len(matrix[0])
+            return [[int(i == j) for i in range(width)] for j in range(width)]
+
+        monkeypatch.setattr(core, "kernel_basis", every_unit_vector)
         for field, texts in ((F2, ("1", "t", "t+1")), (F3, ("t+1", "2*t", "2"))):
             with pytest.raises(RelationViolationError):
                 balanced_multiset(tup(field, *texts), 2)

@@ -182,6 +182,20 @@ class TestLimitScan:
         with pytest.raises(ValueError, match=f"N = {start} is past the float range"):
             limit_scan(2, 1, 3, [1.0], start=start)
 
+    @pytest.mark.parametrize("digits", [310, 401])
+    def test_n_past_the_float_range_named(self, digits):
+        # the float log|G| divides by n - 1, which is then no float or leaves
+        # a quotient below the float range
+        with pytest.raises(ValueError, match=f"n of {digits} digits is too large"):
+            limit_scan(2, 1, 10 ** (digits - 1), [1.0])
+
+    def test_huge_n_within_the_float_range(self):
+        # at c = 1, |G|^(n-1) = q^E for every n, so log p_N = q^E * log1p(-q^-E)
+        # with E = (N+d)*q^N = 4
+        for n in (3, 10 ** 20, 10 ** 305):
+            (row,) = limit_scan(2, 1, n, [1.0])
+            assert abs(row.log_p - 16 * math.log1p(-1 / 16)) < 1e-12
+
     def test_not_decreasing_detection(self):
         # constant growth sits at the critical rate: log p climbs toward -1
         rows = limit_scan(2, 1, 3, [1.0] * 6)

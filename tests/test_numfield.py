@@ -113,6 +113,61 @@ def quadint_det_verdict(alpha, perms):
                           for j in range(size)] for i in range(size)])
 
 
+def integer_eigenvector(alpha, n, perms):
+    """Reference for verify_numfield_certificate without a witness: an
+    eigenvector of S, the sum of the permutation matrices, for alpha, or
+    None when det(S - alpha*I) != 0.
+
+    kernel_basis runs on an integer matrix: S - alpha*I for rational alpha,
+    and otherwise f(S) with f(x) = x^2 - tr(alpha)*x + N(alpha) the minimal
+    polynomial of alpha, with S^2 accumulated as the sum of the products
+    P_i P_j. det f(S) is Norm(det(S - alpha*I)). A kernel vector u of
+    f(S) = (S - alpha)(S - alpha') gives the eigenvector (S - alpha') u,
+    which is nonzero because u is rational and alpha' is not.
+    """
+    perms = [tuple(p) for p in perms]
+    assert len(perms) == n - 1
+    K = alpha.field
+    size = len(perms[0])
+    S = permutation_sum(perms, size)
+    if not alpha.is_rational:
+        mat = [[0] * size for _ in range(size)]
+        trace = alpha.trace()
+        for p in perms:
+            for k, image in enumerate(p):
+                mat[k][image] -= trace
+                for q in perms:
+                    mat[k][q[image]] += 1
+        diagonal = alpha.norm()
+    else:
+        mat = [list(row) for row in S]
+        diagonal = -alpha.x
+    for k in range(size):
+        mat[k][k] += diagonal
+    basis = kernel_basis(mat)
+    if not basis:
+        return None
+    u = basis[0]
+    if alpha.is_rational:
+        return [K.element(x) for x in u]
+    conj = alpha.conj()
+    return [K.element(sum(S[k][j] * u[j] for j in range(size))) - conj * u[k]
+            for k in range(size)]
+
+
+def assert_matches_quadint_reference(alpha, n, perms):
+    """The reference's eigenvector passes as the witness exactly when the
+    QuadInt determinant vanishes; otherwise the all-ones vector is refused.
+    Returns the verdict."""
+    S = permutation_sum(perms, len(perms[0]))
+    vec = integer_eigenvector(alpha, n, perms)
+    verdict = quadint_det_verdict(alpha, perms)
+    assert (vec is not None) == verdict
+    witness = vec or [alpha.field.one] * len(S)
+    assert verify_numfield_certificate(alpha, n, S, perms, witness) == verdict
+    return verdict
+
+
 def reference_ball_points(K, alpha, r_squared):
     """Reference ball: the points of Z[alpha] with ambient form at most
     r_squared, row by row about 0, sorted by (form, sort_key)."""
@@ -919,23 +974,36 @@ class TestBirkhoff:
 class TestVerifyNumfieldCertificate:
     def test_integer_eigenvalue_two(self):
         # two identity permutations sum to 2I, and 2 is an eigenvalue
-        assert verify_numfield_certificate(2, 3, ((0, 1), (0, 1)))
+        ones = (GAUSS.one, GAUSS.one)
+        assert verify_numfield_certificate(2, 3, ((2, 0), (0, 2)), ((0, 1), (0, 1)), ones)
 
     def test_rejects_non_eigenvalue(self):
-        assert not verify_numfield_certificate(3, 3, ((0, 1), (1, 0)))
+        S = ((1, 1), (1, 1))
+        for vec in ((GAUSS.one, GAUSS.one), (GAUSS.one, -GAUSS.one)):
+            assert not verify_numfield_certificate(3, 3, S, ((0, 1), (1, 0)), vec)
 
     def test_quadratic_alpha(self):
         # column sums are 2, and alpha = 2 is rational inside the ring
-        assert verify_numfield_certificate(GAUSS.element(2), 3, ((0, 1), (0, 1)))
+        vec = (GAUSS.one, GAUSS.zero)
+        assert verify_numfield_certificate(GAUSS.element(2), 3, ((2, 0), (0, 2)),
+                                           ((0, 1), (0, 1)), vec)
+
+    def test_rejects_a_wrong_split_or_a_zero_vector(self):
+        ones = (GAUSS.one, GAUSS.one)
+        assert not verify_numfield_certificate(2, 3, ((1, 1), (1, 1)), ((0, 1), (0, 1)), ones)
+        zeros = (GAUSS.zero, GAUSS.zero)
+        assert not verify_numfield_certificate(2, 3, ((2, 0), (0, 2)), ((0, 1), (0, 1)), zeros)
+        assert not verify_numfield_certificate(2, 3, ((2, 0), (0, 2)), ((0, 1), (0, 1)), ones[:1])
 
     def test_perm_count_guard(self):
         with pytest.raises(ValueError):
-            verify_numfield_certificate(2, 4, ((0, 1), (0, 1)))
+            verify_numfield_certificate(2, 4, ((2, 0), (0, 2)), ((0, 1), (0, 1)),
+                                        (GAUSS.one, GAUSS.one))
 
     @pytest.mark.parametrize("n,perms", [(1, ()), (2, ((),)), (3, ((), ()))])
     def test_no_permutation_entries_rejected(self, n, perms):
         with pytest.raises(ValueError):
-            verify_numfield_certificate(2, n, perms)
+            verify_numfield_certificate(2, n, (), perms, ())
 
     @given(st.sampled_from([-1, -2, -3, -7, -15, 2, 3, 5]), st.integers(-3, 3),
            st.integers(-3, 3), permutation_sets(max_size=6, min_count=2))
@@ -948,17 +1016,17 @@ class TestVerifyNumfieldCertificate:
     @settings(max_examples=150, deadline=None)
     def test_matches_quadint_reference(self, m, x, y, perms):
         alpha = QuadField(m).element(x, y)
-        assert (verify_numfield_certificate(alpha, len(perms) + 1, perms)
-                == quadint_det_verdict(alpha, perms))
+        assert_matches_quadint_reference(alpha, len(perms) + 1, perms)
 
     @pytest.mark.parametrize("m,alpha,n", [(-3, "w", 3), (-7, "w", 3), (-7, "w", 4),
                                            (-1, "w", 3), (2, "w", 5)])
     def test_pipeline_outputs_match_quadint_reference(self, m, alpha, n):
         K = QuadField(m)
         cert = numfield_pipeline(K, parse_quadint(K, alpha), n=n)
+        assert verify_numfield_certificate(cert.alpha, n, cert.matrix, cert.perms,
+                                           cert.eigenvector)
         for a in (cert.alpha, cert.alpha.conj(), cert.alpha + 1):
-            verdict = verify_numfield_certificate(a, n, cert.perms)
-            assert verdict == quadint_det_verdict(a, cert.perms)
+            verdict = assert_matches_quadint_reference(a, n, cert.perms)
             assert verdict == (a != cert.alpha + 1)
 
 
@@ -967,14 +1035,16 @@ class TestPipeline:
         cert = numfield_pipeline(M7, M7.omega, n=3)
         assert cert.n == 3
         assert cert.covering_radius_squared == Fraction(4, 7)
-        assert verify_numfield_certificate(cert.alpha, cert.n, cert.perms)
+        assert verify_numfield_certificate(cert.alpha, cert.n, cert.matrix, cert.perms,
+                                           cert.eigenvector)
         size = len(cert.matrix)
         assert all(sum(row) == 2 for row in cert.matrix)
         assert all(sum(cert.matrix[i][j] for i in range(size)) == 2 for j in range(size))
 
     def test_gauss_unit(self):
         cert = numfield_pipeline(GAUSS, GAUSS.omega, n=3)
-        assert verify_numfield_certificate(cert.alpha, cert.n, cert.perms)
+        assert verify_numfield_certificate(cert.alpha, cert.n, cert.matrix, cert.perms,
+                                           cert.eigenvector)
 
     def test_negative_control_raises(self):
         with pytest.raises(ValueError):
