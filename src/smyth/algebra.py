@@ -327,10 +327,10 @@ def parse_poly(field: FieldParams, text: str) -> Poly:
             pos = m.end()
             if pos == len(s):
                 break
-    except ValueError:  # a bad term, a degree past the cap or an int of too many digits
+    except ValueError as err:  # a bad term, a degree past the cap or an int of too many digits
         if _LONE_SIGN_RE.search(s):
             raise ParseError(f"malformed polynomial text: {text!r}") from None
-        raise
+        raise ParseError(str(err)) from None
     if not coeffs:
         return field.zero
     out = [0] * (max(coeffs) + 1)

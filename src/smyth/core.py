@@ -457,15 +457,19 @@ def verify_certificate(a, cert: PermutationCertificate) -> bool:
     a is a CoeffTuple or a plain coefficient tuple over any exact ring. The
     row relations are verified exactly by _row_relations. A nonzero kernel
     vector that satisfies them is itself the proof that sum(a_i X_i) is
-    singular, so no determinant is computed.
+    singular, so no determinant is computed. The kernel is indexed by
+    value, so each distinct entry is multiplied, and budgeted, once.
     """
     coeffs = _certificate_coeffs(a, cert)
-    # one value index per distinct kernel object, found without hashing
-    # entries: a certificate's kernel repeats the object of each value
-    ids = list(map(id, cert.kernel))
-    index = dict(zip(dict.fromkeys(ids), itertools.count()))
-    values = list(map(dict(zip(ids, cert.kernel)).__getitem__, index))
-    return _certificate_holds(coeffs, values, list(map(index.__getitem__, ids)), cert.perms)
+    return _certificate_holds(coeffs, *_kernel_by_value(cert.kernel), cert.perms)
+
+
+def _kernel_by_value(kernel: Sequence) -> tuple[list, list[int]]:
+    """The distinct values of a kernel vector, in order of first appearance,
+    and each entry's index into them."""
+    index: dict = {}
+    kernel_idx = [index.setdefault(v, len(index)) for v in kernel]
+    return list(index), kernel_idx
 
 
 def _certificate_coeffs(a, cert: PermutationCertificate) -> tuple:
@@ -564,9 +568,7 @@ def balanced_from_certificate(a, cert: PermutationCertificate) -> BalancedMultis
     balanced. The certificate of a balanced multiset rebuilds that multiset.
     """
     coeffs = _certificate_coeffs(a, cert)
-    index: dict = {}
-    kernel_idx = [index.setdefault(v, len(index)) for v in cert.kernel]
-    values = list(index)
+    values, kernel_idx = _kernel_by_value(cert.kernel)
     if not _certificate_holds(coeffs, values, kernel_idx, cert.perms):
         raise NoRelationError("the kernel vector does not witness a relation of "
                               "sum(a_i X_i) for these permutations")

@@ -67,10 +67,9 @@ class PrecisionError(SmythError, RuntimeError):
 class BridgeError(SmythError, RuntimeError):
     """No doubly regular rebalancing was found; carries the input matrix.
 
-    From perron_bridge, ``matrix`` is the dense matrix it was given. From
-    numfield_pipeline it is the last rounding matrix in sparse form, one
-    tuple of (column, entry) pairs per row, or the dense bridge result when
-    its Birkhoff split fails to sum back to it.
+    ``matrix`` is always the rounding matrix the bridge was given, as sparse
+    rows: one tuple of (column, entry) pairs per row. From numfield_pipeline
+    it is the rounding matrix of the last attempt.
     """
 
     def __init__(self, message: str, matrix=None):

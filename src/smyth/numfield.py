@@ -17,20 +17,21 @@ permutation matrices. The nonzero eigenvector v with (sum P_i) v = alpha*v
 that travels with the split proves det(sum P_i - alpha*I) = 0, and
 verify_numfield_certificate checks exactly that witness.
 
-The rounding matrix has at most two nonzero entries per row. The pipeline
-passes it to the bridge as sparse rows and searches on the points' integer
-coordinates and indices, so its memory is linear in the ball; only the
-bridge's result, of dimension at most MAX_BRIDGE_DIMENSION, is dense.
-lattice_rounding_step and perron_bridge are the same steps on dense matrices.
+The rounding matrix has at most two nonzero entries per row. Rounding
+hands it to the bridge as sparse rows, and the bridge searches on the
+points' integer coordinates and indices, so memory is linear in the ball;
+only the bridge's result, of dimension at most MAX_BRIDGE_DIMENSION, is
+dense. LatticeStep.matrix writes the rounding matrix out only when read.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from cmath import exp as cexp, pi as cpi, sqrt as csqrt
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .algebra import kernel_basis
 from .core import (
@@ -529,27 +530,9 @@ def _points_near(K: QuadField, alpha: QuadInt, r_squared: Fraction):
     return near
 
 
-@dataclass(frozen=True)
-class LatticeStep:
-    """Rounding matrix C with C.z = alpha*z over the ball points z."""
-
-    matrix: IntMatrix
-    points: tuple[QuadInt, ...]
-    radius_squared: Fraction
-    covering_radius_squared: Fraction
-    n: int
-
-
 # A sparse row: its nonzero entries as (column, entry) pairs, in ascending
-# column order.
+# column order. Pairs that share a column add up.
 SparseRow = tuple[tuple[int, int], ...]
-
-
-class _Rounding(NamedTuple):
-    rows: tuple[SparseRow, ...]
-    points: tuple[QuadInt, ...]
-    radius_squared: Fraction
-    covering_radius_squared: Fraction
 
 
 def _dense(rows: Sequence[SparseRow], size: int) -> IntMatrix:
@@ -557,9 +540,28 @@ def _dense(rows: Sequence[SparseRow], size: int) -> IntMatrix:
     for row in rows:
         dense = [0] * size
         for j, c in row:
-            dense[j] = c
+            dense[j] += c
         out.append(tuple(dense))
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class LatticeStep:
+    """Rounding matrix C with C.z = alpha*z over the ball points z.
+
+    rows holds C as sparse rows, one per point; matrix is the dense view,
+    built when it is first read.
+    """
+
+    rows: tuple[SparseRow, ...]
+    points: tuple[QuadInt, ...]
+    radius_squared: Fraction
+    covering_radius_squared: Fraction
+    n: int
+
+    @functools.cached_property
+    def matrix(self) -> IntMatrix:
+        return _dense(self.rows, len(self.points))
 
 
 def _times(alpha: QuadInt, coords: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -588,8 +590,24 @@ def _ball_size_estimate(K: QuadField, alpha: QuadInt, r_squared: Fraction) -> in
     return math.isqrt((710 * rn) ** 2 // (113 * 113 * rd * rd * disc * alpha.y ** 2))
 
 
-def _rounding(K: QuadField, alpha: QuadInt, n: int, radius_factor: int) -> _Rounding:
-    """lattice_rounding_step with the rows in sparse form."""
+def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
+                          radius_factor: int = 0) -> LatticeStep:
+    """Round alpha*z/(n-1) to the lattice for every z in an exact-radius ball.
+
+    The radius R is the smallest power of two with
+    upper(|alpha|)/(n-1)*R + (n-2)*upper(M) < R, which guarantees both the
+    rounded point z_1 and the remainder z_2 = alpha*z - (n-2)*z_1 stay in
+    the ball. radius_factor doubles R that many extra times for retries.
+    A ball that its area and the lattice covolume put at more than
+    MAX_BALL_POINTS points raises BudgetExceededError before it is listed.
+    z_1 is nearest to t = alpha*z/(n-1), ties broken by sort_key. Every
+    nearest point lies within M of t and |t| + M < R, so comparing the few
+    points of Z[alpha] within M of t finds what a scan of the ball would.
+    Each row is found in its sparse form, (n-2) units on z_1 plus one on
+    z_2, and the identity C.z = alpha*z is asserted on integer coordinates
+    against the stored points.
+    """
+    alpha = _as_quadint(K, alpha)
     if not alpha:
         raise ValueError("alpha must be nonzero")
     if n < 3:
@@ -638,35 +656,8 @@ def _rounding(K: QuadField, alpha: QuadInt, n: int, radius_factor: int) -> _Roun
             rows.append(((j1, n - 1),))
         else:
             rows.append(tuple(sorted(((j1, n - 2), (j2, 1)))))
-    return _Rounding(rows=tuple(rows), points=tuple(z for _, _, z in ball),
-                     radius_squared=r_squared, covering_radius_squared=m_squared)
-
-
-def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
-                          radius_factor: int = 0) -> LatticeStep:
-    """Round alpha*z/(n-1) to the lattice for every z in an exact-radius ball.
-
-    The radius R is the smallest power of two with
-    upper(|alpha|)/(n-1)*R + (n-2)*upper(M) < R, which guarantees both the
-    rounded point z_1 and the remainder z_2 = alpha*z - (n-2)*z_1 stay in
-    the ball. radius_factor doubles R that many extra times for retries.
-    A ball that its area and the lattice covolume put at more than
-    MAX_BALL_POINTS points raises BudgetExceededError before it is listed.
-    z_1 is nearest to t = alpha*z/(n-1), ties broken by sort_key. Every
-    nearest point lies within M of t and |t| + M < R, so comparing the few
-    points of Z[alpha] within M of t finds what a scan of the ball would.
-    Each row is found in its sparse form, (n-2) units on z_1 plus one on
-    z_2, and the identity C.z = alpha*z is asserted on integer coordinates
-    against the stored points; the rows are written out densely only here.
-    """
-    step = _rounding(K, _as_quadint(K, alpha), n, radius_factor)
-    return LatticeStep(
-        matrix=_dense(step.rows, len(step.points)),
-        points=step.points,
-        radius_squared=step.radius_squared,
-        covering_radius_squared=step.covering_radius_squared,
-        n=n,
-    )
+    return LatticeStep(rows=tuple(rows), points=tuple(z for _, _, z in ball),
+                       radius_squared=r_squared, covering_radius_squared=m_squared, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -740,45 +731,33 @@ def _sccs(nodes: set, succ: dict) -> list[set]:
     return out
 
 
-def perron_bridge(C: Sequence[Sequence[int]], alpha: Entry,
+def perron_bridge(rows: Sequence[SparseRow], alpha: Entry,
                   z: Sequence[QuadInt]) -> BridgeResult:
     """Rebalance a row-regular rounding matrix to equal column sums.
 
-    If C is already doubly regular it is returned as found. Otherwise the
-    nonzero ball points are restricted to the smallest norm shell admitting
-    a nonempty subset closed under the decomposition alpha*p = (n-2)*p_1 +
-    p_2, a sink strongly connected component of the chosen decompositions
-    is isolated, and its positive left eigenvector (eigenvalue n-1,
-    guaranteed by irreducibility) sets member multiplicities. Routing those
-    members through slots and reading the columns back produces a doubly
-    regular matrix; the eigen identity is verified before returning, and
-    failure raises BridgeError carrying C. A result of dimension above
-    MAX_BRIDGE_DIMENSION is refused with BridgeError in either case.
+    The matrix comes as sparse rows, one per point of z, as LatticeStep.rows
+    holds it. If it is already doubly regular it is returned as found.
+    Otherwise the nonzero ball points are restricted to the smallest norm
+    shell admitting a nonempty subset closed under the decomposition
+    alpha*p = (n-2)*p_1 + p_2, a sink strongly connected component of the
+    chosen decompositions is isolated, and its positive left eigenvector
+    (eigenvalue n-1, guaranteed by irreducibility) sets member
+    multiplicities. Routing those members through slots and reading the
+    columns back produces a doubly regular matrix; the eigen identity is
+    verified before returning, and failure raises BridgeError carrying the
+    rows. A result of dimension above MAX_BRIDGE_DIMENSION is refused with
+    BridgeError in either case. The search runs on the points' integer
+    coordinates and indices: QuadInt objects are read only as the values of
+    the rebalanced multiset.
     """
+    rows = tuple(rows)
     points = tuple(z)
     if not points:
-        raise BridgeError("empty point list", matrix=tuple(map(tuple, C)))
+        raise BridgeError("empty point list", matrix=rows)
     alpha = _as_quadint(points[0].field, alpha)
-    matrix = tuple(tuple(row) for row in C)
-    size = len(matrix)
-    if size != len(points) or any(len(row) != size for row in matrix):
-        raise ValueError("matrix shape must match the point list")
-    rows = tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in matrix)
-    try:
-        return _rebalance(rows, alpha, points)
-    except BridgeError as err:
-        err.matrix = matrix
-        raise
-
-
-def _rebalance(rows: Sequence[SparseRow], alpha: QuadInt,
-               points: Sequence[QuadInt]) -> BridgeResult:
-    """perron_bridge on sparse rows, one per point; a BridgeError carries them.
-
-    The search runs on the points' integer coordinates and indices: QuadInt
-    objects are read only as the values of the rebalanced multiset.
-    """
     size = len(points)
+    if len(rows) != size or not all(0 <= j < size for row in rows for j, _ in row):
+        raise ValueError("rows must match the point list")
     row_sums = {sum(c for _, c in row) for row in rows}
     if len(row_sums) != 1:
         raise ValueError("rows must share a common sum")
@@ -1054,9 +1033,9 @@ def numfield_pipeline(K: QuadField, alpha: Entry, n: int = 3,
     alpha = _as_quadint(K, alpha)
     last_error: Optional[BridgeError] = None
     for attempt in range(max(attempts, 1)):
-        step = _rounding(K, alpha, n, attempt)
+        step = lattice_rounding_step(K, alpha, n, attempt)
         try:
-            bridge = _rebalance(step.rows, alpha, step.points)
+            bridge = perron_bridge(step.rows, alpha, step.points)
         except BridgeError as err:
             last_error = err
             continue
@@ -1066,7 +1045,7 @@ def numfield_pipeline(K: QuadField, alpha: Entry, n: int = 3,
         if (permutation_sum(perms, len(bridge.matrix)) != bridge.matrix
                 or not any(bridge.eigenvector)):
             last_error = BridgeError("decomposed certificate failed verification",
-                                     matrix=bridge.matrix)
+                                     matrix=step.rows)
             continue
         return NumfieldCertificate(
             field=K,

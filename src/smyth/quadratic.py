@@ -264,7 +264,10 @@ def parse_quadint(field: QuadField, text: str) -> QuadInt:
         cstr, wpart = m.group(1), m.group(2)
         if cstr is None and wpart is None:
             raise ParseError(f"bad term {tok!r} in {text!r}")
-        c = sign * (int(cstr) if cstr is not None else 1)
+        try:
+            c = sign * (int(cstr) if cstr is not None else 1)
+        except ValueError as err:  # an int of too many digits
+            raise ParseError(str(err)) from None
         if wpart:
             y += c
         else:

@@ -433,6 +433,21 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and "must be an integer" in err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no int-string digit limit")
+    @pytest.mark.parametrize("name, key, value", [
+        ("fqt-m8-balanced.json", "kernel_vector", "1" * 5000 + "*t"),
+        ("numfield-d10.json", "eigenvector", "1" * 5000 + "+w"),
+    ], ids=["fqt-kernel-entry", "numfield-eigenvector-entry"])
+    def test_number_past_the_digit_limit_exits_two(self, name, key, value):
+        # Python refuses to convert an int string of more than 4,300 digits
+        doc = json.loads((CORPUS / name).read_text(encoding="utf-8"))
+        doc[key][0] = value
+        result = run_capped(["verify", "-"], stdin=json.dumps(doc))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "digits" in result.stderr and "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("name, field, value, code", [
         ("fqt-m15-certificate.json", "coeffs", ["t^100000000", "t", "t+1"], 2),
         ("extremal-fqt-q2.json", "D", 10**12, 1),

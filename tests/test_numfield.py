@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from smyth import numfield
 from smyth.algebra import euler_phi, kernel_basis
 from smyth.core import BalancedMultiset, certificate_from_balanced, verify_certificate
 from smyth.errors import (
@@ -24,9 +25,7 @@ from smyth.numfield import (
     _cyclotomic_sqrt,
     _inner,
     _points_near,
-    _rebalance,
     _rou_sum_is_zero,
-    _rounding,
     _sccs,
     birkhoff_decompose,
     covering_radius_squared,
@@ -49,6 +48,11 @@ M7 = QuadField(-7)
 M15 = QuadField(-15)
 M2 = QuadField(-2)
 REAL2 = QuadField(2)
+
+
+def sparse(matrix):
+    """The sparse rows of a dense matrix: (column, entry) for each nonzero entry."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in matrix)
 
 
 def recursive_birkhoff(D):
@@ -206,7 +210,7 @@ def scan_rounding_step(K, alpha, n, r_squared):
         row[index[z1]] += n - 2
         row[index[w - (n - 2) * z1]] += 1
         rows.append(tuple(row))
-    return LatticeStep(matrix=tuple(rows), points=tuple(points), radius_squared=r_squared,
+    return LatticeStep(rows=sparse(rows), points=tuple(points), radius_squared=r_squared,
                        covering_radius_squared=covering_radius_squared(K, alpha), n=n)
 
 
@@ -257,7 +261,7 @@ def fraction_rounding_step(K, alpha, n, r_squared):
         row[index[z1]] += n - 2
         row[index[w - (n - 2) * z1]] += 1
         rows.append(tuple(row))
-    return LatticeStep(matrix=tuple(rows), points=tuple(points), radius_squared=r_squared,
+    return LatticeStep(rows=sparse(rows), points=tuple(points), radius_squared=r_squared,
                        covering_radius_squared=m_squared, n=n)
 
 
@@ -838,8 +842,7 @@ class TestPerronBridge:
     def test_as_given_when_doubly_regular(self):
         # alpha = 2 fixes the all-ones vector of [[1,1],[1,1]]
         pts = (GAUSS.one, GAUSS.one)
-        C = [[1, 1], [1, 1]]
-        res = perron_bridge(C, GAUSS.element(2), pts)
+        res = perron_bridge(sparse([[1, 1], [1, 1]]), GAUSS.element(2), pts)
         assert res.strategy == "as-given"
         assert res.matrix == ((1, 1), (1, 1))
 
@@ -847,16 +850,16 @@ class TestPerronBridge:
         # [[1,1],[1,1]] is doubly regular, but (1, w) is no eigenvector of it
         pts = (GAUSS.one, GAUSS.omega)
         with pytest.raises(BridgeError, match="fails the eigen identity"):
-            perron_bridge([[1, 1], [1, 1]], GAUSS.element(2), pts)
+            perron_bridge(sparse([[1, 1], [1, 1]]), GAUSS.element(2), pts)
 
     def test_impossible_rebalance_raises(self):
         # only 0 and 1 among the points: alpha*1 = 1 has no two-part
         # decomposition with both parts nonzero points
         pts = (GAUSS.zero, GAUSS.one)
-        C = [[2, 0], [1, 1]]
+        rows = sparse([[2, 0], [1, 1]])
         with pytest.raises(BridgeError) as exc:
-            perron_bridge(C, GAUSS.one, pts)
-        assert exc.value.matrix == ((2, 0), (1, 1))
+            perron_bridge(rows, GAUSS.one, pts)
+        assert exc.value.matrix == rows == (((0, 2),), ((0, 1), (1, 1)))
 
     def test_as_given_past_the_dimension_cap_refused(self):
         # 2I fixes every vector, but the split would need a 4097 x 4097 matrix
@@ -864,17 +867,31 @@ class TestPerronBridge:
         rows = tuple(((i, 2),) for i in range(size))
         pts = tuple(GAUSS.element(i) for i in range(size))
         with pytest.raises(BridgeError, match="dimension 4097 is too large") as exc:
-            _rebalance(rows, GAUSS.element(2), pts)
+            perron_bridge(rows, GAUSS.element(2), pts)
         assert exc.value.matrix == rows
 
     def test_bad_row_sums_rejected(self):
         pts = (GAUSS.one, GAUSS.omega)
         with pytest.raises(ValueError):
-            perron_bridge([[1, 0], [1, 1]], GAUSS.one, pts)
+            perron_bridge(sparse([[1, 0], [1, 1]]), GAUSS.one, pts)
+
+    def test_pairs_sharing_a_column_add_up(self):
+        rows = (((0, 1), (0, 1)), ((1, 2),))
+        res = perron_bridge(rows, GAUSS.element(2), (GAUSS.one, GAUSS.omega))
+        assert res.matrix == ((2, 0), (0, 2))
+
+    @pytest.mark.parametrize("rows", [
+        (((0, 2),),),
+        (((0, 2),), ((2, 2),)),
+        (((0, 2),), ((-1, 2),)),
+    ], ids=["too-few-rows", "column-past-the-points", "negative-column"])
+    def test_rows_that_do_not_match_the_points_rejected(self, rows):
+        with pytest.raises(ValueError, match="rows must match the point list"):
+            perron_bridge(rows, GAUSS.element(2), (GAUSS.one, GAUSS.one))
 
     def test_rebalance_from_lattice_step(self):
         step = lattice_rounding_step(M7, M7.omega, 3)
-        res = perron_bridge(step.matrix, M7.omega, step.points)
+        res = perron_bridge(step.rows, M7.omega, step.points)
         assert res.strategy == "sink-class"
         size = len(res.matrix)
         assert all(sum(row) == 2 for row in res.matrix)
@@ -897,7 +914,7 @@ class TestPerronBridge:
         assume(alpha and all(quadint_abs(alpha, place) < SqrtSum.rational(n - 1)
                              for place in range(K.places)))
         try:
-            size = len(_rounding(K, alpha, n, radius_factor).points)
+            size = len(lattice_rounding_step(K, alpha, n, radius_factor).points)
         except BudgetExceededError:
             size = MAX_BALL_POINTS + 1
         assume(size <= 300)  # the reference and the step's matrix are dense
@@ -906,11 +923,11 @@ class TestPerronBridge:
             want = reference_perron_bridge(step.matrix, alpha, step.points)
         except BridgeError as err:
             with pytest.raises(BridgeError) as exc:
-                perron_bridge(step.matrix, alpha, step.points)
+                perron_bridge(step.rows, alpha, step.points)
             assert str(exc.value) == str(err)
-            assert exc.value.matrix == err.matrix
+            assert exc.value.matrix == sparse(err.matrix)
         else:
-            assert perron_bridge(step.matrix, alpha, step.points) == want
+            assert perron_bridge(step.rows, alpha, step.points) == want
 
 
 class TestBirkhoff:
@@ -1055,15 +1072,41 @@ class TestPipeline:
         K = QuadField(2)
         with pytest.raises(BridgeError, match="no nonzero subset") as exc:
             numfield_pipeline(K, K.one, n=3, attempts=1)
-        dense = lattice_rounding_step(K, K.one, 3).matrix
-        assert exc.value.matrix == tuple(
-            tuple((j, c) for j, c in enumerate(row) if c) for row in dense)
+        assert exc.value.matrix == sparse(lattice_rounding_step(K, K.one, 3).matrix)
+
+    @pytest.mark.parametrize("attempts, calls", [(4, 2), (1, 1)])
+    def test_runs_the_public_steps_once_per_attempt(self, monkeypatch, attempts, calls):
+        # 1 in Q(sqrt(2)) with n = 3 needs a second, larger ball
+        rounding, bridge = numfield.lattice_rounding_step, numfield.perron_bridge
+        steps, bridged = [], []
+
+        def rounding_spy(*args):
+            steps.append((args[3], rounding(*args)))
+            return steps[-1][1]
+
+        def bridge_spy(rows, alpha, z):
+            bridged.append(rows)
+            return bridge(rows, alpha, z)
+
+        monkeypatch.setattr(numfield, "lattice_rounding_step", rounding_spy)
+        monkeypatch.setattr(numfield, "perron_bridge", bridge_spy)
+        K = QuadField(2)
+        if attempts > 1:
+            cert = numfield_pipeline(K, K.one, n=3, attempts=attempts)
+            assert cert.radius_squared == steps[-1][1].radius_squared
+        else:
+            with pytest.raises(BridgeError):
+                numfield_pipeline(K, K.one, n=3, attempts=attempts)
+        assert [factor for factor, _ in steps] == list(range(calls))
+        assert bridged == [step.rows for _, step in steps]
+        # no dense rounding matrix was built
+        assert all("matrix" not in vars(step) for _, step in steps)
 
     def test_ball_past_the_cap_refused_before_listing(self):
         # the third attempt for 2 + w in Q(sqrt(-7)) with n = 4 would list
         # about 39,000 points
         alpha = M7.element(2, 1)
-        assert len(_rounding(M7, alpha, 4, 1).points) == 9741
+        assert len(lattice_rounding_step(M7, alpha, 4, 1).points) == 9741
         with pytest.raises(BudgetExceededError) as exc:
             lattice_rounding_step(M7, alpha, 4, radius_factor=2)
         assert exc.value.required > MAX_BALL_POINTS
