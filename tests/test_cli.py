@@ -97,6 +97,29 @@ class TestEnumerate:
         assert out.splitlines()[0] == "x1,x2,x3"
         assert len(out.strip().splitlines()) == 3
 
+    @pytest.mark.parametrize("q, coeffs, N, digests", [
+        ("2", "1;t;t+1", "8", {
+            "json": "ec7dfb01ce370751ba4bddaf6028f815259a8f8bc3febd6d381a7a26420dd030",
+            "csv": "20a230ec6000e0b9190f19130bf90c5c109de3921c3a2ddc1f8a368ae4f16ebf",
+            "text": "c126cfa1151b9e2c9b9b69dfcd31ab9ba86a40fdd52ef88de589610b0b6ebdd1"}),
+        ("3", "1;t;2*t+1;t^2+2", "2", {
+            "json": "c5b709fc3aa9becd469c87f10044d226c484257fa3e77aa7ad9a0d451b40c503",
+            "csv": "1be285d4ab72051485156633d97f3d8318c1d3c56e69800696a9b527c974f946",
+            "text": "9a36011ccc865364eb7b8c52c1fea1a629953afb227c3b906bd1ccac49a4830b"}),
+        ("2", "1;1;t", "3", {
+            "json": "083667ebe3b2898455ce1058b91e250ea091122364a44fcd1b99b1811e17c00a",
+            "csv": "180eb40562751783dc3932b7c2739946af47bc9a25cbcc5e69a50c64f70da19e",
+            "text": "9fe951294ca272109daef9ee6271c0cfd7b3058788d65971bc576ae72e052b0e"}),
+    ], ids=["q2-n3-N8", "q3-n4-N2", "criteria-fail"])
+    def test_frozen_bytes_of_every_format(self, capsys, q, coeffs, N, digests):
+        import hashlib
+
+        for fmt, digest in digests.items():
+            code, out, _ = run(capsys, "enumerate", "--q", q, "--coeffs", coeffs,
+                               "--N", N, "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
     def test_budget_exit_two(self, capsys):
         code, _, err = run(capsys, "enumerate", "--q", "5",
                            "--coeffs", "1;t;t+1;t+2", "--N", "3",
