@@ -9,6 +9,7 @@ natural output is a table.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -142,22 +143,28 @@ def run_enumerate(args) -> int:
     a = _fqt_tuple(args.q, args.coeffs)
     budget = _resolve_budget(args)
     sols = enumerate_solutions(a, args.N, budget)
-    d = max(a.height, 0)
-    doc = {
-        "kind": "enumeration",
-        "q": a.field.q,
-        "coeffs": [str(c) for c in a.coeffs],
-        "N": args.N,
-        "count": len(sols),
-        "expected_count": a.field.q ** (args.N * (a.n - 1) - d)
-        if check_criteria(a).passes else None,
-        "solutions": [[str(v) for v in row] for row in sols],
-    }
-    csv_data = serialize.csv_table(
-        [f"x{i + 1}" for i in range(a.n)],
-        [[str(v) for v in row] for row in sols])
-    lines = [f"{len(sols)} solutions in V_{args.N}^{a.n}"]
-    lines.extend("  (" + ", ".join(str(v) for v in row) + ")" for row in sols)
+    # each distinct value is formatted once, and only the asked format is built
+    text = {v: str(v) for v in set(itertools.chain.from_iterable(sols))}
+    rows = list(zip(*(map(text.__getitem__, column) for column in zip(*sols))))
+    fmt = getattr(args, "format", "json")
+    doc = csv_data = lines = None
+    if fmt == "json":
+        d = max(a.height, 0)
+        doc = {
+            "kind": "enumeration",
+            "q": a.field.q,
+            "coeffs": [str(c) for c in a.coeffs],
+            "N": args.N,
+            "count": len(sols),
+            "expected_count": a.field.q ** (args.N * (a.n - 1) - d)
+            if check_criteria(a).passes else None,
+            "solutions": rows,
+        }
+    elif fmt == "csv":
+        csv_data = serialize.csv_table([f"x{i + 1}" for i in range(a.n)], rows)
+    else:
+        lines = [f"{len(sols)} solutions in V_{args.N}^{a.n}"]
+        lines.extend(["  (" + ", ".join(row) + ")" for row in rows])
     _emit(args, doc, lines, csv_data)
     return 0
 

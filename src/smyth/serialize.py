@@ -41,7 +41,12 @@ rows may come in any order, and two spellings of one polynomial are one
 value.
 
 Emission is canonical (sorted keys, fixed indentation, deterministic list
-orders), so serialize -> parse -> serialize is byte-stable.
+orders), so serialize -> parse -> serialize is byte-stable. canonical_json
+writes the bytes of json.dumps(doc, sort_keys=True, indent=2) without its
+pure-Python encoder. A list of entry texts, or of rows of them, that JSON
+writes unchanged between quotes (each distinct text is checked once) is laid
+out with one str.join per row, so no entry is escaped one by one; other
+lists of scalars, and scalars, go through the C encoder.
 """
 from __future__ import annotations
 
@@ -73,26 +78,45 @@ VERIFIABLE_KINDS = ("balanced", "certificate", "extremal", "numfield")
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _LISTS = frozenset((list, tuple))
 _INT = frozenset((int,))
+_STR = frozenset((str,))
 
 # Items separated by NUL with no whitespace: JSON escapes NUL inside strings,
 # so every raw NUL in this encoder's output is a separator.
 _NUL_SEPARATED = json.JSONEncoder(separators=("\x00", ":"), allow_nan=False)
 
 
+def _plain(texts: list) -> bool:
+    """Whether texts are all str that JSON writes unchanged between quotes;
+    each distinct text is checked once."""
+    return _STR.issuperset(map(type, texts)) and all(
+        len(json.encoder.encode_basestring_ascii(s)) == len(s) + 2 for s in set(texts))
+
+
 def _indented(value, pad: str) -> str:
     """value as json.dumps(value, sort_keys=True, indent=2) lays it out at
     the nesting whose lines start with pad.
 
-    Flat lists of scalars and lists of nonempty scalar rows take one call of
-    the C encoder each; anything else goes through json.dumps itself.
+    A flat list, or a list of nonempty rows, of plain texts (str that JSON
+    writes unchanged between quotes) is joined as it stands, the quotes
+    folded into the separators. Other flat lists of scalars and lists of
+    nonempty scalar rows take one call of the C encoder each, as does a
+    scalar; anything else goes through json.dumps itself.
     """
     inner = pad + "  "
     if type(value) in _LISTS and value:
-        if _SCALARS.issuperset(map(type, value)):
+        rows = _LISTS.issuperset(map(type, value)) and all(value)
+        if (type(value[0][0] if rows else value[0]) is str
+                and _plain(list(itertools.chain.from_iterable(value)) if rows else value)):
+            if not rows:
+                return f'[\n{inner}"' + f'",\n{inner}"'.join(value) + f'"\n{pad}]'
+            deeper = inner + "  "
+            body = f'"\n{inner}],\n{inner}[\n{deeper}"'.join(
+                [f'",\n{deeper}"'.join(row) for row in value])
+            return f'[\n{inner}[\n{deeper}"{body}"\n{inner}]\n{pad}]'
+        if not rows and _SCALARS.issuperset(map(type, value)):
             body = _NUL_SEPARATED.encode(value)[1:-1].replace("\x00", ",\n" + inner)
             return f"[\n{inner}{body}\n{pad}]"
-        if (_LISTS.issuperset(map(type, value)) and all(value)
-                and _SCALARS.issuperset(map(type, itertools.chain.from_iterable(value)))):
+        if rows and _SCALARS.issuperset(map(type, itertools.chain.from_iterable(value))):
             deeper = inner + "  "
             body = (_NUL_SEPARATED.encode(value)[2:-2]
                     .replace("]\x00[", f"\n{inner}],\n{inner}[\n{deeper}")
@@ -102,6 +126,8 @@ def _indented(value, pad: str) -> str:
         items = ",".join(f"\n{inner}{json.dumps(k)}: {_indented(value[k], inner)}"
                          for k in sorted(value))
         return f"{{{items}\n{pad}}}"
+    elif type(value) in _SCALARS:
+        return _NUL_SEPARATED.encode(value)
     return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad)
 
 
@@ -182,8 +208,10 @@ def multiset_doc(b: BalancedMultiset, kind: str = "balanced",
 
     Both kinds share the field set; "balanced" marks a document whose primary
     object is the multiset (the certificate is its canonical conversion),
-    "certificate" the reverse. tuples are embedded either way so a reader
-    can inspect the members without running the kernel solver.
+    "certificate" the reverse. tuples are embedded either way, one tuple of
+    entry texts per member, so a reader can inspect the members without
+    running the kernel solver. Each distinct value is formatted once, and
+    the rows are built column by column from those texts.
     """
     if kind not in ("balanced", "certificate"):
         raise ValueError("kind must be balanced or certificate")
@@ -201,9 +229,10 @@ def multiset_doc(b: BalancedMultiset, kind: str = "balanced",
         text = list(b.values)
     else:
         raise ValueError("only polynomial and integer multisets serialize to this schema")
-    doc["tuples"] = [list(map(text.__getitem__, row)) for row in b.rows]
+    columns = [list(map(text.__getitem__, column)) for column in zip(*b.rows)]
+    doc["tuples"] = list(zip(*columns))
     # the certificate's kernel is the last coordinate of each row
-    doc["kernel_vector"] = [row[-1] for row in doc["tuples"]]
+    doc["kernel_vector"] = columns[-1]
     doc["permutations"] = _one_based(cert.perms)
     return doc
 

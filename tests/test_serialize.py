@@ -46,6 +46,38 @@ _JSON = st.recursive(
     max_leaves=12)
 
 
+class _Text(str):
+    pass
+
+
+# texts JSON writes unchanged between quotes, and entries that must leave the
+# plain-text join path: each poison is inserted into one row as a run
+_PLAIN = st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                        blacklist_characters='"\\'), max_size=5)
+_POISONS = (['"'], ["\\"], ["\x1f"], ["\u00e9"], [1, "1"], [True, 1], [_Text("a")],
+            [["y"]], [{"z": "w"}], [float("nan")])
+
+
+@st.composite
+def _plain_rows(draw):
+    """A flat list, or a list of nonempty rows, of plain texts, sometimes with
+    one poison run, nested one or two levels deep in a document."""
+    flat = draw(st.booleans())
+    if flat:
+        value = draw(st.lists(_PLAIN, min_size=1, max_size=8))
+        row = value
+    else:
+        value = draw(st.lists(st.lists(_PLAIN, min_size=1, max_size=4), min_size=1, max_size=5))
+        row = draw(st.sampled_from(value))
+    poison = draw(st.none() | st.sampled_from(_POISONS))
+    if poison is not None:
+        at = draw(st.integers(0, len(row)))
+        row[at:at] = poison
+    if not flat and draw(st.booleans()):
+        value = [tuple(r) for r in value]
+    return draw(st.sampled_from([{"a": value}, {"b": {"a": value}, "c": 1}]))
+
+
 class TestCanonicalJson:
     @given(st.dictionaries(st.text() | _TRICKY, _JSON, max_size=6))
     @settings(max_examples=100, deadline=None)
@@ -59,9 +91,22 @@ class TestCanonicalJson:
         else:
             assert canonical_json(doc) == want
 
+    @given(_plain_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_plain_text_rows_same_bytes_as_pure_python_encoder(self, doc):
+        try:
+            want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            with pytest.raises(ValueError):
+                canonical_json(doc)
+        else:
+            assert canonical_json(doc) == want
+
     def test_edge_layouts(self):
         for doc in ({}, {"a": []}, {"a": [[]]}, {"a": [1]}, {"a": [[1]]}, {"a": [["]\x00["]]},
-                    {"a": [[1], []]}, {"a": [[1], 2]}, {"a": ({"b": ()},)}, {"": {"": "\x00"}}):
+                    {"a": [[1], []]}, {"a": [[1], 2]}, {"a": ({"b": ()},)}, {"": {"": "\x00"}},
+                    {"a": ["1", 1]}, {"a": [["x"], [1]]}, {"a": [["x", ["y"]]]},
+                    {"a": ["\x7f"]}):
             assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def test_sorted_and_newline_terminated(self):
