@@ -262,7 +262,7 @@ def verify_extremal(inst: ExtremalInstance) -> bool:
 
     order, group_order, generator_flag and claimed_min must match the bound
     recomputed from the triple, and over F_q[t] the order must be q^D - 1,
-    so D above deg c fails before q^D is formed.
+    so D below 1 or above deg c fails before q^D is formed.
     Only the integer triple (1, 1, 2) is degenerate. Integer D is not
     checked: its prime comes from a floating-point e^D.
     """
@@ -272,7 +272,7 @@ def verify_extremal(inst: ExtremalInstance) -> bool:
         triple = CoeffTuple.make(a.field, (a, b, c))
         if not check_criteria(triple).passes:
             return False
-        if inst.D > c.degree:  # every order is at most q^deg(c) - 1 < q^D - 1
+        if not 1 <= inst.D <= c.degree:  # every order is at most q^deg(c) - 1 < q^D - 1
             return False
         expected = a.field.q**inst.D - 1
     elif inst.ring == "int":

@@ -75,6 +75,12 @@ class TestExtremalFqt:
         for D in (4, 10**12):
             assert not verify_extremal(dataclasses.replace(inst, D=D))
 
+    def test_D_below_one_fails(self):
+        # a negative D would make q^D a float, which overflows for -10^400
+        inst = construct_extremal_fqt(2, 3)
+        for D in (0, -1, -10**400):
+            assert not verify_extremal(dataclasses.replace(inst, D=D))
+
     def test_q2_d1_degenerate(self):
         # the unit group of F_2[t]/(t+1) is trivial; the triple is the
         # constant-free fallback with minimal size 1
