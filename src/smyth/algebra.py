@@ -299,23 +299,26 @@ _TOKEN_RE = re.compile(r"[+-]?[^+-]*")
 _LONE_SIGN_RE = re.compile(r"[+-](?![^+-])")
 
 
-def parse_poly(field: FieldParams, text: str) -> Poly:
-    """Parse polynomial text in any term order, e.g. '1+t+1*t^2'.
+def _read_terms(term_re: re.Pattern, text: str, what: str) -> dict[int, int]:
+    """The integer coefficient of each degree in a sum of terms of one
+    variable; what names the text in messages.
 
-    The terms are read in one pass, and their matches must tile the text.
-    A text that does not parse is refused as malformed when it holds a lone
-    sign, before any of its terms is named.
+    term_re matches one signed term as _TERM_RE does, its groups the sign,
+    the coefficient, the variable and the exponent. The terms are read in
+    one pass, and their matches must tile the text. A text that does not
+    parse is refused as malformed when it holds a lone sign, before any of
+    its terms is named.
     """
     if not isinstance(text, str):
-        raise ParseError(f"polynomial text must be a string, not {type(text).__name__}")
+        raise ParseError(f"{what} text must be a string, not {type(text).__name__}")
     s = text.replace(" ", "")
     if not s:
-        raise ParseError("empty polynomial text")
+        raise ParseError(f"empty {what} text")
     coeffs: dict[int, int] = {}
     pos = 0
     try:
         # the loop stops at the last term, before the empty match at the end
-        for m in _TERM_RE.finditer(s):
+        for m in term_re.finditer(s):
             sign, cstr, tpart, estr = m.groups()
             if m.start() != pos or (cstr is None and tpart is None):
                 raise ParseError(f"bad term {_TOKEN_RE.match(s, pos).group()!r} in {text!r}")
@@ -329,8 +332,14 @@ def parse_poly(field: FieldParams, text: str) -> Poly:
                 break
     except ValueError as err:  # a bad term, a degree past the cap or an int of too many digits
         if _LONE_SIGN_RE.search(s):
-            raise ParseError(f"malformed polynomial text: {text!r}") from None
+            raise ParseError(f"malformed {what} text: {text!r}") from None
         raise ParseError(str(err)) from None
+    return coeffs
+
+
+def parse_poly(field: FieldParams, text: str) -> Poly:
+    """Parse polynomial text in any term order, e.g. '1+t+1*t^2'."""
+    coeffs = _read_terms(_TERM_RE, text, "polynomial")
     if not coeffs:
         return field.zero
     out = [0] * (max(coeffs) + 1)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .algebra import integer_factor
+from .algebra import _read_terms, integer_factor
 from .errors import ParseError, PrecisionError
 
 Rational = Union[int, Fraction]
@@ -238,41 +238,19 @@ def format_quadint(v: QuadInt) -> str:
     return "".join(parts)
 
 
-_QTERM_RE = re.compile(r"^(?:(-?\d+)\*?)?(w)?$")
+# one signed term of x+y*w as algebra._TERM_RE reads t; w takes no exponent,
+# so the exponent group at the end never takes part
+_QTERM_RE = re.compile(r"([+-]?)(?:(\d+)\*?)?(w)?()??\n?(?=[+-]|\Z)")
 
 
 def parse_quadint(field: QuadField, text: str) -> QuadInt:
-    """Parse x+y*w text, any term order, e.g. 'w-1' or '-3+2*w'."""
-    if not isinstance(text, str):
-        raise ParseError(f"quadratic integer text must be a string, not {type(text).__name__}")
-    s = text.replace(" ", "")
-    if not s:
-        raise ParseError("empty quadratic integer text")
-    tokens = re.findall(r"[+-]?[^+-]+", s)
-    if "".join(tokens) != s:
-        raise ParseError(f"malformed quadratic integer text: {text!r}")
-    x = y = 0
-    for tok in tokens:
-        sign = 1
-        body = tok
-        if body[0] in "+-":
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
-        m = _QTERM_RE.match(body)
-        if not m or not body:
-            raise ParseError(f"bad term {tok!r} in {text!r}")
-        cstr, wpart = m.group(1), m.group(2)
-        if cstr is None and wpart is None:
-            raise ParseError(f"bad term {tok!r} in {text!r}")
-        try:
-            c = sign * (int(cstr) if cstr is not None else 1)
-        except ValueError as err:  # an int of too many digits
-            raise ParseError(str(err)) from None
-        if wpart:
-            y += c
-        else:
-            x += c
-    return QuadInt(field, x, y)
+    """Parse x+y*w text, any term order, e.g. 'w-1' or '-3+2*w'.
+
+    The terms are read as parse_poly reads those of t, so the same texts
+    are refused with the same messages; w^1 is a bad term.
+    """
+    coeffs = _read_terms(_QTERM_RE, text, "quadratic integer")
+    return QuadInt(field, coeffs.get(0, 0), coeffs.get(1, 0))
 
 
 def _squarefree_split(k: int) -> tuple[int, int]:
