@@ -22,7 +22,11 @@ Informational fields are not checked, so edits to them go undetected: N;
 numfield dimension, radius_squared, covering_radius_squared and strategy;
 and extremal D over the integers, whose prime comes from a floating-point
 e^D. Integer fields are read strictly: a float, bool or string where a JSON
-integer belongs is a ParseError.
+integer belongs is a ParseError. So are list fields: anything but a JSON
+list where one belongs (coeffs, kernel_vector, permutations and each
+permutation, matrix and each of its rows, eigenvector, triple) is a
+ParseError that names the field, and tuples that are not a nonempty list of
+lists fail.
 
 A balanced or certificate document is checked on value indices. Each
 distinct entry text is parsed once, and every coefficient, kernel and tuple
@@ -43,10 +47,10 @@ value.
 Emission is canonical (sorted keys, fixed indentation, deterministic list
 orders), so serialize -> parse -> serialize is byte-stable. canonical_json
 writes the bytes of json.dumps(doc, sort_keys=True, indent=2) without its
-pure-Python encoder. A list of entry texts, or of rows of them, that JSON
-writes unchanged between quotes (each distinct text is checked once) is laid
-out with one str.join per row, so no entry is escaped one by one; other
-lists of scalars, and scalars, go through the C encoder.
+pure-Python encoder. A list, or a list of rows, of entry texts that JSON
+writes unchanged between quotes (each distinct text is checked once) or of
+exact ints is laid out with one str.join per row, so no entry is encoded
+one by one beyond an int's repr.
 """
 from __future__ import annotations
 
@@ -70,7 +74,7 @@ from .core import (
     _ranked_multiset,
     certificate_from_balanced,
 )
-from .errors import ParseError
+from .errors import NonUnitError, ParseError
 
 VERIFIABLE_KINDS = ("balanced", "certificate", "extremal", "numfield")
 
@@ -80,9 +84,7 @@ _LISTS = frozenset((list, tuple))
 _INT = frozenset((int,))
 _STR = frozenset((str,))
 
-# Items separated by NUL with no whitespace: JSON escapes NUL inside strings,
-# so every raw NUL in this encoder's output is a separator.
-_NUL_SEPARATED = json.JSONEncoder(separators=("\x00", ":"), allow_nan=False)
+_SCALAR = json.JSONEncoder(allow_nan=False)
 
 
 def _plain(texts: list) -> bool:
@@ -92,42 +94,45 @@ def _plain(texts: list) -> bool:
         len(json.encoder.encode_basestring_ascii(s)) == len(s) + 2 for s in set(texts))
 
 
+def _joined(value, rows: bool, quote: str, pad: str) -> str:
+    """A flat list, or a list of rows, of JSON texts laid out by
+    _indented, each text written between quote and quote."""
+    inner = pad + "  "
+    if not rows:
+        return f"[\n{inner}{quote}" + f"{quote},\n{inner}{quote}".join(value) + f"{quote}\n{pad}]"
+    deeper = inner + "  "
+    body = f"{quote}\n{inner}],\n{inner}[\n{deeper}{quote}".join(
+        [f"{quote},\n{deeper}{quote}".join(row) for row in value])
+    return f"[\n{inner}[\n{deeper}{quote}{body}{quote}\n{inner}]\n{pad}]"
+
+
 def _indented(value, pad: str) -> str:
     """value as json.dumps(value, sort_keys=True, indent=2) lays it out at
     the nesting whose lines start with pad.
 
     A flat list, or a list of nonempty rows, of plain texts (str that JSON
-    writes unchanged between quotes) is joined as it stands, the quotes
-    folded into the separators. Other flat lists of scalars and lists of
-    nonempty scalar rows take one call of the C encoder each, as does a
-    scalar; anything else goes through json.dumps itself.
+    writes unchanged between quotes) or of exact ints is joined one row at
+    a time: the texts as they stand, the quotes folded into the separators,
+    and the ints as their repr. A scalar takes one call of the C encoder;
+    anything else, a list that mixes in bool, float or None among them,
+    goes through json.dumps itself.
     """
-    inner = pad + "  "
     if type(value) in _LISTS and value:
         rows = _LISTS.issuperset(map(type, value)) and all(value)
-        if (type(value[0][0] if rows else value[0]) is str
-                and _plain(list(itertools.chain.from_iterable(value)) if rows else value)):
-            if not rows:
-                return f'[\n{inner}"' + f'",\n{inner}"'.join(value) + f'"\n{pad}]'
-            deeper = inner + "  "
-            body = f'"\n{inner}],\n{inner}[\n{deeper}"'.join(
-                [f'",\n{deeper}"'.join(row) for row in value])
-            return f'[\n{inner}[\n{deeper}"{body}"\n{inner}]\n{pad}]'
-        if not rows and _SCALARS.issuperset(map(type, value)):
-            body = _NUL_SEPARATED.encode(value)[1:-1].replace("\x00", ",\n" + inner)
-            return f"[\n{inner}{body}\n{pad}]"
-        if rows and _SCALARS.issuperset(map(type, itertools.chain.from_iterable(value))):
-            deeper = inner + "  "
-            body = (_NUL_SEPARATED.encode(value)[2:-2]
-                    .replace("]\x00[", f"\n{inner}],\n{inner}[\n{deeper}")
-                    .replace("\x00", ",\n" + deeper))
-            return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{pad}]"
+        first = type(value[0][0] if rows else value[0])
+        if first is str and _plain(list(itertools.chain.from_iterable(value)) if rows else value):
+            return _joined(value, rows, '"', pad)
+        if first is int and _INT.issuperset(
+                map(type, itertools.chain.from_iterable(value) if rows else value)):
+            return _joined([map(repr, row) for row in value] if rows else map(repr, value),
+                           rows, "", pad)
     elif type(value) is dict and value and all(type(k) is str for k in value):
+        inner = pad + "  "
         items = ",".join(f"\n{inner}{json.dumps(k)}: {_indented(value[k], inner)}"
                          for k in sorted(value))
         return f"{{{items}\n{pad}}}"
     elif type(value) in _SCALARS:
-        return _NUL_SEPARATED.encode(value)
+        return _SCALAR.encode(value)
     return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad)
 
 
@@ -169,17 +174,27 @@ def parse_json(text: str) -> dict:
     return doc
 
 
-def _ints(values, what: str = "entry") -> tuple[int, ...]:
-    """values as JSON integers; a float, bool or string among them is a ParseError."""
-    row = tuple(values)
-    if not _INT.issuperset(map(type, row)):
-        bad = next(v for v in row if type(v) is not int)
-        raise ParseError(f"{what} must be an integer, not {type(bad).__name__}")
-    return row
+def _list(value, what: str):
+    """value, which must be a JSON list; anything else is a ParseError that
+    names the field what."""
+    if type(value) not in _LISTS:
+        raise ParseError(f"{what} must be a list, not {type(value).__name__}")
+    return value
 
 
 def _int(value, what: str = "entry") -> int:
-    return _ints((value,), what)[0]
+    """value, which must be a JSON integer; a float, bool or string is a ParseError."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    """The list field what as JSON integers, each named a "what entry"."""
+    row = tuple(_list(values, what))
+    if not _INT.issuperset(map(type, row)):
+        _int(next(v for v in row if type(v) is not int), f"{what} entry")
+    return row
 
 
 def _one_based(perms: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -194,8 +209,8 @@ def _zero_based(perms: Sequence[Sequence[int]], m: int) -> Optional[list[tuple[i
     """
     indices = None
     out = []
-    for p in perms:
-        row = [k - 1 for k in _ints(p, "permutation entry")]
+    for p in _list(perms, "permutations"):
+        row = [k - 1 for k in _ints(p, "permutation")]
         if len(row) != m or set(row) != (indices := indices or set(range(m))):
             return None
         out.append(tuple(row))
@@ -287,8 +302,8 @@ class _EntryTable:
     values holds the distinct values in order of first appearance, and an
     entry's index is the position of its value there; two texts that spell
     one value share an index. Entries come in lists of texts (JSON integers
-    over Z), which are deduplicated before parsing. Anything else is parsed
-    entry by entry, so a malformed entry raises as it would alone.
+    over Z), which are deduplicated before parsing; an entry of another type
+    raises as its parse does.
     """
 
     def __init__(self, parse, kind: type):
@@ -304,9 +319,13 @@ class _EntryTable:
             self.values.append(value)
         return k
 
-    def _lookup(self, texts: list) -> list[int]:
-        """Indices of texts of the entry kind; texts not seen before are
-        parsed once each, in order of first appearance."""
+    def indices(self, entries, what: str) -> list[int]:
+        """Indices of the entries of the list field what; texts not seen
+        before are parsed once each, in order of first appearance."""
+        texts = _list(entries, what)
+        if not self._kind.issuperset(map(type, texts)):
+            # every parse refuses a value that is not its text
+            self._parse(next(v for v in texts if type(v) not in self._kind))
         seen = self._index_of_text
         found = list(map(seen.get, texts))
         if None in found:
@@ -316,26 +335,15 @@ class _EntryTable:
             found = list(map(seen.__getitem__, texts))
         return found
 
-    def indices(self, entries) -> list[int]:
-        if type(entries) in _LISTS and self._kind.issuperset(map(type, entries)):
-            return self._lookup(entries)
-        return [self._index(self._parse(v)) for v in entries]
-
     def index_columns(self, rows, n: int) -> Optional[list[list[int]]]:
         """Column i of rows as value indices, or None unless rows is a
-        nonempty list of rows of n entries each; every entry is parsed
-        either way."""
-        if type(rows) in _LISTS and _LISTS.issuperset(map(type, rows)):
-            flat = list(itertools.chain.from_iterable(rows))
-            if self._kind.issuperset(map(type, flat)):
-                flat = self._lookup(flat)
-                if set(map(len, rows)) != {n}:
-                    return None
-                return [flat[i::n] for i in range(n)]
-        indexed = [tuple(self._index(self._parse(v)) for v in row) for row in rows]
-        if type(rows) not in _LISTS or not indexed or any(len(row) != n for row in indexed):
+        nonempty list of lists of n entries each."""
+        if type(rows) not in _LISTS or not rows or not _LISTS.issuperset(map(type, rows)):
             return None
-        return [list(col) for col in zip(*indexed)]
+        flat = self.indices(list(itertools.chain.from_iterable(rows)), "tuples")
+        if set(map(len, rows)) != {n}:
+            return None
+        return [flat[i::n] for i in range(n)]
 
 
 def _tuples_match(coeffs: tuple, values: list, columns: list[list[int]],
@@ -367,7 +375,7 @@ def _verify_multiset(doc: dict) -> bool:
         table = _EntryTable(_int, int)
     else:
         raise ParseError(f"unknown ring {ring!r}")
-    coeffs = tuple(map(table.values.__getitem__, table.indices(doc["coeffs"])))
+    coeffs = tuple(map(table.values.__getitem__, table.indices(doc["coeffs"], "coeffs")))
     if ring == "fqt":
         CoeffTuple.refuse_malformed(coeffs)  # as certify does
     if len(coeffs) != _int(doc["n"], "n") or not coeffs or not all(coeffs):
@@ -376,7 +384,7 @@ def _verify_multiset(doc: dict) -> bool:
     perms = _zero_based(doc["permutations"], m)
     if perms is None or len(perms) != len(coeffs):
         return False
-    kernel_idx = table.indices(doc["kernel_vector"])
+    kernel_idx = table.indices(doc["kernel_vector"], "kernel_vector")
     if len(kernel_idx) != m or not _certificate_holds(coeffs, table.values, kernel_idx, perms):
         return False
     if "tuples" in doc:
@@ -394,9 +402,9 @@ def _verify_extremal(doc: dict) -> bool:
     if ring == "fqt":
         _require(doc, "q")
         field = FieldParams(_int(doc["q"], "q"))
-        triple = tuple(parse_poly(field, s) for s in doc["triple"])
+        triple = tuple(parse_poly(field, s) for s in _list(doc["triple"], "triple"))
     elif ring == "int":
-        triple = _ints(doc["triple"], "triple entry")
+        triple = _ints(doc["triple"], "triple")
     else:
         raise ParseError(f"unknown ring {ring!r}")
     cert = bounds.OrderBoundCertificate(
@@ -415,7 +423,7 @@ def _verify_extremal(doc: dict) -> bool:
     )
     try:
         return bounds.verify_extremal(inst)
-    except ValueError:
+    except (ValueError, NonUnitError):  # a triple with no order bound claims a false one
         return False
 
 
@@ -427,7 +435,7 @@ def _verify_numfield(doc: dict) -> bool:
         return False
     alpha = quadratic.parse_quadint(K, doc["alpha"])
     n = _int(doc["n"], "n")
-    matrix = tuple(_ints(row, "matrix entry") for row in doc["matrix"])
+    matrix = tuple(_ints(row, "matrix row") for row in _list(doc["matrix"], "matrix"))
     dim = len(matrix)
     if any(len(row) != dim for row in matrix):
         return False
@@ -438,7 +446,7 @@ def _verify_numfield(doc: dict) -> bool:
     if numfield.permutation_sum(perms, dim) != matrix:
         return False
     table = _EntryTable(functools.partial(quadratic.parse_quadint, K), str)
-    vec = list(map(table.values.__getitem__, table.indices(doc["eigenvector"])))
+    vec = list(map(table.values.__getitem__, table.indices(doc["eigenvector"], "eigenvector")))
     return numfield._eigenvector_holds(matrix, vec, alpha)
 
 

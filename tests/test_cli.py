@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from smyth.cli import main
+from smyth.errors import ParseError
+from smyth.serialize import verify_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "perfbench" / "corpus"
@@ -455,6 +457,66 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "must be an integer" in err
+
+    @pytest.mark.parametrize("value", ["110", 3, None, {"0": 1}],
+                             ids=["string", "number", "null", "object"])
+    @pytest.mark.parametrize("name, field", [
+        ("fqt-m8-balanced.json", "permutations"),
+        ("fqt-m8-balanced.json", "coeffs"),
+        ("int-size3.json", "kernel_vector"),
+        ("numfield-d3.json", "matrix"),
+        ("numfield-d3.json", "eigenvector"),
+        ("extremal-int.json", "triple"),
+        ("extremal-fqt-q2.json", "triple"),
+    ], ids=["permutations", "coeffs", "kernel_vector", "matrix", "eigenvector",
+            "int-triple", "fqt-triple"])
+    def test_non_list_field_exit_two(self, capsys, tmp_path, name, field, value):
+        doc = json.loads((CORPUS / name).read_text(encoding="utf-8"))
+        doc[field] = value
+        message = f"{field} must be a list, not {type(value).__name__}"
+        with pytest.raises(ParseError, match=message):
+            verify_doc(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("field", ["coeffs", "kernel_vector"])
+    def test_list_field_joined_into_one_string_exit_two(self, capsys, tmp_path, field):
+        # each entry of this certificate is one character, so the joined
+        # string would read as the list if a string were iterated
+        _, out, _ = run(capsys, "certify", "--q", "2", "--coeffs", "1;1;1", "--N", "1")
+        doc = json.loads(out)
+        doc[field] = "".join(doc[field])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify", str(bad))
+        assert (code, out2) == (2, "")
+        assert err == f"error: {field} must be a list, not str\n"
+
+    def test_tuples_rows_as_strings_exit_one(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "certify", "--q", "2", "--coeffs", "1;1;1", "--N", "1")
+        doc = json.loads(out)
+        doc["tuples"] = ["".join(row) for row in doc["tuples"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out2, _ = run(capsys, "verify", str(bad))
+        assert code == 1
+        assert json.loads(out2)["verified"] is False
+
+    @pytest.mark.parametrize("name, triple", [
+        ("extremal-int.json", [92, 139, 139]),
+        ("extremal-fqt-q2.json", ["t^2", "t^4+t+1", "t^4+t+1"]),
+    ], ids=["int", "fqt"])
+    def test_triple_with_no_order_bound_exit_one(self, capsys, tmp_path, name, triple):
+        # -a/b is no unit mod c, so no order bound exists and the claim is false
+        doc = json.loads((CORPUS / name).read_text(encoding="utf-8"))
+        doc["triple"] = triple
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert (code, err) == (1, "")
+        assert json.loads(out)["verified"] is False
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this Python has no int-string digit limit")

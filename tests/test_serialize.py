@@ -1,6 +1,7 @@
 """Certificate document round-trip and tamper-detection tests."""
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -50,26 +51,35 @@ class _Text(str):
     pass
 
 
+class _Int(int):
+    pass
+
+
 # texts JSON writes unchanged between quotes, and entries that must leave the
 # plain-text join path: each poison is inserted into one row as a run
 _PLAIN = st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7e,
                                         blacklist_characters='"\\'), max_size=5)
 _POISONS = (['"'], ["\\"], ["\x1f"], ["\u00e9"], [1, "1"], [True, 1], [_Text("a")],
             [["y"]], [{"z": "w"}], [float("nan")])
+# exact ints of every sign and size, and entries that must leave the int
+# join path
+_INTS = st.integers() | st.sampled_from([0, -1, 2**64, 2**64 + 1, -(2**64), 10**30])
+_INT_POISONS = ([True], [False, 0], [None], [1.5], [float("nan")], ["1"], [_Int(3)],
+                [[1]], [{"z": 1}])
 
 
 @st.composite
-def _plain_rows(draw):
-    """A flat list, or a list of nonempty rows, of plain texts, sometimes with
+def _poisoned_rows(draw, entries, poisons):
+    """A flat list, or a list of nonempty rows, of entries, sometimes with
     one poison run, nested one or two levels deep in a document."""
     flat = draw(st.booleans())
     if flat:
-        value = draw(st.lists(_PLAIN, min_size=1, max_size=8))
+        value = draw(st.lists(entries, min_size=1, max_size=8))
         row = value
     else:
-        value = draw(st.lists(st.lists(_PLAIN, min_size=1, max_size=4), min_size=1, max_size=5))
+        value = draw(st.lists(st.lists(entries, min_size=1, max_size=4), min_size=1, max_size=5))
         row = draw(st.sampled_from(value))
-    poison = draw(st.none() | st.sampled_from(_POISONS))
+    poison = draw(st.none() | st.sampled_from(poisons))
     if poison is not None:
         at = draw(st.integers(0, len(row)))
         row[at:at] = poison
@@ -91,7 +101,7 @@ class TestCanonicalJson:
         else:
             assert canonical_json(doc) == want
 
-    @given(_plain_rows())
+    @given(_poisoned_rows(_PLAIN, _POISONS))
     @settings(max_examples=200, deadline=None)
     def test_plain_text_rows_same_bytes_as_pure_python_encoder(self, doc):
         try:
@@ -102,11 +112,33 @@ class TestCanonicalJson:
         else:
             assert canonical_json(doc) == want
 
+    @given(_poisoned_rows(_INTS, _INT_POISONS))
+    @settings(max_examples=200, deadline=None)
+    def test_int_rows_same_bytes_as_pure_python_encoder(self, doc):
+        try:
+            want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            with pytest.raises(ValueError):
+                canonical_json(doc)
+        else:
+            assert canonical_json(doc) == want
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no int-string digit limit")
+    @pytest.mark.parametrize("value", [10**4400, [1, -10**4400], [[1], [10**4400]]],
+                             ids=["scalar", "flat", "rows"])
+    def test_int_past_the_digit_limit_raises_as_json_dumps_does(self, value):
+        with pytest.raises(ValueError):
+            json.dumps({"a": value})
+        with pytest.raises(ValueError):
+            canonical_json({"a": value})
+
     def test_edge_layouts(self):
         for doc in ({}, {"a": []}, {"a": [[]]}, {"a": [1]}, {"a": [[1]]}, {"a": [["]\x00["]]},
                     {"a": [[1], []]}, {"a": [[1], 2]}, {"a": ({"b": ()},)}, {"": {"": "\x00"}},
                     {"a": ["1", 1]}, {"a": [["x"], [1]]}, {"a": [["x", ["y"]]]},
-                    {"a": ["\x7f"]}):
+                    {"a": ["\x7f"]}, {"a": [True, 1]}, {"a": [[1], [True]]},
+                    {"a": [[1, 2], [3.5]]}, {"a": [-(2**70), 0]}, {"a": [(1, 2), [3]]}):
             assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def test_sorted_and_newline_terminated(self):
