@@ -22,11 +22,9 @@ Informational fields are not checked, so edits to them go undetected: N;
 numfield dimension, radius_squared, covering_radius_squared and strategy;
 and extremal D over the integers, whose prime comes from a floating-point
 e^D. Integer fields are read strictly: a float, bool or string where a JSON
-integer belongs is a ParseError. So are list fields: anything but a JSON
-list where one belongs (coeffs, kernel_vector, permutations and each
-permutation, matrix and each of its rows, eigenvector, triple) is a
-ParseError that names the field, and tuples that are not a nonempty list of
-lists fail.
+integer belongs is a ParseError. List fields are read as strictly: anything
+but a JSON list where one belongs is a ParseError that names the field, and
+tuples that are not a nonempty list of lists fail.
 
 A balanced or certificate document is checked on value indices. Each
 distinct entry text is parsed once, and every coefficient, kernel and tuple
@@ -95,8 +93,7 @@ def _plain(texts: list) -> bool:
 
 
 def _joined(value, rows: bool, quote: str, pad: str) -> str:
-    """A flat list, or a list of rows, of JSON texts laid out by
-    _indented, each text written between quote and quote."""
+    """The layout of _indented for a list, or rows, of texts set in quote."""
     inner = pad + "  "
     if not rows:
         return f"[\n{inner}{quote}" + f"{quote},\n{inner}{quote}".join(value) + f"{quote}\n{pad}]"
