@@ -110,9 +110,9 @@ def _indented(value, pad: str) -> str:
     A flat list, or a list of nonempty rows, of plain texts (str that JSON
     writes unchanged between quotes) or of exact ints is joined one row at
     a time: the texts as they stand, the quotes folded into the separators,
-    and the ints as their repr. A scalar takes one call of the C encoder;
-    anything else, a list that mixes in bool, float or None among them,
-    goes through json.dumps itself.
+    and the ints as their repr. A scalar takes one call of the C encoder.
+    Anything else, such as a list that mixes bool, float or None into its
+    ints, goes through json.dumps itself.
     """
     if type(value) in _LISTS and value:
         rows = _LISTS.issuperset(map(type, value)) and all(value)
@@ -187,7 +187,8 @@ def _int(value, what: str = "entry") -> int:
 
 
 def _ints(values, what: str) -> tuple[int, ...]:
-    """The list field what as JSON integers, each named a "what entry"."""
+    """The list field what as JSON integers; an entry of another type is a
+    ParseError that names it a "what entry"."""
     row = tuple(_list(values, what))
     if not _INT.issuperset(map(type, row)):
         _int(next(v for v in row if type(v) is not int), f"{what} entry")
@@ -321,7 +322,7 @@ class _EntryTable:
         before are parsed once each, in order of first appearance."""
         texts = _list(entries, what)
         if not self._kind.issuperset(map(type, texts)):
-            # every parse refuses a value that is not its text
+            # every parse refuses a value of another type
             self._parse(next(v for v in texts if type(v) not in self._kind))
         seen = self._index_of_text
         found = list(map(seen.get, texts))
@@ -420,7 +421,7 @@ def _verify_extremal(doc: dict) -> bool:
     )
     try:
         return bounds.verify_extremal(inst)
-    except (ValueError, NonUnitError):  # a triple with no order bound claims a false one
+    except (ValueError, NonUnitError):  # the triple has no order bound, so the claim is false
         return False
 
 

@@ -88,40 +88,33 @@ def _poisoned_rows(draw, entries, poisons):
     return draw(st.sampled_from([{"a": value}, {"b": {"a": value}, "c": 1}]))
 
 
+def _assert_same_bytes_as_json_dumps(doc):
+    # NaN and infinities are not JSON, and Python refuses to write an int of
+    # more than 4,300 digits: both encoders refuse either
+    try:
+        want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(ValueError):
+            canonical_json(doc)
+    else:
+        assert canonical_json(doc) == want
+
+
 class TestCanonicalJson:
     @given(st.dictionaries(st.text() | _TRICKY, _JSON, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_same_bytes_as_pure_python_encoder(self, doc):
-        # NaN and infinities are not JSON: both refuse them
-        try:
-            want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        except ValueError:
-            with pytest.raises(ValueError):
-                canonical_json(doc)
-        else:
-            assert canonical_json(doc) == want
+        _assert_same_bytes_as_json_dumps(doc)
 
     @given(_poisoned_rows(_PLAIN, _POISONS))
     @settings(max_examples=200, deadline=None)
     def test_plain_text_rows_same_bytes_as_pure_python_encoder(self, doc):
-        try:
-            want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        except ValueError:
-            with pytest.raises(ValueError):
-                canonical_json(doc)
-        else:
-            assert canonical_json(doc) == want
+        _assert_same_bytes_as_json_dumps(doc)
 
     @given(_poisoned_rows(_INTS, _INT_POISONS))
     @settings(max_examples=200, deadline=None)
     def test_int_rows_same_bytes_as_pure_python_encoder(self, doc):
-        try:
-            want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        except ValueError:
-            with pytest.raises(ValueError):
-                canonical_json(doc)
-        else:
-            assert canonical_json(doc) == want
+        _assert_same_bytes_as_json_dumps(doc)
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this Python has no int-string digit limit")
