@@ -19,9 +19,11 @@ verify_numfield_certificate checks exactly that witness.
 
 The rounding matrix has at most two nonzero entries per row. Rounding
 hands it to the bridge as sparse rows, and the bridge searches on the
-points' integer coordinates and indices, so memory is linear in the ball;
-only the bridge's result, of dimension at most MAX_BRIDGE_DIMENSION, is
-dense. LatticeStep.matrix writes the rounding matrix out only when read.
+points' integer coordinates and indices, so memory is linear in the ball.
+The Birkhoff split works on each row's nonzero entries, inside the bridge
+and after it, so the one dense matrix is the bridge's result, of dimension
+at most MAX_BRIDGE_DIMENSION, which the certificate carries.
+LatticeStep.matrix writes the rounding matrix out only when read.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ import functools
 import itertools
 import math
 from cmath import exp as cexp, pi as cpi, sqrt as csqrt
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -480,11 +483,12 @@ def _points_near(K: QuadField, alpha: QuadInt, r_squared: Fraction):
     """Lister of the points of Z[alpha] within ambient distance^2 r_squared of a centre.
 
     The returned function near(wx, wy, d=1) takes the centre (wx + wy*w)/d
-    as integer numerators over one positive denominator d and returns entries
-    (d^2 * distance^2, sort_key, point), whose order is the (distance,
-    sort_key) order; the scaled distance is the ambient form at
-    (wx - d*x, wy - d*y), an int. With the form Q(u, v) = A*u^2 + B*u*v +
-    C*v^2 and disc = 4AC - B^2 > 0, completing the square gives 4A*Q =
+    as integer numerators over one positive denominator d and returns pairs
+    (d^2 * distance^2, sort_key), whose order is the (distance, sort_key)
+    order, with sort_key the point's integer coordinates (x, y); the scaled
+    distance is the ambient form Q(u, v) = A*u^2 + B*u*v + C*v^2 at
+    (u, v) = (wx - d*x, wy - d*y), an int. With disc = 4AC - B^2 > 0,
+    completing the square gives 4A*Q =
     (2A*u + B*v)^2 + disc*v^2. A point p + s*alpha has v = wy - d*s*ay, so
     disc*v^2 <= 4A*d^2*r_squared bounds the rows s, and then the first square
     bounds p on each row. Both bounds are isqrt of a floor, exact for integer
@@ -498,9 +502,8 @@ def _points_near(K: QuadField, alpha: QuadInt, r_squared: Fraction):
     r_squared = Fraction(r_squared)
     rn, rd = r_squared.numerator, r_squared.denominator
     ax, ay = alpha.x, alpha.y
-    ambient_q, element = K.ambient_q, K.element
 
-    def near(wx: int, wy: int, d: int = 1) -> list[tuple[int, tuple[int, int], QuadInt]]:
+    def near(wx: int, wy: int, d: int = 1) -> list[tuple[int, tuple[int, int]]]:
         width = 4 * A * rn * d * d  # rd * 4A * d^2 * r_squared
         limit = rn * d * d // rd    # an int distance is <= d^2 * r_squared iff <= this
         if ay:
@@ -518,13 +521,15 @@ def _points_near(K: QuadField, alpha: QuadInt, r_squared: Fraction):
                 continue
             h = math.isqrt(rest // rd)
             # |2A*(u0 - d*p) + B*v| <= h with u0 = wx - d*s*ax
-            c2 = 2 * A * (wx - d * s * ax) + B * v
+            u0, x0, y = wx - d * s * ax, s * ax, s * ay
+            bv, cvv = B * v, C * v * v
+            c2 = 2 * A * u0 + bv
             k2 = 2 * A * d
             for p in range(-((h - c2) // k2), (c2 + h) // k2 + 1):
-                x, y = p + s * ax, s * ay
-                dist = ambient_q(wx - d * x, wy - d * y)
+                u = u0 - d * p
+                dist = (A * u + bv) * u + cvv
                 if dist <= limit:
-                    found.append((dist, (x, y), element(x, y)))
+                    found.append((dist, (p + x0, y)))
         return found
 
     return near
@@ -625,10 +630,8 @@ def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
     if c_upper >= n - 1:
         raise PrecisionError("upper bound for |alpha| touched n-1")
     r_bound = (n - 2) * m_upper * (n - 1) / ((n - 1) - c_upper)
-    k = 0
-    while Fraction(2) ** k <= r_bound:
-        k += 1
-    k += radius_factor
+    # the least k with 2^k > r_bound, then radius_factor doublings
+    k = math.floor(r_bound).bit_length() + radius_factor
     radius = Fraction(2) ** k
     r_squared = radius * radius
     estimate = _ball_size_estimate(K, alpha, r_squared)
@@ -637,12 +640,12 @@ def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
             f"the rounding ball of radius^2 {r_squared} holds about {estimate} "
             f"lattice points, more than {MAX_BALL_POINTS}", required=estimate)
     ball = sorted(_points_near(K, alpha, r_squared)(0, 0))
-    coords = [key for _, key, _ in ball]
+    coords = [key for _, key in ball]
     index = {key: i for i, key in enumerate(coords)}
     nearest = _points_near(K, alpha, m_squared)
     rows = []
     for wx, wy in _times(alpha, coords):
-        _, (x1, y1), _ = min(nearest(wx, wy, n - 1))
+        _, (x1, y1) = min(nearest(wx, wy, n - 1))
         j1 = index.get((x1, y1))
         j2 = index.get((wx - (n - 2) * x1, wy - (n - 2) * y1))
         if j1 is None:
@@ -656,7 +659,7 @@ def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
             rows.append(((j1, n - 1),))
         else:
             rows.append(tuple(sorted(((j1, n - 2), (j2, 1)))))
-    return LatticeStep(rows=tuple(rows), points=tuple(z for _, _, z in ball),
+    return LatticeStep(rows=tuple(rows), points=tuple(itertools.starmap(K.element, coords)),
                        radius_squared=r_squared, covering_radius_squared=m_squared, n=n)
 
 
@@ -861,16 +864,16 @@ def perron_bridge(rows: Sequence[SparseRow], alpha: Entry,
         slot_base[w] = len(slots)
         slots.extend([w] * mult[w])
     fill = {w: 0 for w in order}
-    bip = [[0] * total for _ in range(total)]
-    for r, i in enumerate(member_source):
+    bip = [{} for _ in range(total)]
+    for row, i in zip(bip, member_source):
         j1, j2 = decomp[i]
         for w in [j1] * (n - 2) + [j2]:
             col = slot_base[w] + fill[w] // (n - 1)
             fill[w] += 1
-            bip[r][col] += 1
+            row[col] = row.get(col, 0) + 1
     if any(fill[w] != (n - 1) * mult[w] for w in order):
         raise BridgeError("slot routing does not balance", matrix=rows)
-    matchings = birkhoff_decompose(tuple(map(tuple, bip)))
+    matchings = _split(bip, n - 1)
     one = alpha.field.one
     coeffs = tuple([one] * (n - 1) + [-alpha])
     # member r is (p[slots[mt[r]]] for each matching mt, then p[member_source[r]])
@@ -929,44 +932,74 @@ def _augment(support: list[list[int]], match_col: list[int], root: int) -> bool:
     return False
 
 
-def birkhoff_decompose(D: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Split a doubly regular nonnegative integer matrix into permutations.
+def _nonzero_rows(D: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """The nonzero entries of each row of a square matrix, as {column: entry}."""
+    cols = tuple(range(len(D)))
+    return [{c: row[c] for c in itertools.compress(cols, row)} for row in D]
 
-    Repeatedly extracts a perfect matching on the positive entries (it exists
-    at every stage by Hall's condition for regular bipartite multigraphs) and
-    subtracts it. Rows and candidate columns are scanned in ascending order,
-    so the output is deterministic; augmenting paths are followed with an
-    explicit stack, so no dimension the bridge admits reaches the recursion
-    limit.
+
+def _split(counts: Sequence[dict[int, int]], s: int) -> list[tuple[int, ...]]:
+    """Split a doubly regular matrix, given by its nonzero entries, into s
+    permutations.
+
+    counts[r] maps each column of row r's nonzero entries to the entry; a
+    row or column whose entries do not sum to s raises ValueError. Repeatedly
+    extracts a perfect matching on the positive entries (it exists at every
+    stage by Hall's condition for regular bipartite multigraphs) and
+    subtracts it. Rows and open columns are scanned in ascending order, so
+    the output is deterministic; a row whose first open column is free takes
+    it, as the augmenting path would, and other rows follow augmenting paths
+    on an explicit stack, so no dimension the bridge admits reaches the
+    recursion limit. counts is left as it was.
     """
-    size = len(D)
-    work = [list(row) for row in D]
-    if any(len(row) != size for row in work):
-        raise ValueError("matrix must be square")
-    for row in work:
-        if not all(issubclass(t, int) for t in set(map(type, row))) or min(row) < 0:
-            raise ValueError("entries must be nonnegative integers")
-    sums = set(map(sum, work))
-    sums.update(map(sum, zip(*work)))
-    if len(sums) != 1:
+    size = len(counts)
+    column_sums = [0] * size
+    for row in counts:
+        if sum(row.values()) != s:
+            raise ValueError("row and column sums must all be equal")
+        for c, k in row.items():
+            column_sums[c] += k
+    if column_sums.count(s) != size:
         raise ValueError("row and column sums must all be equal")
-    s = sums.pop()
+    left = [dict(row) for row in counts]
+    support = [sorted(row) for row in counts]
     perms = []
-    support = [list(itertools.compress(range(size), row)) for row in work]
     for _ in range(s):
         match_col = [-1] * size
-        for r in range(size):
-            if not _augment(support, match_col, r):
+        for r, cols in enumerate(support):
+            if match_col[cols[0]] == -1:
+                match_col[cols[0]] = r
+            elif not _augment(support, match_col, r):
                 raise ValueError("no perfect matching on positive entries")
         perm = [0] * size
         for c, r in enumerate(match_col):
             perm[r] = c
         for r, c in enumerate(perm):
-            work[r][c] -= 1
-            if not work[r][c]:
+            left[r][c] -= 1
+            if not left[r][c]:
                 support[r].remove(c)
         perms.append(tuple(perm))
     return perms
+
+
+def birkhoff_decompose(D: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Split a doubly regular nonnegative integer matrix into permutations.
+
+    The dense entry point to the sparse split: D must be square with
+    nonnegative integer entries and equal row and column sums, else
+    ValueError. Each row's nonzero entries go to the split, which returns
+    one permutation per unit of the common sum.
+    """
+    size = len(D)
+    if any(len(row) != size for row in D):
+        raise ValueError("matrix must be square")
+    for row in D:
+        if not all(issubclass(t, int) for t in set(map(type, row))) or min(row) < 0:
+            raise ValueError("entries must be nonnegative integers")
+    if not size:
+        raise ValueError("row and column sums must all be equal")
+    counts = _nonzero_rows(D)
+    return _split(counts, sum(counts[0].values()))
 
 
 # ---------------------------------------------------------------------------
@@ -1025,10 +1058,11 @@ def numfield_pipeline(K: QuadField, alpha: Entry, n: int = 3,
 
     Rounding hands its rows to the bridge in sparse form, so no matrix of
     the ball's size is written out; only the bridge's result, of dimension
-    at most MAX_BRIDGE_DIMENSION, is dense. Retries with a doubled ball
-    radius when the bridge cannot rebalance; the final BridgeError
-    propagates with the last rounding matrix attached as sparse rows. A
-    ball past MAX_BALL_POINTS raises BudgetExceededError.
+    at most MAX_BRIDGE_DIMENSION, is dense. The split reads its nonzero
+    entries once, and the permutations must count back to them row by row.
+    Retries with a doubled ball radius when the bridge cannot rebalance; the
+    final BridgeError propagates with the last rounding matrix attached as
+    sparse rows. A ball past MAX_BALL_POINTS raises BudgetExceededError.
     """
     alpha = _as_quadint(K, alpha)
     last_error: Optional[BridgeError] = None
@@ -1039,10 +1073,11 @@ def numfield_pipeline(K: QuadField, alpha: Entry, n: int = 3,
         except BridgeError as err:
             last_error = err
             continue
-        perms = birkhoff_decompose(bridge.matrix)
+        counts = _nonzero_rows(bridge.matrix)
+        perms = _split(counts, n - 1)
         # the bridge checked the eigen identity; a nonzero eigenvector of
         # the matrix the split sums back to proves the determinant vanishes
-        if (permutation_sum(perms, len(bridge.matrix)) != bridge.matrix
+        if (any(Counter(images) != row for images, row in zip(zip(*perms), counts))
                 or not any(bridge.eigenvector)):
             last_error = BridgeError("decomposed certificate failed verification",
                                      matrix=step.rows)

@@ -318,14 +318,21 @@ class SqrtSum:
         """Exact sign: -1, 0, or +1.
 
         Distinct squarefree radicands are linearly independent over Q, so the
-        sum is zero only in the trivial case; otherwise bracket refinement
-        must eventually separate it from zero.
+        sum is zero only in the trivial case. Two terms a*sqrt(s) + b*sqrt(t)
+        (a rational part has s = 1) are decided exactly: a*a*s != b*b*t, so
+        when the signs of a and b differ the term with the larger square
+        wins. Longer sums are separated from zero by bracket refinement.
         """
         if not self.terms:
             return 0
         if len(self.terms) == 1:
             s, c = self.terms[0]
             return 1 if c > 0 else -1
+        if len(self.terms) == 2:
+            (s, a), (t, b) = self.terms
+            if (a > 0) != (b > 0) and a * a * s < b * b * t:
+                a = b
+            return 1 if a > 0 else -1
         bits = 16
         while bits <= _SIGN_PRECISION_CEILING:
             scale = 1 << bits

@@ -2,8 +2,9 @@
 
 - `dense_birkhoff` is `birkhoff_decompose` as it was on a dense working copy
   of the matrix, with its own copy of the stack-based augmenting path. The
-  public split must return its permutations on doubly regular matrices
-  built as sums of drawn permutations, and refuse what it refused.
+  public split and the sparse `_split` under it must return its
+  permutations on doubly regular matrices built as sums of drawn
+  permutations, and refuse what it refused.
 - `quadint_points_near` is the nearest-point lister as it was when every
   candidate went through `ambient_q` and became a `QuadInt`. The library's
   lister must list the same (distance, sort_key) pairs in the same order.
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from smyth.numfield import _points_near, birkhoff_decompose, permutation_sum
+from smyth.numfield import _points_near, _split, birkhoff_decompose, permutation_sum
 from smyth.quadratic import QuadField, SqrtSum, _squarefree_split
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,24 @@ class TestSplit:
     @given(regular_matrices())
     @settings(max_examples=120, deadline=None)
     def test_matches_dense_reference(self, D):
-        assert birkhoff_decompose(D) == dense_birkhoff(D)
+        want = dense_birkhoff(D)
+        assert birkhoff_decompose(D) == want
+        counts = [{c: k for c, k in enumerate(row) if k} for row in D]
+        frozen = [dict(row) for row in counts]
+        assert _split(counts, sum(D[0])) == want
+        assert counts == frozen
+
+    @pytest.mark.parametrize("counts, s", [
+        ([{}], 1),
+        ([{}, {0: 1}], 1),
+        ([{0: 1, 1: 1}, {}], 1),
+        ([{0: 2}, {1: 1}], 2),
+        ([{1: 2}, {1: 2}], 2),
+    ], ids=["only-row-empty", "first-row-empty", "last-row-empty", "unequal-rows",
+            "unequal-columns"])
+    def test_sparse_refusals(self, counts, s):
+        with pytest.raises(ValueError, match="row and column sums must all be equal"):
+            _split(counts, s)
 
     @pytest.mark.parametrize("D", [
         ((1, 0), (1,)),
