@@ -186,6 +186,15 @@ def _int(value, what: str = "entry") -> int:
     return value
 
 
+def _field(make, doc: dict, what: str):
+    """make(doc[what]) for the field parameter what, q or m; a value the
+    constructor refuses with ValueError is a ParseError."""
+    try:
+        return make(_int(doc[what], what))
+    except ValueError as err:
+        raise ParseError(str(err)) from None
+
+
 def _ints(values, what: str) -> tuple[int, ...]:
     """The list field what as JSON integers; an entry of another type is a
     ParseError that names it a "what entry"."""
@@ -367,7 +376,7 @@ def _verify_multiset(doc: dict) -> bool:
     ring = doc.get("ring", "fqt")
     if ring == "fqt":
         _require(doc, "q")
-        field = FieldParams(_int(doc["q"], "q"))
+        field = _field(FieldParams, doc, "q")
         table = _EntryTable(functools.partial(parse_poly, field), str)
     elif ring == "int":
         table = _EntryTable(_int, int)
@@ -399,7 +408,7 @@ def _verify_extremal(doc: dict) -> bool:
     ring = doc["ring"]
     if ring == "fqt":
         _require(doc, "q")
-        field = FieldParams(_int(doc["q"], "q"))
+        field = _field(FieldParams, doc, "q")
         triple = tuple(parse_poly(field, s) for s in _list(doc["triple"], "triple"))
     elif ring == "int":
         triple = _ints(doc["triple"], "triple")
@@ -428,7 +437,7 @@ def _verify_extremal(doc: dict) -> bool:
 def _verify_numfield(doc: dict) -> bool:
     _require(doc, "m", "omega", "alpha", "n", "matrix", "permutations",
              "eigenvector")
-    K = quadratic.QuadField(_int(doc["m"], "m"))
+    K = _field(quadratic.QuadField, doc, "m")
     if doc["omega"] != K.omega_label:
         return False
     alpha = quadratic.parse_quadint(K, doc["alpha"])

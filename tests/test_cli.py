@@ -458,6 +458,23 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and "must be an integer" in err
 
+    @pytest.mark.parametrize("name, field, value, message", [
+        ("fqt-m8-balanced.json", "q", 4, "q must be prime"),
+        ("extremal-fqt-q2.json", "q", 9, "q must be prime"),
+        ("numfield-d3.json", "m", 1, "m must not be 0 or 1"),
+    ], ids=["fqt-q4", "extremal-q9", "numfield-m1"])
+    def test_invalid_field_parameter_exit_two(self, capsys, tmp_path, name, field, value,
+                                              message):
+        doc = json.loads((CORPUS / name).read_text(encoding="utf-8"))
+        doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["110", 3, None, {"0": 1}],
                              ids=["string", "number", "null", "object"])
     @pytest.mark.parametrize("name, field", [
