@@ -939,18 +939,15 @@ def _nonzero_rows(D: Sequence[Sequence[int]]) -> list[dict[int, int]]:
 
 
 def _split(counts: Sequence[dict[int, int]], s: int) -> list[tuple[int, ...]]:
-    """Split a doubly regular matrix, given by its nonzero entries, into s
-    permutations.
+    """Split a doubly regular matrix, given as {column: entry} for each row's
+    nonzero entries, into s permutations; counts is left as it was.
 
-    counts[r] maps each column of row r's nonzero entries to the entry; a
-    row or column whose entries do not sum to s raises ValueError. Repeatedly
-    extracts a perfect matching on the positive entries (it exists at every
-    stage by Hall's condition for regular bipartite multigraphs) and
-    subtracts it. Rows and open columns are scanned in ascending order, so
-    the output is deterministic; a row whose first open column is free takes
-    it, as the augmenting path would, and other rows follow augmenting paths
-    on an explicit stack, so no dimension the bridge admits reaches the
-    recursion limit. counts is left as it was.
+    A row or column that does not sum to s raises ValueError. Each round
+    takes a perfect matching on the positive entries (Hall's condition holds
+    for regular bipartite multigraphs) and subtracts it. Rows and open
+    columns go in ascending order, so the output is deterministic. A row
+    whose first open column is free takes it, as the augmenting path would;
+    the others follow augmenting paths on an explicit stack.
     """
     size = len(counts)
     column_sums = [0] * size
@@ -985,10 +982,8 @@ def _split(counts: Sequence[dict[int, int]], s: int) -> list[tuple[int, ...]]:
 def birkhoff_decompose(D: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Split a doubly regular nonnegative integer matrix into permutations.
 
-    The dense entry point to the sparse split: D must be square with
-    nonnegative integer entries and equal row and column sums, else
-    ValueError. Each row's nonzero entries go to the split, which returns
-    one permutation per unit of the common sum.
+    A dense wrapper over the sparse split: D must be square with nonnegative
+    integer entries and equal row and column sums, else ValueError.
     """
     size = len(D)
     if any(len(row) != size for row in D):
