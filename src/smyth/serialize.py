@@ -189,8 +189,9 @@ def _int(value, what: str = "entry") -> int:
 def _field(make, doc: dict, what: str):
     """make(doc[what]) for the field parameter what, q or m; a value the
     constructor refuses with ValueError is a ParseError."""
+    value = _int(doc[what], what)
     try:
-        return make(_int(doc[what], what))
+        return make(value)
     except ValueError as err:
         raise ParseError(str(err)) from None
 
