@@ -31,7 +31,6 @@ import functools
 import itertools
 import math
 from cmath import exp as cexp, pi as cpi, sqrt as csqrt
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -1072,8 +1071,11 @@ def numfield_pipeline(K: QuadField, alpha: Entry, n: int = 3,
         perms = _split(counts, n - 1)
         # the bridge checked the eigen identity; a nonzero eigenvector of
         # the matrix the split sums back to proves the determinant vanishes
-        if (any(Counter(images) != row for images, row in zip(zip(*perms), counts))
-                or not any(bridge.eigenvector)):
+        left = [dict(row) for row in counts]
+        for perm in perms:
+            for row, c in zip(left, perm):
+                row[c] = row.get(c, 0) - 1
+        if any(any(row.values()) for row in left) or not any(bridge.eigenvector):
             last_error = BridgeError("decomposed certificate failed verification",
                                      matrix=step.rows)
             continue

@@ -1089,6 +1089,29 @@ class TestPipeline:
             numfield_pipeline(K, K.one, n=3, attempts=1)
         assert exc.value.matrix == sparse(lattice_rounding_step(K, K.one, 3).matrix)
 
+    def test_split_that_does_not_sum_back_is_refused(self, monkeypatch):
+        # the split after the bridge is checked against the bridge matrix's
+        # entries: rotating its first permutation moves one image of every row
+        split, bridge = numfield._split, numfield.perron_bridge
+        bridged = []
+
+        def bridge_spy(*args):
+            result = bridge(*args)
+            bridged.append(result)
+            return result
+
+        def split_spy(counts, s):
+            perms = split(counts, s)
+            if bridged:
+                bridged.clear()
+                perms[0] = perms[0][1:] + perms[0][:1]
+            return perms
+
+        monkeypatch.setattr(numfield, "perron_bridge", bridge_spy)
+        monkeypatch.setattr(numfield, "_split", split_spy)
+        with pytest.raises(BridgeError, match="decomposed certificate failed verification"):
+            numfield_pipeline(GAUSS, GAUSS.omega, n=3)
+
     @pytest.mark.parametrize("attempts, calls", [(4, 2), (1, 1)])
     def test_runs_the_public_steps_once_per_attempt(self, monkeypatch, attempts, calls):
         # 1 in Q(sqrt(2)) with n = 3 needs a second, larger ball
