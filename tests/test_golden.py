@@ -18,6 +18,7 @@ import pytest
 from smyth import (CoeffTuple, FieldParams, balanced_multiset, canonical_json,
                    construct_extremal_fqt, construct_extremal_int, extremal_doc,
                    min_balanced_search, multiset_doc)
+from smyth.bounds import MAX_INT_EXTREMAL_D, _EXHAUSTIVE_GROUP_LIMIT
 from smyth.cli import main
 from smyth.heuristic import limit_scan, p_n_closed_form
 from smyth.numfield import numfield_pipeline
@@ -146,6 +147,102 @@ def test_degenerate_integer_extremal_still_verifies(capsys, tmp_path):
     assert doc["degenerate"] is True and doc["triple"] == [1, 1, 2]
     assert verify_exit(capsys, tmp_path, doc) == 0
     assert verify_exit(capsys, tmp_path, dict(doc, degenerate=False)) == 1
+
+
+# sha256 of canonical_json(extremal_doc(...)) for construct_extremal_int(D),
+# D = 1..16, and for construct_extremal_fqt(q, D, seed) on a grid whose unit
+# groups q^D - 1 fall on both sides of bounds._EXHAUSTIVE_GROUP_LIMIT, so both
+# ways _find_generator picks a generator (scanning every residue, or drawing
+# residues from the seeded rng) are pinned.
+EXTREMAL_INT_GOLDEN = [
+    (1, "1a76886fab2a5f0143ef2c6117d57184b7a75e8733300954be9a3f847442b1c5"),
+    (2, "113dbed5f226b10be348cc680c75901379d0d9171b0b13b999362d778d8ce82c"),
+    (3, "6355c3e5870e28db568a8bf3e2e75422aee000aa6f356cf8ebaaface95476635"),
+    (4, "107036f09ce491d733ec0d5c4999518caf5bc5ddf83a837929abecd23c5753b9"),
+    (5, "9c4e33a288a143c5cecee964338e383a17022226f1ef48343731732e0a7d5769"),
+    (6, "f520178120f9dfd1480ea68bc8916a41ab2746d45066a8282c663fe05c74ca92"),
+    (7, "677007d96556ec29debf3e21eccdef364ad2184452eafb89245a609210deb5f9"),
+    (8, "f067f70ebe1a842212ddc7d3ec5ee889656ffb57de60fb51ca8b09b8b3bce83b"),
+    (9, "62ead36a8b102d71a2ab0eb175be958ccfe01788d1b7e1d28dff3d9b98d48adf"),
+    (10, "434657b5bd22a4e1a2ec342beef5e64d666cecdba16e5f1fadc474b5b16da989"),
+    (11, "270b71c98f7d997053a99278e7b0b2c9d60ccba893b83797a738d92be353c8b2"),
+    (12, "c5290093713167280c26b0caddd5d4d2492034de0471c3c2a270da33ebaa6cad"),
+    (13, "426b5746eeefab026a833d7329dcf9b91992ba1528e98eca674c98860e0add0b"),
+    (14, "f84d9e918f427702b3a1113d9d365e3df2002bd94e41fea884773767412142c3"),
+    (15, "76c6b452f6a06c62e3680acc4cd2a421334d508d93f2aa70196e9f40edc999a3"),
+    (16, "f7d162b9704ab61d3a9acbe06e45734a88b9c2a535fe3efee7dea57e22e487c6"),
+]
+EXTREMAL_FQT_GOLDEN = [
+    (2, 1, 0, "095636fdf239df6ac083e80056c8583573a248e6237c0cd980704058d643e277"),
+    (2, 2, 0, "64ff25286799c6321b344b491fb42d3744f7e0e93346cf0b85f0de7e16cf3974"),
+    (2, 3, 0, "54d1130ef1d8f74c8d6135e076ae0ffe0dfd56a54f9fbad4f1c976e761aa1f09"),
+    (2, 4, 0, "837eaa1bb5301e6e6845cb5f2e0cc2cbbb95b082085cd64c32aa6c343aee0b11"),
+    (2, 5, 0, "04ec5a26e11afdea19f44dc957381e5aa56e3d1753978df7c139077fb4f92f0c"),
+    (2, 6, 0, "5fae870d6c131e1aeb7820fe42ecec90bafe2a05b01b280a21215d5d37f41e8d"),
+    (2, 7, 0, "01af1bc4bbcf503e929860666c7c2cfecbe679b0ff97f652e362e1a6bd7f7c94"),
+    (2, 8, 0, "112026eeec5666c08e2fe3a22d9682acea0b2411c7f57f431104a8c64d8f5211"),
+    (2, 9, 0, "83c57b2ef81f7120d3a58d6c57fbc34aa066ca82956c0023306e60e34797221f"),
+    (2, 10, 0, "f6041e8b9c01547960bf63bca343353ac4b179d7b4af23b43ef3cfaff53ad28d"),
+    (2, 11, 0, "2618bb92b86fd144068b2b30af6ecdcb1d2d84b0c7e9976b7a0902b0ff8b3084"),
+    (2, 12, 0, "2aa92a26c4a54e9238c5547a78968e2cbac235f2b94e14f41cd6e08e0cd63d4f"),
+    (2, 13, 0, "d5ba8129b2292993e54f7623aabebac4b74f8781a6c35a832fbddc4cc9221ba0"),
+    (2, 14, 0, "8cbccbfd1f79bd808f92d88306df841255b2061f3373f6126294ae0da69fb5cf"),
+    (2, 15, 0, "2f16256613b443d0297630b9529e88c5a92e7c2f7e85e6ec685e6a047db557c7"),
+    (2, 16, 0, "7981482bafc9a936961e6b55d8f3ffe4f48a99019b505275a309851a435fb1dc"),
+    (2, 20, 0, "3b799179017df40616160e899f629d18de3fe849e1770a69216afda92b648c32"),
+    (2, 12, 1, "2fd7ecc8e0ec3852a9aa31aa1d06663c87e93f00db19643027baca3bc9800d9e"),
+    (2, 13, 1, "eab3dc61866ba4ab5db35aec86932f6351dea7c242e02c9c1de8ef06a210e9d7"),
+    (3, 1, 0, "9cae29237dba6a9c23566bbcab474734a56bdf7493f78b2ff2f71eb6893c6291"),
+    (3, 2, 0, "095e1c97100fb091bf448aae70115fa5535a6f75ec30f9bc808ce0c676f345fc"),
+    (3, 3, 0, "b0c48bd5f4dd4db21ab31e18e2defaf92504d1f0508bf0e387a00a5f0dc0a7d4"),
+    (3, 4, 0, "c0e8a80f7d0fd3f101153eacb450657ef8066b07b0ea20308cc61651badc7505"),
+    (3, 5, 0, "88f68b9c70cc2a9092d2d32e5296bbaba28b948d628b032fd4078b3ce3afbaab"),
+    (3, 6, 0, "5132d3e89fa035a7bd7be883d8b734bca9d3f076e3ad73c469e1db98290cd870"),
+    (3, 7, 0, "11d6da13478782b3facc458ac8cd72cc3e695a012df5fb1a75fe9f78f9a22077"),
+    (3, 8, 0, "694cf9fdd7c2feb0004b90dbc75cae977e1fec04756ad7520687df4d98b0956a"),
+    (3, 9, 0, "a8170359dc76ae49d0154ffa6338c6624f4aa821fb72fde7fa0fec13fdc94fcd"),
+    (3, 10, 0, "59a35061e62771be6f6f75e04e2f9d3be205eeece156c91ef5a444ab17f4d62e"),
+    (3, 7, 1, "a6d51557a2b082c5741fff227027db98b9ec7cce5c5c8a1db36046e0f6c5ab50"),
+    (3, 8, 1, "345932f27d6b129763b25dca40811a37f51da9099538c46126e44dfb707955b2"),
+    (5, 1, 0, "5a7f632c0eeef47ec91268b69d961743b2fb051858b7bed6507aea17a7a17bb2"),
+    (5, 2, 0, "9772cf82c24654bfaebfac680c82f2c9412a6699b8050d63867f12ed37f6d53d"),
+    (5, 3, 0, "42502d5f99c793eb32c38c748d9dab36742b7d4fe2c0eed69682ff8a5182f54d"),
+    (5, 4, 0, "b3c8aed4b4887219cd3c6646e559f827716b33f79f6fa9b3db13fa18215f64de"),
+    (5, 5, 0, "c22ad5838def8b5c2ede27e2c91758e776af230db829d79faef5d3cf8b335893"),
+    (5, 6, 0, "852551e1a7fc761ac91d9d091728ae7bc5c0f1924b529a83971d568c18acf0da"),
+    (5, 5, 1, "8226161f132008303728a7596bb861af16433788d1e427a119ec4bd115aae69e"),
+    (5, 6, 1, "45459ba50aeb819efc9dc2228b6f87e90314264496c98e793c12e849384dbde8"),
+    (7, 1, 0, "6bcdd6f3f6afed3e9d0eb4e2beb67c9081b47e9b85cec6221384848e657680bd"),
+    (7, 2, 0, "f078561879bc47f30b29b47bf46cd852c635ad2c6e0ace6baf9fa8fc98bebfbe"),
+    (7, 3, 0, "e80e4fb45e415a72d1094711e4f28332a4d9c6cfab0c05c783f4bddb81f30b7d"),
+    (7, 4, 0, "d79db34a7f612756ed518f72f8fba1c2aa0d8a092aa16c9f6c031cd8a60ef92f"),
+    (7, 5, 0, "b15fcb70463adec51bc9fce748279c99355a38f2551bf35e484e66097b5c0cfd"),
+    (7, 5, 1, "635c1b2805fca78c47b2a495af9ce1161cd237f51cd308446f78c58a1246ce5c"),
+    (11, 3, 0, "a60ce8e7613554ea9e239185b2b21d02976db0e64157f462fb5cc1c64c37752a"),
+    (11, 4, 0, "43450cef032d56a0dfbe4b58159a8a109e4a2c348ad27bddf3f053e6b087c559"),
+    (13, 3, 0, "4bee0f5c733e2d0deaab1b55f4c8eb030d818e2ed112587310abf40ae47e2c3d"),
+    (101, 2, 0, "d26cb5b6e40b728cb06f946ed516a13cbbd40d8d9a0aa923cea0c7a0a3295dd2"),
+    (65537, 2, 0, "84908796eebcc623e0d9e2a846cc9fa532c3a03819329c629065ec378942ecc0"),
+]
+
+
+def test_extremal_golden_reaches_both_generator_paths():
+    groups = {q**D - 1 for q, D, _, _ in EXTREMAL_FQT_GOLDEN}
+    assert min(groups) <= _EXHAUSTIVE_GROUP_LIMIT < max(groups)
+    assert [D for D, _ in EXTREMAL_INT_GOLDEN] == list(range(1, MAX_INT_EXTREMAL_D + 1))
+
+
+@pytest.mark.parametrize("D, digest", EXTREMAL_INT_GOLDEN, ids=[f"D={D}" for D, _ in EXTREMAL_INT_GOLDEN])
+def test_int_extremal_document_bytes(D, digest):
+    text = canonical_json(extremal_doc(construct_extremal_int(D)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("q, D, seed, digest", EXTREMAL_FQT_GOLDEN,
+                         ids=[f"q={q} D={D} seed={s}" for q, D, s, _ in EXTREMAL_FQT_GOLDEN])
+def test_fqt_extremal_document_bytes(q, D, seed, digest):
+    text = canonical_json(extremal_doc(construct_extremal_fqt(q, D, seed)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # sha256 of canonical_json(numfield_doc(numfield_pipeline(K, alpha, n))) for
