@@ -398,51 +398,6 @@ def many_gcd(polys: Sequence[Poly]) -> Poly:
     return acc.monic()
 
 
-@dataclass(frozen=True, slots=True)
-class ModElement:
-    """Residue in F_q[t]/(modulus) with a monic nonconstant modulus."""
-
-    residue: Poly
-    modulus: Poly
-
-    @classmethod
-    def make(cls, residue: Poly, modulus: Poly) -> "ModElement":
-        if modulus.degree < 1:
-            raise ValueError("modulus must be nonconstant")
-        if modulus.lc != 1:
-            raise ValueError("modulus must be monic")
-        return cls(residue % modulus, modulus)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.residue.is_zero
-
-    @property
-    def is_one(self) -> bool:
-        return self.residue.is_one
-
-    def __mul__(self, other: "ModElement") -> "ModElement":
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-        return ModElement(self.residue * other.residue % self.modulus, self.modulus)
-
-    def __pow__(self, exp: int) -> "ModElement":
-        if exp < 0:
-            return mod_inverse(self) ** (-exp)
-        return ModElement(_powmod(self.residue, exp, self.modulus), self.modulus)
-
-
-def mod_inverse(u: ModElement) -> ModElement:
-    """Inverse modulo the modulus; NonUnitError carries the gcd witness."""
-    g, s, _ = poly_ext_gcd(u.residue, u.modulus)
-    if g.degree != 0:
-        raise NonUnitError(
-            f"{u.residue} is not invertible modulo {u.modulus}: gcd is {g}",
-            witness=g,
-        )
-    return ModElement(s % u.modulus, u.modulus)
-
-
 def unit_group_order(q: int, degree: int) -> int:
     """q^degree - 1: the order of the unit group modulo an irreducible
     polynomial of that degree over F_q.
@@ -463,24 +418,13 @@ def unit_group_order(q: int, degree: int) -> int:
     return group
 
 
-def element_order(u: ModElement) -> int:
-    """Multiplicative order modulo an irreducible modulus."""
-    if u.is_zero:
-        raise NonUnitError("zero has no multiplicative order", witness=u.modulus)
-    group = unit_group_order(u.modulus.field.q, int(u.modulus.degree))
-    if not is_irreducible(u.modulus):
-        raise ValueError("element_order requires an irreducible modulus")
-    return _unit_order(u, group)
-
-
-def _unit_order(u: ModElement, group: int) -> int:
-    """element_order of a unit u modulo a modulus already known to be
-    irreducible, whose unit group has the given order."""
-    if group == 1:
-        return 1
+def _order(is_one, group: int) -> int:
+    """Order of an element of a group of the given order, where is_one(e)
+    tells whether the element's e-th power is the identity: the group order
+    divided by each of its primes while the power stays the identity."""
     order = group
     for p in integer_factor(group):
-        while order % p == 0 and (u ** (order // p)).is_one:
+        while order % p == 0 and is_one(order // p):
             order //= p
     return order
 
@@ -547,10 +491,6 @@ def random_irreducible(q: int, degree: int, seed) -> Poly:
     """Uniformly sampled monic irreducible, deterministic for a fixed seed."""
     field = FieldParams(q)
     rng = random.Random(f"irr:{q}:{degree}:{seed}")
-    return _random_irreducible(field, degree, rng)
-
-
-def _random_irreducible(field: FieldParams, degree: int, rng: random.Random) -> Poly:
     if degree < 1:
         raise ValueError("degree must be at least 1")
     while True:
@@ -713,12 +653,12 @@ def multiplicative_order_int(a: int, modulus: int) -> int:
     g = math.gcd(a, modulus)
     if g != 1:
         raise NonUnitError(f"{a} is not a unit modulo {modulus}", witness=g)
-    group = euler_phi(modulus)
-    order = group
-    for p in integer_factor(group):
-        while order % p == 0 and pow(a, order // p, modulus) == 1:
-            order //= p
-    return order
+    return _order(lambda e: pow(a, e, modulus) == 1, euler_phi(modulus))
+
+
+def complementary_gcds_are_one(values: Sequence[int]) -> bool:
+    """Whether the gcd of the other values is 1 at each index."""
+    return all(math.gcd(*values[:i], *values[i + 1:]) == 1 for i in range(len(values)))
 
 
 def largest_prime_at_most(x: int) -> int:

@@ -19,15 +19,15 @@ from typing import Optional, Sequence, Union
 
 from .algebra import (
     FieldParams,
-    ModElement,
     Poly,
-    _unit_order,
+    _order,
+    _powmod,
+    complementary_gcds_are_one,
     euler_phi,
-    integer_factor,
     is_irreducible,
     largest_prime_at_most,
-    mod_inverse,
     multiplicative_order_int,
+    poly_ext_gcd,
     poly_from_index,
     poly_gcd,
     random_irreducible,
@@ -91,13 +91,14 @@ def order_bound_fqt(a: Poly, b: Poly, c: Poly) -> OrderBoundCertificate:
 def _order_bound_irreducible(a: Poly, b: Poly, c: Poly, group_order: int) -> OrderBoundCertificate:
     """order_bound_fqt for a monic c already known to be irreducible, whose
     unit group has the given order."""
-    b_mod = ModElement.make(b, c)
+    b_mod = b % c
     if b_mod.is_zero:
         raise NonUnitError(f"{b} vanishes mod {c}", witness=c)
-    u = ModElement.make(-a, c) * mod_inverse(b_mod)
+    _, b_inv, _ = poly_ext_gcd(b_mod, c)  # c is irreducible, so the gcd is 1
+    u = -a * b_inv % c
     if u.is_zero:
         raise NonUnitError(f"{a} vanishes mod {c}, so -a/b is not a unit", witness=c)
-    order = _unit_order(u, group_order)
+    order = _order(lambda e: _powmod(u, e, c).is_one, group_order)
     return OrderBoundCertificate(
         triple=(a, b, c),
         order=order,
@@ -112,21 +113,15 @@ def _find_generator(field: FieldParams, c: Poly, rng: random.Random) -> Poly:
     # tests it again
     D = int(c.degree)
     group_order = field.q**D - 1
-    if group_order == 1:
-        return field.one
     if group_order <= _EXHAUSTIVE_GROUP_LIMIT:
-        for r in vn_elements(field, D):
-            if r.is_zero:
-                continue
-            if _unit_order(ModElement.make(r, c), group_order) == group_order:
-                return r
-        raise AssertionError("a cyclic group always has a generator")
-    while True:
-        r = field.poly([rng.randrange(field.q) for _ in range(D)])
-        if r.is_zero:
-            continue
-        if _unit_order(ModElement.make(r, c), group_order) == group_order:
+        candidates = vn_elements(field, D)
+    else:
+        candidates = (field.poly([rng.randrange(field.q) for _ in range(D)])
+                      for _ in itertools.count())
+    for r in candidates:
+        if r and _order(lambda e: _powmod(r, e, c).is_one, group_order) == group_order:
             return r
+    raise AssertionError("a cyclic group always has a generator")
 
 
 def construct_extremal_fqt(q: int, D: int, seed=0) -> ExtremalInstance:
@@ -192,11 +187,8 @@ def order_bound_int(a: int, b: int, c: int) -> OrderBoundCertificate:
 
 def smallest_primitive_root(p: int) -> int:
     """Least primitive root mod an odd prime (1 for p = 2)."""
-    if p == 2:
-        return 1
-    prime_divisors = list(integer_factor(p - 1))
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // ell, p) != 1 for ell in prime_divisors):
+    for g in range(1, p):
+        if _order(lambda e: pow(g, e, p) == 1, p - 1) == p - 1:
             return g
     raise AssertionError("every prime has a primitive root")
 
@@ -246,15 +238,7 @@ def check_criteria_int(coeffs: Sequence[int]) -> bool:
     total = sum(abs(c) for c in coeffs)
     if any(2 * abs(c) > total for c in coeffs):
         return False
-    n = len(coeffs)
-    for i in range(n):
-        g = 0
-        for j in range(n):
-            if j != i:
-                g = math.gcd(g, coeffs[j])
-        if g != 1:
-            return False
-    return True
+    return complementary_gcds_are_one(coeffs)
 
 
 def verify_extremal(inst: ExtremalInstance) -> bool:

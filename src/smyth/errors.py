@@ -15,9 +15,12 @@ class TupleArityError(SmythError, ValueError):
 
 
 class NonUnitError(SmythError, ArithmeticError):
-    """An inverse was requested for a non-invertible element.
+    """An order bound or a multiplicative order was asked of a non-unit.
 
-    The offending gcd (or the element itself) is attached as ``witness``.
+    Raised by bounds.order_bound_fqt and bounds.order_bound_int when b or
+    -a/b is not a unit mod c, and by algebra.multiplicative_order_int. The
+    gcd with the modulus is attached as ``witness``; over F_q[t], where c is
+    irreducible, that is c itself.
     """
 
     def __init__(self, message: str, witness=None):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .algebra import kernel_basis
+from .algebra import complementary_gcds_are_one, kernel_basis
 from .core import (
     DEFAULT_BUDGET,
     BalancedMultiset,
@@ -103,21 +103,6 @@ class StrongCriteriaReport:
         return self.archimedean_ok and self.nonarch_status == "pass"
 
 
-def _rational_finite_places_ok(entries: Sequence[int]) -> bool:
-    g = 0
-    for v in entries:
-        g = math.gcd(g, v)
-    scaled = [v // g for v in entries]
-    for i in range(len(scaled)):
-        comp = 0
-        for j, v in enumerate(scaled):
-            if j != i:
-                comp = math.gcd(comp, v)
-        if comp != 1:
-            return False
-    return True
-
-
 def strong_criteria_check(K: QuadField, a: Sequence[Entry]) -> StrongCriteriaReport:
     """Decide the strict triangle inequality at every archimedean place.
 
@@ -150,7 +135,8 @@ def strong_criteria_check(K: QuadField, a: Sequence[Entry]) -> StrongCriteriaRep
             elif c > 0:
                 violations.append((i, place))
     if all(v.is_rational for v in values):
-        status = "pass" if _rational_finite_places_ok([v.x for v in values]) else "fail"
+        g = math.gcd(*(v.x for v in values))
+        status = "pass" if complementary_gcds_are_one([v.x // g for v in values]) else "fail"
     elif sum(1 for v in values if v.is_rational and abs(v.x) == 1) >= 2:
         # two unit coordinates pin every finite max at 1, and integral
         # entries never exceed 1 at a finite place

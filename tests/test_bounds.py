@@ -60,6 +60,9 @@ class TestOrderBoundFqt:
     def test_vanishing_entry_rejected(self):
         with pytest.raises(NonUnitError):
             order_bound_fqt(P(F2, "t^2+t+1"), P(F2, "t"), P(F2, "t^2+t+1"))
+        with pytest.raises(NonUnitError) as err:  # b = (t+1)*c
+            order_bound_fqt(P(F2, "t"), P(F2, "t^3+1"), P(F2, "t^2+t+1"))
+        assert err.value.witness == P(F2, "t^2+t+1")
 
 
 class TestExtremalFqt:
