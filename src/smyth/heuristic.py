@@ -119,8 +119,9 @@ def p_n_closed_form(q: int, d: int, n: int, N: int,
 
     log p_N = |G|^(n-1) * log1p(-x), x = q^-E, E = (N+d)*q^N, is -exp(Y) with
     Y = (n-1)*ln|G| - E*ln(q) + ln(-log1p(-x)/x). Y is computed in decimal at
-    about 40 digits past the size of E; it is -0.0 below Y = -800 and -inf
-    above Y = 800, where every double has long underflowed or overflowed.
+    about 40 digits past the size of E, and E*ln(q) digits more where the
+    last term still shows; it is -0.0 below Y = -800 and -inf above Y = 800,
+    where every double has long underflowed or overflowed.
     """
     if (log_group_size is None) == (group_size is None):
         raise ValueError("give exactly one of log_group_size and group_size")
@@ -144,12 +145,18 @@ def p_n_closed_form(q: int, d: int, n: int, N: int,
                          f"{MAX_EXPONENT_BITS}-bit limit of the estimate")
     with localcontext() as ctx:
         ctx.prec = exponent.bit_length() // 3 + 40
+        e_log_q = exponent * Decimal(q).ln()
+        near = e_log_q < 400  # past that, ln(-log1p(-x)/x) < x is below any double's resolution
+        if near:
+            # a rounding tie of the double needs y to within x/2, and 1 - x spends
+            # E*log10(q) digits on x and as many again on x^2: every term gets
+            # E*ln(q) more digits, which covers both
+            ctx.prec += 2 * (int(e_log_q) // 2 + 1)
+            e_log_q = exponent * Decimal(q).ln()
         log_count = (n - 1) * (Decimal(group_size).ln() if group_size is not None
                                else Decimal(log_group_size))
-        e_log_q = exponent * Decimal(q).ln()
         y = log_count - e_log_q
-        if e_log_q < 400:  # past that, ln(-log1p(-x)/x) < x is below any double's resolution
-            ctx.prec += int(e_log_q) // 2 + 1  # 1 - x spends E*log10(q) digits on x
+        if near:
             x = Decimal(q) ** -exponent
             y += (-(1 - x).ln() / x).ln()
         if y < -800:

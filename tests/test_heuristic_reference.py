@@ -10,7 +10,7 @@ import math
 from typing import Optional
 
 import mpmath
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smyth.heuristic import p_n_closed_form
@@ -57,6 +57,9 @@ def small_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(small_cases())
+# 893372^3 * 4^-192 is a midpoint between two doubles, and the x/2 term of
+# log1p(-x) = -x*(1 + x/2 + ...) rounds it up in magnitude
+@example((4, 0, 4, 3, {"group_size": 893372}))
 def test_closed_form_matches_the_mpmath_reference(case):
     q, d, n, N, size = case
     assert repr(p_n_closed_form(q, d, n, N, **size)) == repr(p_n_reference(q, d, n, N, **size))
