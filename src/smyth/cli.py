@@ -30,7 +30,6 @@ from .core import (
 from .errors import (
     BridgeError,
     BudgetExceededError,
-    EqualityHypothesisError,
     NonUnitError,
     NoRelationError,
     NotSmythTupleError,
@@ -83,17 +82,14 @@ def _fqt_tuple(q: int, text: str) -> CoeffTuple:
 
 def _emit(args, doc: dict, text_lines: Sequence[str],
           csv_data: Optional[str] = None) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+    if args.format == "json":
         sys.stdout.write(serialize.canonical_json(doc))
-    elif fmt == "text":
+    elif args.format == "text":
         sys.stdout.write("\n".join(text_lines) + "\n")
-    elif fmt == "csv":
+    else:
         if csv_data is None:
             raise ParseError("csv output is not available for this subcommand")
         sys.stdout.write(csv_data)
-    else:
-        raise ParseError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +142,8 @@ def run_enumerate(args) -> int:
     # each distinct value is formatted once, and only the asked format is built
     text = {v: str(v) for v in set(itertools.chain.from_iterable(sols))}
     rows = list(zip(*(map(text.__getitem__, column) for column in zip(*sols))))
-    fmt = getattr(args, "format", "json")
     doc = csv_data = lines = None
-    if fmt == "json":
+    if args.format == "json":
         d = max(a.height, 0)
         doc = {
             "kind": "enumeration",
@@ -160,7 +155,7 @@ def run_enumerate(args) -> int:
             if check_criteria(a).passes else None,
             "solutions": rows,
         }
-    elif fmt == "csv":
+    elif args.format == "csv":
         csv_data = serialize.csv_table([f"x{i + 1}" for i in range(a.n)], rows)
     else:
         lines = [f"{len(sols)} solutions in V_{args.N}^{a.n}"]
@@ -478,11 +473,9 @@ def run_batch(args) -> int:
 # parser
 
 
-def _add_common(sp, *, fmt: bool = True, budget: bool = False,
-                seed: bool = False, jobs: bool = False):
-    if fmt:
-        sp.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json", help="output format (default json)")
+def _add_common(sp, *, budget: bool = False, seed: bool = False, jobs: bool = False):
+    sp.add_argument("--format", choices=("json", "csv", "text"),
+                    default="json", help="output format (default json)")
     if budget:
         sp.add_argument("--budget", type=int, default=None,
                         help="enumeration budget; SMYTH_BUDGET overrides the default")
@@ -592,17 +585,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except NotSmythTupleError as err:
         print(f"not a Smyth tuple: {err}", file=sys.stderr)
         return 1
     except (BridgeError, NoRelationError) as err:
         print(f"no certificate: {err}", file=sys.stderr)
         return 1
-    except (BudgetExceededError, PrecisionError, NonUnitError,
-            EqualityHypothesisError, TupleArityError) as err:
+    except (BudgetExceededError, PrecisionError, NonUnitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as err:
