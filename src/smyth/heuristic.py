@@ -146,7 +146,7 @@ def p_n_closed_form(q: int, d: int, n: int, N: int,
     with localcontext() as ctx:
         ctx.prec = exponent.bit_length() // 3 + 40
         e_log_q = exponent * Decimal(q).ln()
-        near = e_log_q < 400  # past that, ln(-log1p(-x)/x) < x is below any double's resolution
+        near = e_log_q < 400  # past that, ln(-log1p(-x)/x) < x moves the double only at a tie
         if near:
             # a rounding tie of the double needs y to within x/2, and 1 - x spends
             # E*log10(q) digits on x and as many again on x^2: every term gets
