@@ -259,13 +259,6 @@ class Poly:
         inv = pow(self.lc, -1, self.field.q)
         return Poly(self.field, tuple(c * inv % self.field.q for c in self.coeffs))
 
-    def evaluate(self, x: int) -> int:
-        q = self.field.q
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % q
-        return acc
-
     def __str__(self) -> str:
         return format_poly(self)
 

@@ -44,11 +44,11 @@ from .core import (
 )
 from .errors import BudgetExceededError, NonUnitError
 
-# construct_extremal_int scans down from e^D for a prime; it refuses e^D above this
-PRIME_SEARCH_BOUND = 10**7
-# the largest D with e^D <= PRIME_SEARCH_BOUND (e^16 < 8.9e6 < 10^7 < 2.4e7 < e^17),
-# compared before e^D is formed, which overflows a float past D = 709
-MAX_INT_EXTREMAL_D = 16
+# floor(e^D) for D = 1..16, exact integers: construct_extremal_int scans down
+# from FLOOR_EXP[D - 1] for its prime and refuses a larger D
+FLOOR_EXP = (2, 7, 20, 54, 148, 403, 1096, 2980, 8103, 22026, 59874, 162754,
+             442413, 1202604, 3269017, 8886110)
+MAX_INT_EXTREMAL_D = len(FLOOR_EXP)
 
 _EXHAUSTIVE_GROUP_LIMIT = 1 << 12
 
@@ -85,12 +85,7 @@ def order_bound_fqt(a: Poly, b: Poly, c: Poly) -> OrderBoundCertificate:
     group_order = unit_group_order(c.field.q, int(c.degree))
     if not is_irreducible(c):
         raise ValueError(f"modulus {c} is reducible; the order bound needs an irreducible c")
-    return _order_bound_irreducible(a, b, c.monic(), group_order)
-
-
-def _order_bound_irreducible(a: Poly, b: Poly, c: Poly, group_order: int) -> OrderBoundCertificate:
-    """order_bound_fqt for a monic c already known to be irreducible, whose
-    unit group has the given order."""
+    c = c.monic()
     b_mod = b % c
     if b_mod.is_zero:
         raise NonUnitError(f"{b} vanishes mod {c}", witness=c)
@@ -127,16 +122,18 @@ def _find_generator(field: FieldParams, c: Poly, rng: random.Random) -> Poly:
 def construct_extremal_fqt(q: int, D: int, seed=0) -> ExtremalInstance:
     """A triple (a, b, c) of height D whose order bound is q^D - 1.
 
-    c is a seeded-random monic irreducible of degree D and -a/b is a
-    generator mod c. b ranges over all degree-D polynomials coprime to c,
-    taking the first for which the induced a = -g*b mod c is nonzero and
-    coprime to b; a has degree at most D - 1, so the maximal degree D is
-    attained by b and c.
+    c is a seeded-random monic irreducible of degree D and g a generator mod
+    c. b ranges over all degree-D polynomials coprime to c, taking the first
+    for which a = -g*b mod c is coprime to b; then -a/b = g mod c, so the
+    order is the group order g was found to have. a has degree at most
+    D - 1, so the maximal degree D is attained by b and c, and a is nonzero
+    and prime to the irreducible c, so the criteria hold.
     """
     if D < 1:
         raise ValueError("D must be at least 1")
     field = FieldParams(q)
-    lead = unit_group_order(q, D) + 1
+    group_order = unit_group_order(q, D)
+    lead = group_order + 1
     c = random_irreducible(q, D, seed)
     rng = random.Random(f"extremal-fqt:{q}:{D}:{seed}")
     g = _find_generator(field, c, rng)
@@ -146,23 +143,14 @@ def construct_extremal_fqt(q: int, D: int, seed=0) -> ExtremalInstance:
             if not poly_gcd(b, c).is_one:
                 continue
             a = (-(g * b)) % c
-            if a.is_zero:
-                continue
-            if not poly_gcd(a, b).is_one:
-                continue
-            triple = CoeffTuple.make(field, (a, b, c))
-            if not check_criteria(triple).passes:
-                continue
-            cert = _order_bound_irreducible(a, b, c, lead - 1)
-            if cert.order != lead - 1:
-                continue
-            return ExtremalInstance(
-                ring="fqt",
-                triple=(a, b, c),
-                D=D,
-                claimed_min=lead - 1,
-                certificate=cert,
-            )
+            if poly_gcd(a, b).is_one:  # fails for a = 0, as gcd(0, b) = b
+                return ExtremalInstance(
+                    ring="fqt",
+                    triple=(a, b, c),
+                    D=D,
+                    claimed_min=group_order,
+                    certificate=OrderBoundCertificate((a, b, c), group_order, group_order, True),
+                )
     raise AssertionError("no admissible b of degree D; cannot happen for prime q")
 
 
@@ -198,36 +186,33 @@ def construct_extremal_int(D: int) -> ExtremalInstance:
 
     With g the least primitive root mod p and n the representative of
     -1/(g+1), the triple is (n, n+1, p) when the triangle condition
-    2n+1 >= p holds and the reflected (p-n-1, p-n, p) otherwise; either way
-    -a/b has order p - 1. D = 1 gives p = 2, where the construction
-    degenerates: the triple (1, 1, 2) is returned with a trivial bound and
-    the degenerate flag set.
+    2n+1 >= p holds, with -a/b = 1/g, and the reflected (p-n-1, p-n, p)
+    otherwise, with -a/b = g; either way -a/b has order p - 1. D = 1 gives
+    p = 2, where the construction degenerates: the triple (1, 1, 2) is
+    returned with a trivial bound and the degenerate flag set.
     """
     if D < 1:
         raise ValueError("D must be at least 1")
     if D > MAX_INT_EXTREMAL_D:
         raise BudgetExceededError(
-            f"e^{D} exceeds the prime search bound {PRIME_SEARCH_BOUND}: "
+            f"e^{D} is past the prime search bound e^{MAX_INT_EXTREMAL_D}: "
             f"D must be at most {MAX_INT_EXTREMAL_D}"
         )
-    limit = math.floor(math.exp(D))
     if D == 1:
         cert = order_bound_int(1, 1, 2)
         return ExtremalInstance(
             ring="int", triple=(1, 1, 2), D=1, claimed_min=1, certificate=cert, degenerate=True
         )
-    p = largest_prime_at_most(limit)
+    p = largest_prime_at_most(FLOOR_EXP[D - 1])
     g = smallest_primitive_root(p)
     n0 = (-pow(g + 1, -1, p)) % p
     if 2 * n0 + 1 >= p:
         triple = (n0, n0 + 1, p)
     else:
         triple = (p - n0 - 1, p - n0, p)
-    cert = order_bound_int(*triple)
-    if cert.order != p - 1:
-        raise AssertionError("the primitive-root construction must give a full-order element")
     return ExtremalInstance(
-        ring="int", triple=triple, D=D, claimed_min=p - 1, certificate=cert
+        ring="int", triple=triple, D=D, claimed_min=p - 1,
+        certificate=OrderBoundCertificate(triple, p - 1, p - 1, True),
     )
 
 
@@ -245,10 +230,11 @@ def verify_extremal(inst: ExtremalInstance) -> bool:
     """Recheck an extremal instance from its triple alone.
 
     order, group_order, generator_flag and claimed_min must match the bound
-    recomputed from the triple, and over F_q[t] the order must be q^D - 1,
-    so D below 1 or above deg c fails before q^D is formed.
-    Only the integer triple (1, 1, 2) is degenerate. Integer D is not
-    checked: its prime comes from a floating-point e^D.
+    recomputed from the triple, and the order must be q^D - 1 over F_q[t],
+    so D below 1 or above deg c fails before q^D is formed, and p - 1 over
+    Z, where c must be the prime p the construction takes for D, so D must
+    lie in 1..MAX_INT_EXTREMAL_D. Only the integer triple (1, 1, 2) is
+    degenerate.
     """
     a, b, c = inst.triple
     if inst.ring == "fqt":
@@ -260,19 +246,21 @@ def verify_extremal(inst: ExtremalInstance) -> bool:
             return False
         expected = a.field.q**inst.D - 1
     elif inst.ring == "int":
+        if not 1 <= inst.D <= MAX_INT_EXTREMAL_D:
+            return False
+        if c != largest_prime_at_most(FLOOR_EXP[inst.D - 1]):
+            return False
         cert = order_bound_int(a, b, c)
         if not inst.degenerate and not check_criteria_int(inst.triple):
             return False
-        expected = inst.claimed_min
+        expected = c - 1
     else:
         raise ValueError(f"unknown ring {inst.ring!r}")
     if inst.degenerate != (inst.ring == "int" and inst.triple == (1, 1, 2)):
         return False
     if cert.order != inst.certificate.order or cert.order != inst.claimed_min:
         return False
-    if cert.group_order != inst.certificate.group_order:
-        return False
-    if inst.ring == "fqt" and cert.order != expected:
+    if cert.group_order != inst.certificate.group_order or cert.order != expected:
         return False
     return cert.generator_flag == inst.certificate.generator_flag
 

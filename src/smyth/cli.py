@@ -591,10 +591,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (BridgeError, NoRelationError) as err:
         print(f"no certificate: {err}", file=sys.stderr)
         return 1
-    except (BudgetExceededError, PrecisionError, NonUnitError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
+    except (BudgetExceededError, PrecisionError, NonUnitError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -10,9 +10,9 @@ coefficients and distinct squarefree radicands. Such sums are zero only when
 all coefficients vanish, so sign determination by isqrt-interval refinement
 always terminates: the loop narrows brackets until zero is excluded.
 
-CycInt represents elements of Z[zeta_m] (rational coefficients allowed) as
-coefficient vectors modulo the m-th cyclotomic polynomial, giving exact
-equality tests for the root-of-unity layer.
+CycInt represents elements of Z[zeta_m] as integer coefficient vectors
+modulo the m-th cyclotomic polynomial, giving exact equality tests for the
+root-of-unity layer.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .algebra import _read_terms, integer_factor
-from .errors import ParseError, PrecisionError
+from .errors import PrecisionError
 
 Rational = Union[int, Fraction]
 
@@ -363,12 +363,6 @@ class SqrtSum:
     def __le__(self, other: "SqrtSum") -> bool:
         return self.compare(other) <= 0
 
-    def equals(self, other: "SqrtSum") -> bool:
-        return self.terms == other.terms
-
-    def to_float(self) -> float:
-        return float(sum(float(c) * math.sqrt(s) for s, c in self.terms))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -401,62 +395,43 @@ def quadint_abs(v: QuadInt, place: int = 0) -> SqrtSum:
     return value if value.sign() >= 0 else -value
 
 
+def _intpoly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder, ascending, of integer polynomials by a monic den."""
+    rem = list(num)
+    deg = len(den) - 1
+    quot = [0] * max(len(rem) - deg, 0)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            quot[i - deg] = c
+            for j, dc in enumerate(den):
+                rem[i - deg + j] -= c * dc
+    return quot, rem[:deg] + [0] * (deg - len(rem))
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, ascending, monic."""
+    """Coefficients of the m-th cyclotomic polynomial, ascending, monic:
+    t^m - 1 divided by the cyclotomic polynomial of each proper divisor."""
     if m < 1:
         raise ValueError("order must be positive")
-    if m == 1:
-        return (-1, 1)
-    num = [0] * (m + 1)
-    num[0] = -1
-    num[m] = 1
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num = _intpoly_exact_div(num, list(cyclotomic_poly(d)))
+            num, _ = _intpoly_divmod(num, cyclotomic_poly(d))
     return tuple(num)
-
-
-def _intpoly_exact_div(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - 1, len(den) - 2, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        # den is monic in every use here
-        out[i - len(den) + 1] = c
-        for j, dc in enumerate(den):
-            num[i - len(den) + 1 + j] -= c * dc
-    if any(num):
-        raise AssertionError("inexact cyclotomic division")
-    return out
-
-
-def _norm_coeff(c: Fraction):
-    return int(c) if c.denominator == 1 else c
 
 
 @dataclass(frozen=True)
 class CycInt:
-    """Element of Q(zeta_m) as a coefficient vector modulo the m-th cyclotomic polynomial."""
+    """Element of Z[zeta_m] as an integer coefficient vector modulo the m-th cyclotomic polynomial."""
 
     order: int
-    coeffs: tuple
+    coeffs: tuple[int, ...]
 
     @classmethod
-    def make(cls, order: int, coeffs: Sequence[Rational]) -> "CycInt":
-        work = [Fraction(c) for c in coeffs]
-        modulus = cyclotomic_poly(order)
-        deg = len(modulus) - 1
-        for i in range(len(work) - 1, deg - 1, -1):
-            c = work[i]
-            if c:
-                for j, mc in enumerate(modulus):
-                    work[i - deg + j] -= c * mc
-        work = work[:deg]
-        work += [Fraction(0)] * (deg - len(work))
-        return cls(order, tuple(_norm_coeff(c) for c in work))
+    def make(cls, order: int, coeffs: Sequence[int]) -> "CycInt":
+        return cls(order, tuple(_intpoly_divmod(coeffs, cyclotomic_poly(order))[1]))
 
     @classmethod
     def zeta(cls, order: int, exponent: int = 1) -> "CycInt":
@@ -464,17 +439,8 @@ class CycInt:
         return cls.make(order, [0] * e + [1])
 
     @classmethod
-    def rational(cls, order: int, c: Rational) -> "CycInt":
+    def rational(cls, order: int, c: int) -> "CycInt":
         return cls.make(order, [c])
-
-    @property
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.coeffs[0]) if self.coeffs else Fraction(0)
 
     @property
     def sort_key(self) -> tuple:
@@ -488,7 +454,7 @@ class CycInt:
             if other.order != self.order:
                 raise ValueError("mixed cyclotomic orders")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return CycInt.rational(self.order, other)
         return None
 
@@ -496,15 +462,12 @@ class CycInt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycInt(
-            self.order,
-            tuple(_norm_coeff(Fraction(a) + Fraction(b)) for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return CycInt(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycInt(self.order, tuple(_norm_coeff(-Fraction(c)) for c in self.coeffs))
+        return CycInt(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -523,12 +486,11 @@ class CycInt:
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += Fraction(ca) * Fraction(cb)
+                    out[i + j] += ca * cb
         return CycInt.make(self.order, out)
 
     __rmul__ = __mul__

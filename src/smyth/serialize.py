@@ -9,8 +9,9 @@ the document itself:
                solutions converting to exactly these permutations and kernel
   extremal     the order bound recomputed from the triple matches order,
                group_order, claimed_min and generator_flag, and q^D - 1
-               over F_q[t]; degenerate holds exactly for the integer
-               triple (1, 1, 2)
+               over F_q[t]; over Z the modulus is the prime the
+               construction takes for D and the order is p - 1;
+               degenerate holds exactly for the integer triple (1, 1, 2)
   numfield     the permutations sum to matrix, which fixes the nonzero
                eigenvector with eigenvalue alpha; each distinct eigenvector
                text is parsed once, and the eigen identity is checked on
@@ -19,9 +20,8 @@ the document itself:
 Singularity is never re-derived: the nonzero kernel vector or eigenvector a
 document carries, checked against the defining equations, is its proof.
 Informational fields are not checked, so edits to them go undetected: N;
-numfield dimension, radius_squared, covering_radius_squared and strategy;
-and extremal D over the integers, whose prime comes from a floating-point
-e^D. Integer fields are read strictly: a float, bool or string where a JSON
+numfield dimension, radius_squared, covering_radius_squared and strategy.
+Integer fields are read strictly: a float, bool or string where a JSON
 integer belongs is a ParseError. List fields are read as strictly: anything
 but a JSON list where one belongs is a ParseError that names the field, and
 tuples that are not a nonempty list of lists fail.

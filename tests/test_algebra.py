@@ -99,10 +99,6 @@ class TestPolyBasics:
         assert p * F5.one == p
         assert (p * r) % r == F5.zero
 
-    def test_evaluate(self):
-        p = P(F5, "t^2+1")
-        assert p.evaluate(2) == (4 + 1) % 5
-
 
 class TestDivmod:
     def test_known_quotient(self):

@@ -1,6 +1,5 @@
 """Order bounds, extremal instances, and minimal search tests."""
 import dataclasses
-import math
 import time
 from pathlib import Path
 
@@ -9,8 +8,9 @@ import pytest
 from smyth import algebra, bounds
 from smyth.algebra import FieldParams, parse_poly
 from smyth.bounds import (
+    FLOOR_EXP,
+    ExtremalInstance,
     MAX_INT_EXTREMAL_D,
-    PRIME_SEARCH_BOUND,
     check_criteria_int,
     construct_extremal_fqt,
     construct_extremal_int,
@@ -181,10 +181,29 @@ class TestExtremalInt:
         assert verify_extremal(inst)
 
     def test_d_bound_is_the_largest_within_the_prime_search(self):
-        assert math.exp(MAX_INT_EXTREMAL_D) <= PRIME_SEARCH_BOUND < math.exp(MAX_INT_EXTREMAL_D + 1)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            assert FLOOR_EXP == tuple(int(mpmath.floor(mpmath.exp(D)))
+                                      for D in range(1, MAX_INT_EXTREMAL_D + 1))
         for D in (MAX_INT_EXTREMAL_D + 1, 1000, 10**9):
             with pytest.raises(BudgetExceededError, match="prime search bound"):
                 construct_extremal_int(D)
+
+    def test_D_other_than_the_prime_fails(self):
+        # D fixes the prime, so the modulus 139 verifies at D = 5 only
+        inst = construct_extremal_int(5)
+        assert verify_extremal(inst)
+        for D in (0, 1, 4, 6, 8, 17, -1, 10**12):
+            assert not verify_extremal(dataclasses.replace(inst, D=D))
+
+    def test_non_generator_fails(self):
+        # -4/5 = 2 has order 3 mod 7, so (4, 5, 7) bounds by 3, not by 6
+        triple = (4, 5, 7)
+        cert = order_bound_int(*triple)
+        assert (cert.order, cert.generator_flag) == (3, False)
+        assert check_criteria_int(triple)
+        inst = ExtremalInstance(ring="int", triple=triple, D=2, claimed_min=3, certificate=cert)
+        assert not verify_extremal(inst)
 
     def test_strict_triangle_holds(self):
         for D in (2, 3):
@@ -194,6 +213,32 @@ class TestExtremalInt:
     def test_primitive_roots(self):
         assert smallest_primitive_root(7) == 3
         assert smallest_primitive_root(19) == 2
+
+
+# the (q, D, seed) grid of the extremal freeze in tests/test_golden.py
+EXTREMAL_FQT_GRID = (
+    [(2, D, 0) for D in [*range(1, 17), 20]] + [(2, 12, 1), (2, 13, 1)]
+    + [(3, D, 0) for D in range(1, 11)] + [(3, 7, 1), (3, 8, 1)]
+    + [(5, D, 0) for D in range(1, 7)] + [(5, 5, 1), (5, 6, 1)]
+    + [(7, D, 0) for D in range(1, 6)] + [(7, 5, 1)]
+    + [(11, 3, 0), (11, 4, 0), (13, 3, 0), (101, 2, 0), (65537, 2, 0)]
+)
+
+
+class TestCertificateReference:
+    """The constructors build each certificate from the order their generator
+    scan or primitive root proved; the order bound recomputed from the triple
+    must give the same certificate."""
+
+    @pytest.mark.parametrize("q, D, seed", EXTREMAL_FQT_GRID)
+    def test_fqt(self, q, D, seed):
+        inst = construct_extremal_fqt(q, D, seed)
+        assert inst.certificate == order_bound_fqt(*inst.triple)
+
+    @pytest.mark.parametrize("D", range(1, MAX_INT_EXTREMAL_D + 1))
+    def test_int(self, D):
+        inst = construct_extremal_int(D)
+        assert inst.certificate == order_bound_int(*inst.triple)
 
 
 class TestIntHelpers:

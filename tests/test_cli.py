@@ -535,6 +535,18 @@ class TestVerify:
         assert (code, err) == (1, "")
         assert json.loads(out)["verified"] is False
 
+    @pytest.mark.parametrize("D", [0, 1, 8, 17])
+    def test_integer_extremal_D_edited_exit_one(self, capsys, tmp_path, D):
+        # D fixes the prime the construction takes, and 139 is the one for D = 5
+        doc = json.loads((CORPUS / "extremal-int.json").read_text(encoding="utf-8"))
+        assert doc["D"] == 5
+        doc["D"] = D
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert (code, err) == (1, "")
+        assert json.loads(out)["verified"] is False
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this Python has no int-string digit limit")
     @pytest.mark.parametrize("name, key, value", [
