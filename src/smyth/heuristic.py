@@ -27,6 +27,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import CoeffTuple, vn_elements
@@ -38,6 +39,10 @@ MAX_SAMPLING_DEGREE = 16
 # p_n_closed_form refuses E = (N+d)*q^N above this size, which keeps its
 # decimal ln and exp at most 1,040 digits wide (about 20 ms each)
 MAX_EXPONENT_BITS = 3000
+
+# p_n_closed_form rounds from the exact integers |G|^(n-1) and q^E while
+# (n-1) * (bits of |G| - 1) is at most this (a few ms)
+MAX_EXACT_COUNT_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,9 @@ def p_n_closed_form(q: int, d: int, n: int, N: int,
     Y = (n-1)*ln|G| - E*ln(q) + ln(-log1p(-x)/x). Y is computed in decimal at
     about 40 digits past the size of E, and E*ln(q) digits more where the
     last term still shows; it is -0.0 below Y = -800 and -inf above Y = 800,
-    where every double has long underflowed or overflowed.
+    where every double has long underflowed or overflowed. Between, an
+    integer |G| with (n-1) * (bits of |G| - 1) <= MAX_EXACT_COUNT_BITS is
+    rounded from the exact integers |G|^(n-1) and q^E instead.
     """
     if (log_group_size is None) == (group_size is None):
         raise ValueError("give exactly one of log_group_size and group_size")
@@ -143,10 +150,14 @@ def p_n_closed_form(q: int, d: int, n: int, N: int,
     if exponent.bit_length() > MAX_EXPONENT_BITS:
         raise ValueError(f"(N+d)*q^N has {exponent.bit_length()} bits, past the "
                          f"{MAX_EXPONENT_BITS}-bit limit of the estimate")
+    exact = (group_size is not None
+             and (n - 1) * (group_size.bit_length() - 1) <= MAX_EXACT_COUNT_BITS)
     with localcontext() as ctx:
         ctx.prec = exponent.bit_length() // 3 + 40
         e_log_q = exponent * Decimal(q).ln()
-        near = e_log_q < 400  # past that, ln(-log1p(-x)/x) < x moves the double only at a tie
+        # past E*ln(q) = 400, ln(-log1p(-x)/x) < x moves the double only at a
+        # rounding tie, and a float ln|G| makes none
+        near = e_log_q < 400 and not exact
         if near:
             # a rounding tie of the double needs y to within x/2, and 1 - x spends
             # E*log10(q) digits on x and as many again on x^2: every term gets
@@ -156,6 +167,9 @@ def p_n_closed_form(q: int, d: int, n: int, N: int,
         log_count = (n - 1) * (Decimal(group_size).ln() if group_size is not None
                                else Decimal(log_group_size))
         y = log_count - e_log_q
+        if exact and -801 <= y <= 800:
+            # here E*ln(q) <= (n-1)*ln|G| + 801, so q^E is about as long as |G|^(n-1)
+            return _nearest_log_p(group_size ** (n - 1), q ** exponent)
         if near:
             x = Decimal(q) ** -exponent
             y += (-(1 - x).ln() / x).ln()
@@ -164,6 +178,21 @@ def p_n_closed_form(q: int, d: int, n: int, N: int,
         if y > 800:
             return -math.inf
         return -float(y.exp())
+
+
+def _nearest_log_p(count: int, b: int) -> float:
+    """The double nearest count * log1p(-1/b), for integers count >= 1, b >= 2:
+    -log1p(-1/b) sums 1/(k*b^k) over k >= 1, the terms past the k-th add less
+    than 1/b^(k+1), and terms are added until both ends round to one double."""
+    low, k = Fraction(0), 0
+    while True:
+        k += 1
+        low += Fraction(count, k * b ** k)
+        # values from 2^1024 - 2^970 up round past the largest double
+        ends = {float(v) if v < (1 << 1024) - (1 << 970) else math.inf
+                for v in (low, low + Fraction(count, b ** (k + 1)))}
+        if len(ends) == 1:
+            return -ends.pop()
 
 
 def model_rate(q: int, d: int, n: int, N: int) -> float:
