@@ -13,7 +13,6 @@ import itertools
 import math
 import os
 import sys
-from collections import Counter
 from functools import partial
 from typing import Optional, Sequence
 
@@ -26,6 +25,7 @@ from .core import (
     balanced_multiset,
     check_criteria,
     enumerate_solutions,
+    solution_dimensions,
 )
 from .errors import (
     BridgeError,
@@ -396,34 +396,22 @@ def batch_row(item: tuple[int, int, str, int]) -> dict:
     try:
         a = _fqt_tuple(q, coeffs_text)
         if not check_criteria(a).passes:
-            out["status"] = "not-applicable"
-            out["note"] = "criteria fail"
-            return out
+            return {**out, "status": "not-applicable", "note": "criteria fail"}
         d = max(a.height, 0)
-        sols = enumerate_solutions(a, N, budget)
-        expected_size = q ** (N * (a.n - 1) - d)
-        expected_fiber = q ** (N * (a.n - 2) - d)
-        out["size"] = len(sols)
-        out["expected_size"] = expected_size
-        out["expected_fiber"] = expected_fiber
-        if len(sols) != expected_size:
-            out["status"] = "mismatch"
-            out["note"] = "solution count differs from the formula"
-            return out
-        for j in range(a.n):
-            counts = Counter(s[j] for s in sols)
-            if len(counts) != q ** N or any(v != expected_fiber
-                                            for v in counts.values()):
-                out["status"] = "mismatch"
-                out["note"] = f"fiber counts at coordinate {j + 1} are irregular"
-                return out
-        out["status"] = "ok"
-        out["note"] = ""
-        return out
+        k, zero_fibers = solution_dimensions(a, N, budget)
+        out.update(size=q ** k, expected_size=q ** (N * (a.n - 1) - d),
+                   expected_fiber=q ** (N * (a.n - 2) - d))
+        if k != N * (a.n - 1) - d:
+            return {**out, "status": "mismatch", "note": "solution count differs from the formula"}
+        # a coordinate takes every value of V_N equally often exactly when it
+        # maps T_N onto V_N, that is when its zero fiber has dimension k - N
+        for j, z in enumerate(zero_fibers, 1):
+            if z != k - N:
+                return {**out, "status": "mismatch",
+                        "note": f"fiber counts at coordinate {j} are irregular"}
+        return {**out, "status": "ok", "note": ""}
     except (SmythError, ValueError) as err:
-        out["status"] = "error"
-        out["note"] = str(err)
-        return out
+        return {**out, "status": "error", "note": str(err)}
 
 
 def run_batch(args) -> int:
@@ -441,21 +429,13 @@ def run_batch(args) -> int:
     items = []
     for idx, row in enumerate(raw, 1):
         try:
+            if row["coeffs"] is None:
+                raise KeyError("coeffs")
             items.append((int(row["q"]), int(row["N"]), row["coeffs"], budget))
         except (KeyError, TypeError, ValueError):
             raise ParseError(
                 f"grid row {idx} must have integer q, integer N, and coeffs")
-    workers = min(args.jobs, len(items), os.cpu_count() or 1)
-    if workers > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(batch_row, items))
-        except OSError:
-            results = [batch_row(item) for item in items]
-    else:
-        results = [batch_row(item) for item in items]
+    results = [batch_row(item) for item in items]
     header = ["q", "N", "coeffs", "status", "size", "expected_size",
               "expected_fiber", "note"]
     table_rows = [[r.get(k, "") for k in header] for r in results]
@@ -473,7 +453,7 @@ def run_batch(args) -> int:
 # parser
 
 
-def _add_common(sp, *, budget: bool = False, seed: bool = False, jobs: bool = False):
+def _add_common(sp, *, budget: bool = False, seed: bool = False):
     sp.add_argument("--format", choices=("json", "csv", "text"),
                     default="json", help="output format (default json)")
     if budget:
@@ -482,9 +462,6 @@ def _add_common(sp, *, budget: bool = False, seed: bool = False, jobs: bool = Fa
     if seed:
         sp.add_argument("--seed", type=int, default=0,
                         help="deterministic seed (default 0)")
-    if jobs:
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default 1 for reproducibility)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -574,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="fiber-count checks over a CSV grid")
     p.add_argument("--grid", required=True,
                    help="CSV file with header q,N,coeffs")
-    _add_common(p, budget=True, jobs=True)
+    _add_common(p, budget=True)
     p.set_defaults(handler=run_batch)
 
     return parser

@@ -197,6 +197,30 @@ def _column_kernel(columns: Sequence[Poly], length: int, q: int) -> list[list[in
                          for r in range(length)], q)
 
 
+def _refuse_past_budget(what: str, q: int, e: int, budget: int) -> None:
+    """Raise BudgetExceededError when the q^e candidates of what exceed the
+    budget; e >= budget.bit_length() is refused before q^e is formed. A count
+    past the 4,300 digits Python prints by default is named as q^e."""
+    # q^e >= 2^14286 > 10^4300 once e * (q.bit_length() - 1) >= 14286
+    if e < budget.bit_length() or e * (q.bit_length() - 1) < 14286:
+        count = q ** e
+        if count <= budget:
+            return
+        if count < 10 ** 4300:
+            raise BudgetExceededError(f"{what} needs {count} candidates, budget is {budget}",
+                                      required=count)
+    raise BudgetExceededError(f"{what} needs {q}^{e} candidates, budget is {budget}")
+
+
+def _relation_columns(a: CoeffTuple, N: int, budget: int) -> list[Poly]:
+    """The nN columns of x -> sum(a_i x_i) on V_N^n, once the q^(N(n-1))
+    candidates of an enumeration fit the budget: column (n - i) * N + k
+    (1-based i) is a_i * t^k, the digit order of a packed row."""
+    n = a.n
+    _refuse_past_budget("enumeration", a.field.q, N * (n - 1), budget)
+    return [_shifted(a.coeffs[n - 1 - p // N], p % N) for p in range(n * N)]
+
+
 def _kernel_indices(a: CoeffTuple, N: int, budget: int) -> tuple[list[Poly], list[list[int]]]:
     """T_N as V_N and, per coordinate, the V_N index of every row's value.
 
@@ -205,28 +229,31 @@ def _kernel_indices(a: CoeffTuple, N: int, budget: int) -> tuple[list[Poly], lis
     vector is a packed row, and the q^k rows are the sums of multiples of
     the k basis vectors.
     """
-    field = a.field
-    q = field.q
-    n = a.n
-    candidates = q ** (N * (n - 1))
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"enumeration needs {candidates} candidates, budget is {budget}",
-            required=candidates,
-        )
-    width = n * N
+    field, q, n = a.field, a.field.q, a.n
+    columns = _relation_columns(a, N, budget)
     w = _digit_width(q)
-    columns = [_shifted(a.coeffs[n - 1 - p // N], p % N) for p in range(width)]
     # each basis vector is 1 at its free column and 0 at the others
     generators = [[_pack([c * x % q for x in v], w) for c in range(1, q)]
                   for v in _column_kernel(columns, N + a.height, q)]
-    rows = _combinations(_digit_adder(q, width), generators)
+    rows = _combinations(_digit_adder(q, n * N), generators)
     rows.sort()
     vn = vn_elements(field, N)
     index_of = {_pack(x.coeffs, w): k for k, x in enumerate(vn)}
     mask = (1 << (w * N)) - 1
     return vn, [[index_of[(r >> (w * N * (n - 1 - i))) & mask] for r in rows]
                 for i in range(n)]
+
+
+def solution_dimensions(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> tuple[int, list[int]]:
+    """dim T_N over F_q and, per coordinate i, the dimension of T_N ∩ {x_i = 0}:
+    kernel dimensions of the relation's columns, without coordinate i's N
+    columns for the second. Refused as enumerate_solutions refuses."""
+    _check_N(a, N)
+    columns = _relation_columns(a, N, budget)
+    q, n, length = a.field.q, a.n, N + a.height
+    return len(_column_kernel(columns, length, q)), [
+        len(_column_kernel(columns[:(n - 1 - i) * N] + columns[(n - i) * N:], length, q))
+        for i in range(n)]
 
 
 def _check_N(a: CoeffTuple, N: int) -> None:
@@ -264,12 +291,7 @@ def fiber_count(a: CoeffTuple, N: int, j: int, x: Poly, budget: int = DEFAULT_BU
     _check_N(a, N)
     if x.degree >= N:
         raise ValueError(f"{x} is outside V_{N}")
-    candidates = q ** (N * (n - 2))
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"fiber count needs {candidates} candidates, budget is {budget}",
-            required=candidates,
-        )
+    _refuse_past_budget("fiber count", q, N * (n - 2), budget)
     columns = [_shifted(a.coeffs[i], k) for i in range(n) if i != j - 1 for k in range(N)]
     columns.append(a.coeffs[j - 1] * x)
     # the last column is free exactly when the last basis vector, whose

@@ -31,7 +31,8 @@ class NonUnitError(SmythError, ArithmeticError):
 class BudgetExceededError(SmythError, RuntimeError):
     """A search or enumeration would exceed its explicit budget.
 
-    ``required`` carries the number of candidates the call would need.
+    ``required`` carries the number of candidates the call would need, or
+    None where that number has more than 4,300 digits.
     """
 
     def __init__(self, message: str, required: int | None = None):

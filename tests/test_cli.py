@@ -1,5 +1,4 @@
 """End-to-end command line tests through main()."""
-import concurrent.futures
 import io
 import json
 import os
@@ -627,43 +626,27 @@ class TestBatch:
         code, _, _ = run(capsys, "batch", "--grid", path)
         assert code == 2
 
-    def test_jobs_match_sequential(self, capsys, tmp_path):
-        rows = ["2,1,1;t;t+1", "2,2,1;t;t+1", "3,1,1;t;t+1", "2,1,1;1;t"]
-        path = self.grid(tmp_path, rows)
-        _, out1, _ = run(capsys, "batch", "--grid", path, "--format", "csv")
-        _, out2, _ = run(capsys, "batch", "--grid", path, "--format", "csv",
-                         "--jobs", "2")
-        assert out1 == out2
+    def test_jobs_is_a_usage_error(self, capsys, tmp_path):
+        path = self.grid(tmp_path, ["2,1,1;t;t+1"])
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "--grid", path, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cpus,rows,expected", [(8, 3, 3), (2, 4, 2), (None, 4, None)])
-    def test_jobs_capped_by_rows_and_cpus(self, capsys, tmp_path, monkeypatch,
-                                          cpus, rows, expected):
-        started = []
+    def test_row_without_coeffs_exit_two(self, capsys, tmp_path):
+        path = self.grid(tmp_path, ["2,1"])
+        code, out, err = run(capsys, "batch", "--grid", path)
+        assert (code, out) == (2, "")
+        assert err == "error: grid row 1 must have integer q, integer N, and coeffs\n"
 
-        class RecordingPool:
-            """Runs rows in this process and records the requested pool size."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        path = self.grid(tmp_path, ["2,1,1;t;t+1", "2,2,1;t;t+1", "3,1,1;t;t+1",
-                                    "2,1,1;1;t"][:rows])
-        _, sequential, _ = run(capsys, "batch", "--grid", path, "--format", "csv")
-        _, capped, _ = run(capsys, "batch", "--grid", path, "--format", "csv",
-                           "--jobs", "1000000")
-        assert started == ([expected] if expected else [])
-        assert capped == sequential
+    def test_row_far_past_the_budget_is_an_error_row(self, capsys, tmp_path):
+        path = self.grid(tmp_path, ["2,1,1;t;t+1", "3,10000000,1;t;t+1"])
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "batch", "--grid", path, "--format", "csv")
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out.splitlines()[2] == ('3,10000000,1;t;t+1,error,,,,"enumeration needs '
+                                       '3^20000000 candidates, budget is 16777216"')
 
 
 class TestBudgetEnv:

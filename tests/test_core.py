@@ -1,4 +1,5 @@
 """Criteria, enumeration, and certificate tests over F_q[t]."""
+import time
 from collections import Counter
 
 import pytest
@@ -127,6 +128,23 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError) as exc:
             enumerate_solutions(a, 3, budget=10)
         assert exc.value.required > 10
+
+    def test_budget_refusal_is_decided_from_the_exponent(self):
+        # the count is printed while it has at most 4,300 digits, as Python
+        # prints an int by default, and named as q^e past that
+        a = tup(F2, "1", "t", "t+1")
+        for N, text, required in ((7142, str(2 ** 14284), 2 ** 14284),
+                                  (7143, "2^14286", None),
+                                  (10 ** 7, "2^20000000", None)):
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceededError) as exc:
+                enumerate_solutions(a, N, budget=1 << 24)
+            assert time.perf_counter() - start < 1
+            assert str(exc.value) == f"enumeration needs {text} candidates, budget is 16777216"
+            assert exc.value.required == required
+        with pytest.raises(BudgetExceededError) as exc:
+            fiber_count(tup(F3, "1", "t", "t+1"), 10 ** 7, 1, F3.zero)
+        assert str(exc.value) == "fiber count needs 3^10000000 candidates, budget is 16777216"
 
     def test_fiber_counts_uniform(self):
         a = tup(F2, "1", "t", "t+1")
