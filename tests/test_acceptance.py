@@ -17,6 +17,7 @@ from smyth.bounds import (
     order_bound_fqt,
     verify_extremal,
 )
+from smyth.cli import batch_row
 from smyth.core import (
     BalancedMultiset,
     CoeffTuple,
@@ -42,7 +43,6 @@ from smyth.serialize import (
     parse_json,
     verify_doc,
 )
-from smyth.cli import batch_row
 from test_batch_reference import reference_batch_row
 from test_multiset_reference import is_balanced
 from test_numfield import quadint_det_verdict

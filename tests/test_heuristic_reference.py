@@ -60,8 +60,8 @@ def small_cases(draw):
 # 893372^3 * 4^-192 is a midpoint between two doubles, and the x/2 term of
 # log1p(-x) = -x*(1 + x/2 + ...) rounds it up in magnitude
 @example((4, 0, 4, 3, {"group_size": 893372}))
-# 262141^3 * 2^-896 is a midpoint too, at E*ln(q) = 621, past the 400 below
-# which the decimal path carries the log1p term
+# 262141^3 * 2^-896 is a midpoint too, at E*ln(q) = 621, where x/2 is far
+# below the last digit that a decimal y near -583 carries
 @example((2, 0, 4, 7, {"group_size": 262141}))
 def test_closed_form_matches_the_mpmath_reference(case):
     q, d, n, N, size = case
