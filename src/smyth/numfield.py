@@ -1,11 +1,12 @@
 """Number-field layer: strong criteria, root-of-unity relations and twists,
 equality-case extraction, and the lattice-rounding certificate pipeline.
 
-Scope is quadratic fields. Rank at most 2 keeps every geometric step exact:
-the covering radius comes from the circumradius formula on a Lagrange-reduced
-superbase, closest points by exact comparison among the lattice points within
-the covering radius, and eigenvalue claims by an exact eigen identity with a
-nonzero witness. Nothing in a pass/fail path rounds.
+Scope is quadratic fields. Rank at most 2 keeps every geometric step exact
+and on Python ints: the covering radius comes from the circumradius formula
+on a superbase Lagrange-reduced under the integer ambient form, closest
+points by exact comparison among the lattice points within the covering
+radius, and eigenvalue claims by an exact eigen identity with a nonzero
+witness. Nothing in a pass/fail path rounds.
 
 The pipeline for tuples (1, ..., 1, -alpha):
 
@@ -14,16 +15,20 @@ The pipeline for tuples (1, ..., 1, -alpha):
 builds a nonnegative integer matrix with row sums n-1 and exact eigenvalue
 alpha, rebalances it to equal column sums, and splits it into n-1
 permutation matrices. The nonzero eigenvector v with (sum P_i) v = alpha*v
-that travels with the split proves det(sum P_i - alpha*I) = 0, and
-verify_numfield_certificate checks exactly that witness.
+that travels with the split proves det(sum P_i - alpha*I) = 0.
+matrix_fixes is the one check of that witness, for the bridge and both
+verifiers: it sums v over the n - 1 index lists, linear in the dimension.
 
-The rounding matrix has at most two nonzero entries per row. Rounding
-hands it to the bridge as sparse rows, and the bridge searches on the
-points' integer coordinates and indices, so memory is linear in the ball.
-The Birkhoff split works on each row's nonzero entries, inside the bridge
-and after it, so the one dense matrix is the bridge's result, of dimension
-at most MAX_BRIDGE_DIMENSION, which the certificate carries.
-LatticeStep.matrix writes the rounding matrix out only when read.
+The rounding matrix has at most two nonzero entries per row. Each row's
+nearest point is found once per residue class of alpha*z modulo
+(n-1)*Z[alpha] and moved into place, so the nearest-point search runs at
+most (n-1)^2 times. Rounding hands the matrix to the bridge as sparse rows,
+and the bridge searches on the points' integer coordinates and indices, so
+memory is linear in the ball. The Birkhoff split works on each row's
+nonzero entries, inside the bridge and after it, so the one dense matrix
+is the bridge's result, of dimension at most MAX_BRIDGE_DIMENSION, which
+the certificate carries. LatticeStep.matrix writes the rounding matrix out
+only when read.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ import math
 from cmath import exp as cexp, pi as cpi, sqrt as csqrt
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter
 from typing import Optional, Sequence, Union
 
 from .algebra import complementary_gcds_are_one, kernel_basis
@@ -43,7 +49,6 @@ from .core import (
     _ranked_multiset,
     _validate_perms,
     certificate_from_balanced,
-    verify_certificate,
 )
 from .errors import (
     BridgeError,
@@ -404,36 +409,41 @@ def unimodular_extract(a: Sequence[Entry], b: BalancedMultiset,
 # lattice rounding
 
 
+def _sqrt_upper(p: int, q: int) -> tuple[int, int]:
+    """(numerator, denominator) of frac_sqrt_upper(p/q), not reduced."""
+    return math.isqrt(p * q << 128) + 1, q << 64
+
+
 def frac_sqrt_upper(f: Fraction) -> Fraction:
     """A rational upper bound on sqrt(f), tight to about 2^-64."""
     if f < 0:
         raise ValueError("radicand must be nonnegative")
-    p, q = f.numerator, f.denominator
-    scale = 1 << 64
-    return Fraction(math.isqrt(p * q * scale * scale) + 1, q * scale)
+    return Fraction(*_sqrt_upper(f.numerator, f.denominator))
 
 
-def _nearest_int(f: Fraction) -> int:
-    return math.floor(f + Fraction(1, 2))
+def _lagrange_reduce(Q, u: tuple[int, int], v: tuple[int, int]):
+    """The basis (u, v) Lagrange-reduced under the positive integer form Q,
+    with <u, v> <= 0; vectors are integer coordinates over (1, w).
 
+    2<u, v> = Q(u + v) - Q(u) - Q(v) is an int, and the nearest integer to
+    <u, v>/Q(u) is (2<u, v> + Q(u)) // (2Q(u)).
+    """
+    def twice_inner(u, v):
+        return Q(u[0] + v[0], u[1] + v[1]) - Q(*u) - Q(*v)
 
-def _inner(u: QuadInt, v: QuadInt) -> Fraction:
-    return (Fraction((u + v).abs_squared()) - u.abs_squared() - v.abs_squared()) / 2
-
-
-def _lagrange_reduce(u1: QuadInt, u2: QuadInt) -> tuple[QuadInt, QuadInt]:
-    if u2.abs_squared() < u1.abs_squared():
-        u1, u2 = u2, u1
+    if Q(*v) < Q(*u):
+        u, v = v, u
     while True:
-        r = _nearest_int(_inner(u1, u2) / u1.abs_squared())
-        u2 = u2 - r * u1
-        if u2.abs_squared() < u1.abs_squared():
-            u1, u2 = u2, u1
+        qu = Q(*u)
+        r = (twice_inner(u, v) + qu) // (2 * qu)
+        v = (v[0] - r * u[0], v[1] - r * u[1])
+        if Q(*v) < qu:
+            u, v = v, u
         else:
             break
-    if _inner(u1, u2) > 0:
-        u2 = -u2
-    return u1, u2
+    if twice_inner(u, v) > 0:
+        v = (-v[0], -v[1])
+    return u, v
 
 
 def covering_radius_squared(K: QuadField, alpha: QuadInt) -> Fraction:
@@ -441,27 +451,30 @@ def covering_radius_squared(K: QuadField, alpha: QuadInt) -> Fraction:
 
     Rank 1 (rational alpha) is half the generator; rank 2 reduces the basis
     (1, alpha) and takes the circumradius of the obtuse-superbase triangle,
-    which is where a Voronoi cell is farthest from the lattice.
+    which is where a Voronoi cell is farthest from the lattice. Every
+    squared length is the int the ambient form gives on integer coordinates.
     """
-    one = K.one
+    Q = K.ambient_q
     if alpha.is_rational:
-        return Fraction(one.abs_squared(), 4)
-    u1, u2 = _lagrange_reduce(one, alpha)
-    A = Fraction(u1.abs_squared())
-    B = Fraction(u2.abs_squared())
-    C = Fraction((u1 + u2).abs_squared())
-    denom = 2 * (A * B + B * C + C * A) - A * A - B * B - C * C
-    return A * B * C / denom
+        return Fraction(Q(1, 0), 4)
+    (x1, y1), (x2, y2) = _lagrange_reduce(Q, (1, 0), (alpha.x, alpha.y))
+    A, B, C = Q(x1, y1), Q(x2, y2), Q(x1 + x2, y1 + y2)
+    return Fraction(A * B * C, 2 * (A * B + B * C + C * A) - A * A - B * B - C * C)
 
 
-def _alpha_abs_upper(alpha: QuadInt) -> Fraction:
+def _alpha_abs_upper(alpha: QuadInt) -> tuple[int, int]:
+    """(numerator, denominator) of a rational upper bound on |alpha| at
+    every place, from frac_sqrt_upper's bounds on sqrt(norm) or sqrt(m)."""
     if alpha.is_rational:
-        return Fraction(abs(alpha.x))
+        return abs(alpha.x), 1
     K = alpha.field
     if not K.is_real:
-        return frac_sqrt_upper(Fraction(alpha.norm()))
-    u, v = alpha.embedding_coords(0)
-    return abs(u) + abs(v) * frac_sqrt_upper(Fraction(K.m))
+        return _sqrt_upper(alpha.norm(), 1)
+    # |alpha| at either place is at most |u| + |v|*sqrt(m), with alpha's
+    # image at place 0 equal to (u + v*sqrt(m))/h
+    h, u = (2, 2 * alpha.x + alpha.y) if K.half else (1, alpha.x)
+    sn, sd = _sqrt_upper(K.m, 1)
+    return abs(u) * sd + abs(alpha.y) * sn, h * sd
 
 
 def _points_near(K: QuadField, alpha: QuadInt, r_squared: Fraction):
@@ -593,6 +606,11 @@ def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
     z_1 is nearest to t = alpha*z/(n-1), ties broken by sort_key. Every
     nearest point lies within M of t and |t| + M < R, so comparing the few
     points of Z[alpha] within M of t finds what a scan of the ball would.
+    alpha*z = P + S*alpha lies in Z[alpha]; with P = (n-1)*P_1 + P_0 and
+    S = (n-1)*S_1 + S_0, z_1 is the point nearest to (P_0 + S_0*alpha)/(n-1)
+    moved by P_1 + S_1*alpha, since a translation by a lattice point keeps
+    both distances and the sort_key order. So the comparison runs once per
+    residue class (P_0, S_0), at most (n-1)^2 times.
     Each row is found in its sparse form, (n-2) units on z_1 plus one on
     z_2, and the identity C.z = alpha*z is asserted on integer coordinates
     against the stored points.
@@ -604,21 +622,22 @@ def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
         raise ValueError("need n >= 3")
     if radius_factor < 0:
         raise ValueError("radius_factor must be nonnegative")
-    bound = SqrtSum.rational(n - 1)
-    for place in range(K.places):
-        if quadint_abs(alpha, place).compare(bound) >= 0:
-            raise ValueError(
-                f"|alpha| at place {place} is not strictly below n-1 = {n - 1}")
+    d = n - 1
+    if K.is_real and not alpha.is_rational:
+        for place in range(2):
+            if quadint_abs(alpha, place).compare(SqrtSum.rational(d)) >= 0:
+                raise ValueError(f"|alpha| at place {place} is not strictly below n-1 = {d}")
+    elif alpha.norm() >= d * d:  # |alpha|^2 at every place
+        raise ValueError(f"|alpha| at place 0 is not strictly below n-1 = {d}")
     m_squared = covering_radius_squared(K, alpha)
-    m_upper = frac_sqrt_upper(m_squared)
-    c_upper = _alpha_abs_upper(alpha)
-    if c_upper >= n - 1:
+    mn, md = _sqrt_upper(m_squared.numerator, m_squared.denominator)
+    cn, cd = _alpha_abs_upper(alpha)
+    if cn >= d * cd:
         raise PrecisionError("upper bound for |alpha| touched n-1")
-    r_bound = (n - 2) * m_upper * (n - 1) / ((n - 1) - c_upper)
-    # the least k with 2^k > r_bound, then radius_factor doublings
-    k = math.floor(r_bound).bit_length() + radius_factor
-    radius = Fraction(2) ** k
-    r_squared = radius * radius
+    # the least k with 2^k above (n-2) * upper(M) * d / (d - upper(|alpha|)),
+    # then radius_factor doublings
+    k = ((n - 2) * mn * d * cd // (md * (d * cd - cn))).bit_length() + radius_factor
+    r_squared = Fraction(1 << 2 * k)
     estimate = _ball_size_estimate(K, alpha, r_squared)
     if estimate > MAX_BALL_POINTS:
         raise BudgetExceededError(
@@ -628,9 +647,16 @@ def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
     coords = [key for _, key in ball]
     index = {key: i for i, key in enumerate(coords)}
     nearest = _points_near(K, alpha, m_squared)
+    ax, ay = alpha.x, alpha.y
+    classes: dict = {}
     rows = []
     for wx, wy in _times(alpha, coords):
-        _, (x1, y1) = min(nearest(wx, wy, n - 1))
+        S1, S0 = divmod(wy // ay if ay else 0, d)
+        P1, P0 = divmod(wx - (d * S1 + S0) * ax, d)
+        near = classes.get((P0, S0))
+        if near is None:
+            near = classes[P0, S0] = min(nearest(P0 + S0 * ax, S0 * ay, d))[1]
+        x1, y1 = near[0] + P1 + S1 * ax, near[1] + S1 * ay
         j1 = index.get((x1, y1))
         j2 = index.get((wx - (n - 2) * x1, wy - (n - 2) * y1))
         if j1 is None:
@@ -641,9 +667,9 @@ def lattice_rounding_step(K: QuadField, alpha: Entry, n: int,
         if ((n - 2) * p1 + p2, (n - 2) * q1 + q2) != (wx, wy):
             raise AssertionError("rounding row fails C.z = alpha*z")
         if j1 == j2:
-            rows.append(((j1, n - 1),))
+            rows.append(((j1, d),))
         else:
-            rows.append(tuple(sorted(((j1, n - 2), (j2, 1)))))
+            rows.append(((j1, n - 2), (j2, 1)) if j1 < j2 else ((j2, 1), (j1, n - 2)))
     return LatticeStep(rows=tuple(rows), points=tuple(itertools.starmap(K.element, coords)),
                        radius_squared=r_squared, covering_radius_squared=m_squared, n=n)
 
@@ -659,19 +685,27 @@ class BridgeResult:
     strategy: str
 
 
-def matrix_fixes(matrix: Sequence[Sequence[int]], vec: Sequence[QuadInt],
-                  alpha: QuadInt) -> bool:
-    """Whether matrix . vec = alpha * vec, on integer coordinates over each
-    row's nonzero entries; a vector of another length or field raises ValueError."""
+def matrix_fixes(columns: Sequence[Sequence[int]], vec: Sequence[QuadInt],
+                 alpha: Entry) -> bool:
+    """Whether vec is nonzero and D . vec = alpha * vec for the matrix D
+    whose row k has a unit at c[k] for each index list c in columns (for
+    permutations c, the sum of their matrices): sum_c vec[c[k]] = alpha *
+    vec[k] for every k, checked on integer coordinates in
+    len(columns) * len(vec) additions. An index list of another length
+    than vec gives False; an int alpha is taken in vec's field, and entries
+    of another field raise ValueError."""
+    if not any(vec) or any(len(c) != len(vec) for c in columns):
+        return False
+    alpha = _as_quadint(vec[0].field, alpha)
     K = alpha.field
-    if len(vec) != len(matrix) or any(v.field is not K and v.field != K for v in vec):
-        raise ValueError("vector length or field differs from the matrix and alpha")
+    if any(v.field is not K and v.field != K for v in vec):
+        raise ValueError("vector entries from another field than alpha")
     xs, ys = [v.x for v in vec], [v.y for v in vec]
-    for row, image in zip(matrix, _times(alpha, zip(xs, ys))):
-        cols = list(itertools.compress(range(len(row)), row))
-        if (sum(row[j] * xs[j] for j in cols), sum(row[j] * ys[j] for j in cols)) != image:
-            return False
-    return True
+    sx, sy = [0] * len(vec), [0] * len(vec)
+    for c in columns:
+        sx = list(map(add, sx, map(xs.__getitem__, c)))
+        sy = list(map(add, sy, map(ys.__getitem__, c)))
+    return list(zip(sx, sy)) == _times(alpha, zip(xs, ys))
 
 
 def _sccs(nodes: set, succ: dict) -> list[set]:
@@ -744,8 +778,11 @@ def perron_bridge(rows: Sequence[SparseRow], alpha: Entry,
         raise BridgeError("empty point list", matrix=rows)
     alpha = _as_quadint(points[0].field, alpha)
     size = len(points)
-    if len(rows) != size or not all(0 <= j < size for row in rows for j, _ in row):
+    pairs = list(itertools.chain.from_iterable(rows))
+    if len(rows) != size or pairs and (min(pairs)[0] < 0 or max(pairs)[0] >= size):
         raise ValueError("rows must match the point list")
+    if pairs and min(map(itemgetter(1), pairs)) < 0:
+        raise ValueError("row entries must be nonnegative")
     row_sums = {sum(c for _, c in row) for row in rows}
     if len(row_sums) != 1:
         raise ValueError("rows must share a common sum")
@@ -760,11 +797,13 @@ def perron_bridge(rows: Sequence[SparseRow], alpha: Entry,
         if size > MAX_BRIDGE_DIMENSION:
             raise BridgeError(f"doubly regular dimension {size} is too large to "
                               "materialize", matrix=rows)
-        matrix = _dense(rows, size)
-        if not matrix_fixes(matrix, points, alpha):
+        # row k's columns, each as often as its entry: n - 1 index lists
+        columns = list(zip(*[[j for j, c in row for _ in range(c)] for row in rows]))
+        if not matrix_fixes(columns, points, alpha):
             raise BridgeError("doubly regular input fails the eigen identity",
                               matrix=rows)
-        return BridgeResult(matrix=matrix, eigenvector=tuple(points), strategy="as-given")
+        return BridgeResult(matrix=_dense(rows, size), eigenvector=points,
+                            strategy="as-given")
     coords = [(p.x, p.y) for p in points]
     images = _times(alpha, coords)
     index = {xy: i for i, xy in enumerate(coords)}
@@ -815,13 +854,13 @@ def perron_bridge(rows: Sequence[SparseRow], alpha: Entry,
     final = min(sinks, key=min)
     order = sorted(final)
     pos = {i: k for k, i in enumerate(order)}
-    sub = [[0] * len(order) for _ in order]
+    # the transpose of the decomposition matrix minus (n-1)*I
+    eig = [[0] * len(order) for _ in order]
     for i in order:
         j1, j2 = decomp[i]
-        sub[pos[i]][pos[j1]] += n - 2
-        sub[pos[i]][pos[j2]] += 1
-    eig = [[sub[c][r] - (n - 1 if r == c else 0)
-            for c in range(len(order))] for r in range(len(order))]
+        eig[pos[j1]][pos[i]] += n - 2
+        eig[pos[j2]][pos[i]] += 1
+        eig[pos[i]][pos[i]] -= n - 1
     basis = kernel_basis(eig)
     if len(basis) != 1:
         raise BridgeError(
@@ -840,17 +879,16 @@ def perron_bridge(rows: Sequence[SparseRow], alpha: Entry,
             f"rebalanced dimension {total} is too large to materialize",
             matrix=rows)
 
-    member_source = []
-    for i in order:
-        member_source.extend([i] * mult[i])
-    slots = []
+    # member r comes from ball point slots[r], and point w owns the columns
+    # slot_base[w], ..., slot_base[w] + mult[w] - 1
+    slots: list = []
     slot_base = {}
     for w in order:
         slot_base[w] = len(slots)
         slots.extend([w] * mult[w])
     fill = {w: 0 for w in order}
     bip = [{} for _ in range(total)]
-    for row, i in zip(bip, member_source):
+    for row, i in zip(bip, slots):
         j1, j2 = decomp[i]
         for w in [j1] * (n - 2) + [j2]:
             col = slot_base[w] + fill[w] // (n - 1)
@@ -861,17 +899,20 @@ def perron_bridge(rows: Sequence[SparseRow], alpha: Entry,
     matchings = _split(bip, n - 1)
     one = alpha.field.one
     coeffs = tuple([one] * (n - 1) + [-alpha])
-    # member r is (p[slots[mt[r]]] for each matching mt, then p[member_source[r]])
+    # member r is (p[slots[mt[r]]] for each matching mt, then p[slots[r]])
     columns = [list(map(slots.__getitem__, mt)) for mt in matchings]
-    columns.append(member_source)
+    columns.append(slots)
     used = _balanced(columns)
     if used is None:
         raise ValueError("coordinate value multisets differ: not balanced")
     balanced = _ranked_multiset(coeffs, points, columns, used)
     cert = certificate_from_balanced(coeffs, balanced)
-    # each row of the certificate is (D v)[k] = alpha*v[k] with D the sum of
-    # its first n-1 permutations, whose rows and columns then sum to n-1
-    if not verify_certificate(coeffs, cert):
+    # with the last permutation the identity, each row of the certificate
+    # is (D v)[k] = alpha*v[k] for D the sum of its first n-1 permutations,
+    # whose rows and columns then sum to n-1
+    _validate_perms(cert.perms, cert.m)
+    if (cert.perms[-1] != tuple(range(cert.m))
+            or not matrix_fixes(cert.perms[:-1], cert.kernel, alpha)):
         raise BridgeError("rebalanced matrix fails the eigen identity",
                           matrix=rows)
     D = permutation_sum(cert.perms[:-1], cert.m)
@@ -943,10 +984,12 @@ def _split(counts: Sequence[dict[int, int]], s: int) -> list[tuple[int, ...]]:
             column_sums[c] += k
     if column_sums.count(s) != size:
         raise ValueError("row and column sums must all be equal")
+    if not s:
+        return []
     left = [dict(row) for row in counts]
     support = [sorted(row) for row in counts]
     perms = []
-    for _ in range(s):
+    for _ in range(s - 1):
         match_col = [-1] * size
         for r, cols in enumerate(support):
             if match_col[cols[0]] == -1:
@@ -956,11 +999,13 @@ def _split(counts: Sequence[dict[int, int]], s: int) -> list[tuple[int, ...]]:
         perm = [0] * size
         for c, r in enumerate(match_col):
             perm[r] = c
-        for r, c in enumerate(perm):
-            left[r][c] -= 1
-            if not left[r][c]:
+            row = left[r]
+            row[c] -= 1
+            if not row[c]:
                 support[r].remove(c)
         perms.append(tuple(perm))
+    # one unit is left in each row and column: the last matching
+    perms.append(tuple(cols[0] for cols in support))
     return perms
 
 
@@ -974,7 +1019,8 @@ def birkhoff_decompose(D: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     if any(len(row) != size for row in D):
         raise ValueError("matrix must be square")
     for row in D:
-        if not all(issubclass(t, int) for t in set(map(type, row))) or min(row) < 0:
+        types = set(map(type, row))
+        if bool in types or not all(issubclass(t, int) for t in types) or min(row) < 0:
             raise ValueError("entries must be nonnegative integers")
     if not size:
         raise ValueError("row and column sums must all be equal")
@@ -993,7 +1039,9 @@ def verify_numfield_certificate(alpha: Entry, n: int, matrix: Sequence[Sequence[
     nonzero vector with matrix . eigenvector = alpha * eigenvector.
 
     Such a vector proves det(sum P_i - alpha*I) = 0. Malformed permutations,
-    or too few or too many of them, raise ValueError.
+    or too few or too many of them, raise ValueError. Once the sum is
+    matched, the eigen identity is checked on the permutations themselves
+    (matrix_fixes), linear in the dimension.
     """
     size = len(matrix)
     if len(perms) != n - 1 or not perms or not size:
@@ -1001,16 +1049,7 @@ def verify_numfield_certificate(alpha: Entry, n: int, matrix: Sequence[Sequence[
                          f"matrix, got {len(perms)}")
     _validate_perms(perms, size)
     return (permutation_sum(perms, size) == tuple(map(tuple, matrix))
-            and _eigenvector_holds(matrix, eigenvector, alpha))
-
-
-def _eigenvector_holds(matrix: Sequence[Sequence[int]], vec: Sequence[QuadInt],
-                       alpha: Entry) -> bool:
-    """Whether vec is a nonzero vector of the matrix's dimension with
-    matrix . vec = alpha * vec; an int alpha is taken in vec's field."""
-    if len(vec) != len(matrix) or not any(vec):
-        return False
-    return matrix_fixes(matrix, vec, _as_quadint(vec[0].field, alpha))
+            and matrix_fixes(perms, eigenvector, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -1070,7 +1109,7 @@ def numfield_pipeline(K: QuadField, alpha: Entry, n: int = 3,
             alpha=alpha,
             n=n,
             matrix=bridge.matrix,
-            perms=tuple(tuple(p) for p in perms),
+            perms=tuple(perms),
             eigenvector=bridge.eigenvector,
             radius_squared=step.radius_squared,
             covering_radius_squared=step.covering_radius_squared,

@@ -15,12 +15,15 @@ the document itself:
   numfield     the permutations sum to matrix, which fixes the nonzero
                eigenvector with eigenvalue alpha; each distinct eigenvector
                text is parsed once, and the eigen identity is checked on
-               the integer coordinates (x, y) of the entries x + y*w
+               the permutations and the integer coordinates (x, y) of the
+               entries x + y*w, linear in the dimension; when present,
+               dimension is len(matrix), strategy is as-given or
+               sink-class, and covering_radius_squared is that of Z[alpha]
 
 Singularity is never re-derived: the nonzero kernel vector or eigenvector a
 document carries, checked against the defining equations, is its proof.
-Informational fields are not checked, so edits to them go undetected: N;
-numfield dimension, radius_squared, covering_radius_squared and strategy.
+Informational fields are not checked, so edits to them go undetected: N and
+the numfield radius_squared.
 Integer fields are read strictly: a float, bool or string where a JSON
 integer belongs is a ParseError. List fields are read as strictly: anything
 but a JSON list where one belongs is a ParseError that names the field, and
@@ -183,6 +186,13 @@ def _int(value, what: str = "entry") -> int:
     """value, which must be a JSON integer; a float, bool or string is a ParseError."""
     if type(value) is not int:
         raise ParseError(f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _str(value, what: str) -> str:
+    """value, which must be a JSON string; anything else is a ParseError."""
+    if type(value) is not str:
+        raise ParseError(f"{what} must be a string, not {type(value).__name__}")
     return value
 
 
@@ -438,6 +448,12 @@ def _verify_extremal(doc: dict) -> bool:
 def _verify_numfield(doc: dict) -> bool:
     _require(doc, "m", "omega", "alpha", "n", "matrix", "permutations",
              "eigenvector")
+    # the fields derived from the others, each read here and compared last
+    # when present
+    dimension = _int(doc["dimension"], "dimension") if "dimension" in doc else None
+    strategy = _str(doc["strategy"], "strategy") if "strategy" in doc else None
+    radius = (_str(doc["covering_radius_squared"], "covering_radius_squared")
+              if "covering_radius_squared" in doc else None)
     K = _field(quadratic.QuadField, doc, "m")
     if doc["omega"] != K.omega_label:
         return False
@@ -455,7 +471,10 @@ def _verify_numfield(doc: dict) -> bool:
         return False
     table = _EntryTable(functools.partial(quadratic.parse_quadint, K), str)
     vec = list(map(table.values.__getitem__, table.indices(doc["eigenvector"], "eigenvector")))
-    return numfield._eigenvector_holds(matrix, vec, alpha)
+    return (numfield.matrix_fixes(perms, vec, alpha)
+            and dimension in (None, dim)
+            and strategy in (None, "as-given", "sink-class")
+            and (radius is None or radius == str(numfield.covering_radius_squared(K, alpha))))
 
 
 def verify_doc(doc: dict) -> bool:

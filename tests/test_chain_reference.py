@@ -10,6 +10,13 @@
   lister must list the same (distance, sort_key) pairs in the same order.
 - `bracket_sign` is `SqrtSum.sign` by bracket refinement alone. The
   library's sign must agree with it on two-term sums.
+- `per_point_rounding_step` is `lattice_rounding_step` as it was before
+  the step moved to integers: |alpha| compared with n - 1 through
+  `SqrtSum` at every place, the radius bound and the Lagrange reduction
+  (`fraction_covering_radius_squared`) in `Fraction`s, and one
+  nearest-point search for every ball point. The library's step must give
+  the same `LatticeStep`, or raise the same exception with the same
+  message, and its covering radius must equal the reference's.
 """
 import itertools
 import math
@@ -19,8 +26,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from smyth.numfield import _points_near, _split, birkhoff_decompose, permutation_sum
-from smyth.quadratic import QuadField, SqrtSum, _squarefree_split
+from smyth.errors import BudgetExceededError, PrecisionError
+from smyth.numfield import (
+    LatticeStep,
+    _ball_size_estimate,
+    _points_near,
+    _split,
+    _times,
+    birkhoff_decompose,
+    covering_radius_squared,
+    frac_sqrt_upper,
+    lattice_rounding_step,
+    permutation_sum,
+)
+from smyth.quadratic import QuadField, SqrtSum, _squarefree_split, quadint_abs
 
 # ---------------------------------------------------------------------------
 # the dense split
@@ -135,14 +154,20 @@ class TestSplit:
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("D", [
-        ((True, False), (False, True)),
         ((0, 0), (0, 0)),
         ((0,),),
-    ], ids=["bool", "zero", "zero-1x1"])
+    ], ids=["zero", "zero-1x1"])
     def test_accepted_edge_cases_match_reference(self, D):
-        # bool is an int subclass, read as 0 and 1; a zero matrix splits into
-        # no permutations
+        # a zero matrix splits into no permutations
         assert birkhoff_decompose(D) == dense_birkhoff(D)
+
+    def test_bool_entries_refused(self):
+        # the reference reads bool, an int subclass, as 0 and 1; the split
+        # refuses it, as every document reader does
+        D = ((True, False), (False, True))
+        assert dense_birkhoff(D) == [(0, 1)]
+        with pytest.raises(ValueError, match="^entries must be nonnegative integers$"):
+            birkhoff_decompose(D)
 
 
 # ---------------------------------------------------------------------------
@@ -264,3 +289,145 @@ class TestTwoTermSign:
     def test_two_roots(self, a, b, s, t):
         value = SqrtSum.make({s: a}) + SqrtSum.make({t: b})
         assert value.sign() == bracket_sign(value)
+
+
+# ---------------------------------------------------------------------------
+# the rounding step on Fractions, one nearest-point search per ball point
+
+
+def fraction_inner(u, v):
+    """<u, v> under the ambient form, as a Fraction."""
+    return (Fraction((u + v).abs_squared()) - u.abs_squared() - v.abs_squared()) / 2
+
+
+def fraction_lagrange_reduce(u1, u2):
+    if u2.abs_squared() < u1.abs_squared():
+        u1, u2 = u2, u1
+    while True:
+        r = math.floor(fraction_inner(u1, u2) / u1.abs_squared() + Fraction(1, 2))
+        u2 = u2 - r * u1
+        if u2.abs_squared() < u1.abs_squared():
+            u1, u2 = u2, u1
+        else:
+            break
+    if fraction_inner(u1, u2) > 0:
+        u2 = -u2
+    return u1, u2
+
+
+def fraction_covering_radius_squared(K, alpha):
+    """Reference covering radius: the Lagrange reduction of (1, alpha) on
+    QuadInts with Fraction inner products, then the circumradius."""
+    one = K.one
+    if alpha.is_rational:
+        return Fraction(one.abs_squared(), 4)
+    u1, u2 = fraction_lagrange_reduce(one, alpha)
+    A = Fraction(u1.abs_squared())
+    B = Fraction(u2.abs_squared())
+    C = Fraction((u1 + u2).abs_squared())
+    return A * B * C / (2 * (A * B + B * C + C * A) - A * A - B * B - C * C)
+
+
+def _fraction_alpha_abs_upper(alpha):
+    if alpha.is_rational:
+        return Fraction(abs(alpha.x))
+    K = alpha.field
+    if not K.is_real:
+        return frac_sqrt_upper(Fraction(alpha.norm()))
+    u, v = alpha.embedding_coords(0)
+    return abs(u) + abs(v) * frac_sqrt_upper(Fraction(K.m))
+
+
+def per_point_rounding_step(K, alpha, n, radius_factor=0):
+    """Reference rounding step: each ball point's nearest point is searched
+    for on its own, and the bounds are SqrtSum and Fraction arithmetic."""
+    alpha = K.element(alpha) if isinstance(alpha, int) else alpha
+    if not alpha:
+        raise ValueError("alpha must be nonzero")
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if radius_factor < 0:
+        raise ValueError("radius_factor must be nonnegative")
+    bound = SqrtSum.rational(n - 1)
+    for place in range(K.places):
+        if quadint_abs(alpha, place).compare(bound) >= 0:
+            raise ValueError(f"|alpha| at place {place} is not strictly below n-1 = {n - 1}")
+    m_squared = fraction_covering_radius_squared(K, alpha)
+    m_upper = frac_sqrt_upper(m_squared)
+    c_upper = _fraction_alpha_abs_upper(alpha)
+    if c_upper >= n - 1:
+        raise PrecisionError("upper bound for |alpha| touched n-1")
+    r_bound = (n - 2) * m_upper * (n - 1) / ((n - 1) - c_upper)
+    radius = Fraction(2) ** (math.floor(r_bound).bit_length() + radius_factor)
+    r_squared = radius * radius
+    estimate = _ball_size_estimate(K, alpha, r_squared)
+    if estimate > 1 << 14:
+        raise BudgetExceededError(
+            f"the rounding ball of radius^2 {r_squared} holds about {estimate} "
+            f"lattice points, more than {1 << 14}", required=estimate)
+    coords = [key for _, key in sorted(_points_near(K, alpha, r_squared)(0, 0))]
+    index = {key: i for i, key in enumerate(coords)}
+    nearest = _points_near(K, alpha, m_squared)
+    rows = []
+    for wx, wy in _times(alpha, coords):
+        _, (x1, y1) = min(nearest(wx, wy, n - 1))
+        j1 = index[x1, y1]
+        j2 = index[wx - (n - 2) * x1, wy - (n - 2) * y1]
+        rows.append(((j1, n - 1),) if j1 == j2 else tuple(sorted(((j1, n - 2), (j2, 1)))))
+    return LatticeStep(rows=tuple(rows), points=tuple(K.element(x, y) for x, y in coords),
+                       radius_squared=r_squared, covering_radius_squared=m_squared, n=n)
+
+
+def _near_or_inside(m, x, y, n):
+    """alpha nonzero with |alpha| below n at every place: inside n - 1, or
+    refused by the comparison with it."""
+    alpha = QuadField(m).element(x, y)
+    return bool(alpha) and all(quadint_abs(alpha, place) < SqrtSum.rational(n)
+                               for place in range(alpha.field.places))
+
+
+# (m, x, y, n, radius_factor): real and imaginary fields, half-integer rings
+# and rational alpha, filtered once here so that no draw is rejected
+ROUNDING_CASES = [case for case in itertools.product(
+    [2, 3, 5, 13, -1, -2, -3, -7, -11, -15], range(-4, 5), range(-2, 3), range(3, 6), range(2))
+    if _near_or_inside(*case[:4])]
+
+
+def outcome(func, *args):
+    try:
+        return func(*args)
+    except Exception as err:  # noqa: BLE001 - the class and message are the outcome
+        return type(err).__name__, str(err)
+
+
+class TestRounding:
+    @given(st.sampled_from(ROUNDING_CASES))
+    @example((-7, 0, 1, 3, 0))
+    @example((-15, 0, 1, 3, 0))  # |w| = 2 = n - 1
+    @example((5, 1, 1, 3, 1))  # 1 + w = 2.618... at place 0, past n - 1 = 2
+    @example((5, 2, -1, 3, 0))  # 2 - w = 2.618... at place 1
+    @example((5, 0, 1, 3, 0))
+    @example((2, 1, 1, 4, 1))
+    @example((-3, 1, 1, 5, 0))
+    @example((3, -2, 0, 4, 1))
+    @example((-1, 1, 1, 5, 0))  # the dimension-1030 pipeline's first ball
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_per_point_reference(self, case):
+        m, x, y, n, radius_factor = case
+        K = QuadField(m)
+        alpha = K.element(x, y)
+        want = outcome(per_point_rounding_step, K, alpha, n, radius_factor)
+        assert outcome(lattice_rounding_step, K, alpha, n, radius_factor) == want
+
+    @given(st.sampled_from([2, 3, 5, 6, 7, 13, 101, -1, -2, -3, -5, -7, -11, -15, -163]),
+           st.integers(-10 ** 6, 10 ** 6) | st.integers(-10 ** 40, 10 ** 40),
+           st.integers(-10 ** 6, 10 ** 6) | st.integers(-10 ** 40, 10 ** 40))
+    @example(-1, 1, 1)
+    @example(5, 0, 1)
+    @example(2, 0, 0)
+    @example(-3, 10 ** 30, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_covering_radius_matches_fraction_reference(self, m, x, y):
+        K = QuadField(m)
+        alpha = K.element(x, y)
+        assert covering_radius_squared(K, alpha) == fraction_covering_radius_squared(K, alpha)

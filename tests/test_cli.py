@@ -534,6 +534,48 @@ class TestVerify:
         assert (code, err) == (1, "")
         assert json.loads(out)["verified"] is False
 
+    @pytest.mark.parametrize("name, field, value", [
+        ("numfield-d3.json", "dimension", 4),
+        ("numfield-d3.json", "strategy", "as-built"),
+        ("numfield-d3.json", "covering_radius_squared", "1/2"),
+        ("numfield-d56.json", "dimension", 55),
+        ("numfield-d56.json", "strategy", "sink class"),
+        ("numfield-d56.json", "covering_radius_squared", "4/7"),
+    ], ids=["dimension", "strategy", "covering-radius", "d56-dimension", "d56-strategy",
+            "d56-covering-radius"])
+    def test_derived_numfield_field_edited_exit_one(self, capsys, tmp_path, name, field,
+                                                    value):
+        # the document verifies as stored; editing that one field refutes it
+        doc = json.loads((CORPUS / name).read_text(encoding="utf-8"))
+        assert verify_doc(doc) and doc[field] != value
+        doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert (code, err) == (1, "")
+        assert json.loads(out)["verified"] is False
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("dimension", "3", "dimension must be an integer, not str"),
+        ("dimension", True, "dimension must be an integer, not bool"),
+        ("strategy", 1, "strategy must be a string, not int"),
+        ("covering_radius_squared", 0.5, "covering_radius_squared must be a string, not float"),
+    ], ids=["dimension-string", "dimension-bool", "strategy-number", "covering-radius-float"])
+    def test_derived_numfield_field_of_wrong_type_exit_two(self, capsys, tmp_path, field,
+                                                          value, message):
+        doc = json.loads((CORPUS / "numfield-d3.json").read_text(encoding="utf-8"))
+        doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_derived_numfield_fields_may_be_left_out(self):
+        doc = json.loads((CORPUS / "numfield-d3.json").read_text(encoding="utf-8"))
+        for field in ("dimension", "strategy", "covering_radius_squared"):
+            del doc[field]
+        assert verify_doc(doc)
+
     @pytest.mark.parametrize("D", [0, 1, 8, 17])
     def test_integer_extremal_D_edited_exit_one(self, capsys, tmp_path, D):
         # D fixes the prime the construction takes, and 139 is the one for D = 5

@@ -24,7 +24,6 @@ from smyth.numfield import (
     LatticeStep,
     _as_quadint,
     _cyclotomic_sqrt,
-    _inner,
     _points_near,
     _rou_sum_is_zero,
     _sccs,
@@ -32,7 +31,6 @@ from smyth.numfield import (
     covering_radius_squared,
     frac_sqrt_upper,
     lattice_rounding_step,
-    matrix_fixes,
     numfield_pipeline,
     permutation_sum,
     perron_bridge,
@@ -43,6 +41,8 @@ from smyth.numfield import (
     verify_numfield_certificate,
 )
 from smyth.quadratic import QuadField, SqrtSum, parse_quadint, quadint_abs
+from test_chain_reference import fraction_inner
+from test_numfield_reference import reference_matrix_fixes
 
 GAUSS = QuadField(-1)
 M7 = QuadField(-7)
@@ -182,7 +182,7 @@ def reference_ball_points(K, alpha, r_squared):
         kmax = math.isqrt(math.floor(r_squared / q1))
         pts = [K.element(k) for k in range(-kmax, kmax + 1)]
     else:
-        g01 = _inner(one, alpha)
+        g01 = fraction_inner(one, alpha)
         det = q1 * Fraction(alpha.abs_squared()) - g01 * g01
         smax = math.isqrt(math.floor(r_squared * q1 / det))
         pts = []
@@ -223,7 +223,7 @@ def fraction_points_near(K, alpha, r_squared):
     q1 = Fraction(K.one.abs_squared())
     width = r_squared * q1
     ax, ay = alpha.x, alpha.y
-    g01 = _inner(K.one, alpha)
+    g01 = fraction_inner(K.one, alpha)
     det = q1 * alpha.abs_squared() - g01 * g01
     s_half = frac_sqrt_upper(width / det) if ay else 0
 
@@ -298,7 +298,7 @@ def reference_perron_bridge(C, alpha, z):
     if n < 3:
         raise ValueError("row sums must be at least 2")
     if all(col == n - 1 for col in map(sum, zip(*matrix))):
-        if not matrix_fixes(matrix, points, alpha):
+        if not reference_matrix_fixes(matrix, points, alpha):
             raise BridgeError("doubly regular input fails the eigen identity",
                               matrix=matrix)
         return BridgeResult(matrix=matrix, eigenvector=points, strategy="as-given")
@@ -887,6 +887,17 @@ class TestPerronBridge:
             perron_bridge(rows, GAUSS.element(2), pts)
         assert exc.value.matrix == rows
 
+    def test_as_given_zero_eigenvector_refused(self):
+        # 2I fixes the zero vector, which witnesses nothing
+        with pytest.raises(BridgeError, match="fails the eigen identity"):
+            perron_bridge(sparse([[2, 0], [0, 2]]), GAUSS.element(2), (GAUSS.zero, GAUSS.zero))
+
+    def test_negative_entries_refused(self):
+        # rows and columns sum to 2, and (1, 1) is fixed by [[3, -1], [-1, 3]]
+        rows = (((0, 3), (1, -1)), ((0, -1), (1, 3)))
+        with pytest.raises(ValueError, match="row entries must be nonnegative"):
+            perron_bridge(rows, GAUSS.element(2), (GAUSS.one, GAUSS.one))
+
     def test_bad_row_sums_rejected(self):
         pts = (GAUSS.one, GAUSS.omega)
         with pytest.raises(ValueError):
@@ -913,7 +924,7 @@ class TestPerronBridge:
         size = len(res.matrix)
         assert all(sum(row) == 2 for row in res.matrix)
         assert all(sum(res.matrix[i][j] for i in range(size)) == 2 for j in range(size))
-        assert matrix_fixes(res.matrix, res.eigenvector, M7.omega)
+        assert reference_matrix_fixes(res.matrix, res.eigenvector, M7.omega)
 
     # real, imaginary and half-integer rings, rational alpha among them:
     # sink classes, refusals for size, and balls with no closed subset

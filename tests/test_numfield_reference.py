@@ -10,8 +10,10 @@ permutation sum, so it does not follow later changes to `smyth.numfield` or
 Each single-edit class is applied to every numfield document of the stored
 corpus, valid and tampered, and the reference and `verify_doc` must reach
 the same outcome: the same boolean, or the same exception class.
-`matrix_fixes` is compared with the reference on drawn matrices and vectors,
-and must refuse a vector whose length differs from the matrix dimension.
+`matrix_fixes`, the library's one eigen check, takes index lists where
+`reference_matrix_fixes` takes the dense matrix they sum to. The two are
+compared on drawn index lists and vectors, and `matrix_fixes` must refuse a
+zero vector and a vector whose length differs from the lists'.
 """
 import itertools
 import json
@@ -193,28 +195,40 @@ def _quadints(K, bound=4):
     return st.builds(K.element, st.integers(-bound, bound), st.integers(-bound, bound))
 
 
+def dense(columns, dim):
+    """The matrix whose row k has a unit at c[k] for each index list c."""
+    rows = [[0] * dim for _ in range(dim)]
+    for c in columns:
+        for k, j in enumerate(c):
+            rows[k][j] += 1
+    return rows
+
+
+def zero_based(perms):
+    return [[k - 1 for k in p] for p in perms]
+
+
 @st.composite
 def drawn_cases(draw):
-    """Square matrices of small entries with a vector and alpha, mostly
+    """r index lists of small dimension with a vector and alpha, mostly
     failing the identity; a third of them have a constant vector and alpha
-    the common row sum, where the identity holds."""
+    the common row sum r, where the identity holds."""
     K = draw(st.sampled_from(FIELDS))
     dim = draw(st.integers(1, 6))
-    entries = st.integers(0, 3)
+    r = draw(st.integers(1, 4))
     if draw(st.integers(0, 2)):
-        matrix = [draw(st.lists(entries, min_size=dim, max_size=dim)) for _ in range(dim)]
+        columns = [draw(st.lists(st.integers(0, dim - 1), min_size=dim, max_size=dim))
+                   for _ in range(r)]
         vec = draw(st.lists(_quadints(K), min_size=dim, max_size=dim))
-        return matrix, vec, draw(_quadints(K))
-    r = draw(st.integers(1, 3))
-    perms = [draw(st.permutations(range(dim))) for _ in range(r)]
-    matrix = [[sum(p[k] == j for p in perms) for j in range(dim)] for k in range(dim)]
-    return matrix, [draw(_quadints(K))] * dim, K.element(r)
+        return columns, vec, draw(_quadints(K))
+    columns = [draw(st.permutations(range(dim))) for _ in range(r)]
+    return columns, [draw(_quadints(K))] * dim, K.element(r)
 
 
 @st.composite
 def corpus_cases(draw):
-    """A valid corpus certificate as given, or with one eigenvector entry
-    one unit (1 or w, either sign) away."""
+    """A valid corpus certificate's permutations and eigenvector as given,
+    or with one eigenvector entry one unit (1 or w, either sign) away."""
     doc = draw(st.sampled_from(VALID))
     K = QuadField(doc["m"])
     vec = [parse_quadint(K, s) for s in doc["eigenvector"]]
@@ -222,59 +236,65 @@ def corpus_cases(draw):
         k = draw(st.integers(0, len(vec) - 1))
         vec[k] = vec[k] + draw(st.sampled_from([K.element(1), K.element(-1),
                                                 K.element(0, 1), K.element(0, -1)]))
-    return doc["matrix"], vec, parse_quadint(K, doc["alpha"])
+    return zero_based(doc["permutations"]), vec, parse_quadint(K, doc["alpha"])
 
 
 @st.composite
 def foreign_cases(draw):
     """A vector whose entries all come from another field than alpha's."""
     K, L = draw(st.permutations(FIELDS))[:2]
-    matrix, vec, _ = draw(drawn_cases())
+    columns, vec, _ = draw(drawn_cases())
     vec = [L.element(v.x, v.y) for v in vec]
-    return matrix, vec, draw(_quadints(K))
+    return columns, vec, draw(_quadints(K))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(drawn_cases(), corpus_cases(), foreign_cases()))
 def test_matrix_fixes_agrees_with_reference(case):
-    matrix, vec, alpha = case
-    assert outcome(lambda args: matrix_fixes(*args), case) == \
-        outcome(lambda args: reference_matrix_fixes(*args), case)
+    """The reference accepts a zero vector, which is no witness; matrix_fixes
+    refuses it before it compares fields."""
+    columns, vec, alpha = case
+    want = outcome(lambda args: reference_matrix_fixes(dense(columns, len(vec)), *args),
+                   (vec, alpha)) if any(vec) else False
+    assert outcome(lambda args: matrix_fixes(*args), case) == want
 
 
 @st.composite
 def resized_cases(draw):
     """A drawn case whose vector is one or two entries short or long."""
-    matrix, vec, alpha = draw(drawn_cases())
+    columns, vec, alpha = draw(drawn_cases())
     k = draw(st.sampled_from([-2, -1, 1, 2]))
     if k < 0:
-        return matrix, vec[:k], alpha
-    return matrix, vec + draw(st.lists(_quadints(alpha.field), min_size=k, max_size=k)), alpha
+        return columns, vec[:k], alpha
+    return columns, vec + draw(st.lists(_quadints(alpha.field), min_size=k, max_size=k)), alpha
 
 
 @settings(max_examples=100, deadline=None)
 @given(resized_cases())
 def test_matrix_fixes_refuses_a_vector_of_another_length(case):
-    """matrix_fixes refuses a short or a long vector with ValueError. The
+    """matrix_fixes answers False for a short or a long vector. The
     reference never accepts a short one (it returns False or raises
     IndexError) and ignores the tail of a long one."""
-    matrix, vec, alpha = case
-    assert outcome(lambda args: matrix_fixes(*args), case) == "ValueError"
-    if len(vec) < len(matrix):
-        assert outcome(lambda args: reference_matrix_fixes(*args), case) in (False, "IndexError")
+    columns, vec, alpha = case
+    assert matrix_fixes(columns, vec, alpha) is False
+    if len(vec) < len(columns[0]):
+        assert outcome(lambda args: reference_matrix_fixes(*args),
+                       (dense(columns, len(columns[0])), vec, alpha)) in (False, "IndexError")
 
 
 def test_matrix_fixes_examples():
     K = QuadField(-3)
     w = K.element(0, 1)
     doc = json.loads((CORPUS / "numfield-d3.json").read_text(encoding="utf-8"))
+    perms = zero_based(doc["permutations"])
     vec = [parse_quadint(K, s) for s in doc["eigenvector"]]
-    assert matrix_fixes(doc["matrix"], vec, w)
-    assert not matrix_fixes(doc["matrix"], [vec[0] + 1] + vec[1:], w)
-    assert not matrix_fixes(doc["matrix"], vec, w + 1)
+    assert reference_matrix_fixes(doc["matrix"], vec, w)
+    assert matrix_fixes(perms, vec, w)
+    assert not matrix_fixes(perms, [vec[0] + 1] + vec[1:], w)
+    assert not matrix_fixes(perms, vec, w + 1)
+    assert not matrix_fixes(perms, [K.zero] * len(vec), w)
+    assert not matrix_fixes(perms, vec[:-1], w)
     with pytest.raises(ValueError):
-        matrix_fixes(doc["matrix"], [QuadField(-1).element(v.x, v.y) for v in vec], w)
-    with pytest.raises(ValueError):
-        matrix_fixes([[1, 0], [0, 1]], [K.element(1)], K.element(1))
-    with pytest.raises(ValueError):
-        matrix_fixes(doc["matrix"], vec[:-1], w)
+        matrix_fixes(perms, [QuadField(-1).element(v.x, v.y) for v in vec], w)
+    # an int alpha is taken in the vector's field
+    assert matrix_fixes([[0, 1], [1, 0]], [K.element(1)] * 2, 2)
