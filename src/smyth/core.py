@@ -21,18 +21,25 @@ Conventions used throughout:
   sum_i a_i * v[p_i[k]] = 0 for every row k, with p_n the identity.
 * T_N is the kernel of the F_q-linear map V_N^n -> V_{N+d},
   (x_i) -> sum(a_i x_i), with d the height. Enumeration takes a kernel
-  basis by kernel_basis over F_q and works on packed rows: a row is one
-  int of nN digits, w bits each (w = 1 for q = 2, else bit_length(q) + 1),
-  and coefficient k of x_i is digit (n - i) * N + k (1-based i), so x_1
-  holds the most significant digits and integer order is the lexicographic
-  order of the value indices. Rows are added digit-wise mod q: XOR for
-  q = 2, a SWAR add with one conditional subtract of q per digit otherwise.
+  basis by kernel_basis over F_q and works on whole columns held in one
+  int of byte-aligned slots, one slot per row and coordinate, each value's
+  digits w bits apart (w = 1 for q = 2, else the least power of two above
+  bit_length(q)).
+  Each basis vector multiplies the rows by q with one digit-wise add mod q
+  over every slot at once: XOR for q = 2, a SWAR add with one conditional
+  subtract of q per digit otherwise. Whole-int steps turn the slots into
+  V_N indices, the relation of every row is checked with one Kronecker
+  product per coefficient, and the rows are ranked by bytes.translate and
+  sorted as packed 64-bit keys, so that no step runs once per row in
+  Python until the rows are built.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import operator
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -140,8 +147,16 @@ def check_criteria(a: CoeffTuple) -> CriteriaReport:
 
 
 def _digit_width(q: int) -> int:
-    # an odd-q digit holds a sum of two residues plus the bias 2^(w-1) - q
-    return 1 if q == 2 else q.bit_length() + 1
+    # an odd-q digit holds a sum of two residues plus the bias 2^(w-1) - q;
+    # a power of two, so that no digit straddles a byte and the digits of a
+    # slot pair up evenly
+    return 1 if q == 2 else 1 << q.bit_length().bit_length()
+
+
+@functools.cache
+def _digit_table(w: int, shift: int) -> bytes:
+    """The translate table from a byte to its w-bit digit at bit shift."""
+    return bytes(b >> shift & (1 << w) - 1 for b in range(256))
 
 
 def _pack(digits: Sequence[int], w: int) -> int:
@@ -152,8 +167,68 @@ def _pack(digits: Sequence[int], w: int) -> int:
     return acc
 
 
-def _digit_adder(q: int, ndigits: int):
-    """Digit-wise addition mod q of packed vectors of at most ndigits digits.
+def _repeat(pattern: int, size: int, count: int) -> int:
+    """count slots of size bytes, each holding pattern."""
+    return int.from_bytes(pattern.to_bytes(size, "little") * count, "little")
+
+
+_WORD_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _word_size(count: int) -> int:
+    """Bytes of the smallest array word, 1, 2, 4 or 8, that holds 0, ..., count - 1."""
+    size = 1
+    while count > 1 << 8 * size:
+        size *= 2
+    return size
+
+
+def _words(raw: bytes, stride: int, offset: int, size: int):
+    """The size-byte little-endian words at offset in each stride-byte
+    record of raw: bytes when size is 1, else an array."""
+    if size == 1:
+        return raw[offset::stride]
+    if stride != size:
+        buf = bytearray(len(raw) // stride * size)
+        for j in range(size):
+            buf[j::size] = raw[offset + j::stride]
+        raw = buf
+    words = array(_WORD_CODES[size], raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _word_bytes(words) -> bytes:
+    """Words from _words, bytes or an array, as little-endian bytes."""
+    if type(words) is bytes:
+        return words
+    if sys.byteorder == "big":
+        words = array(words.typecode, words)
+        words.byteswap()
+    return words.tobytes()
+
+
+def _sorted_columns(columns: Sequence, size: int) -> list:
+    """Columns of size-byte words with their rows put in lexicographic
+    order. Up to 8 bytes a row, each row is one 64-bit key of its words,
+    the first column most significant; wider rows sort as tuples."""
+    n = len(columns)
+    if n * size > 8:
+        return list(zip(*sorted(zip(*columns)))) or [()] * n
+    keys = bytearray(8 * len(columns[0]))
+    for i, col in enumerate(columns):
+        raw = _word_bytes(col)
+        for j in range(size):
+            keys[(n - 1 - i) * size + j::8] = raw[j::size]
+    keys = _words(keys, 8, 0, 8)
+    raw = _word_bytes(array("Q", sorted(keys)))
+    return [_words(raw, 8, (n - 1 - i) * size, size) for i in range(n)]
+
+
+def _slot_adder(q: int, w: int, ones: int):
+    """Digit-wise addition mod q of ints whose w-bit digits have their low
+    bits where ones has its bits.
 
     XOR for q = 2. For odd q the digits of x + y lie in [0, 2q - 2]; adding
     2^(w-1) - q sets a digit's top bit exactly when it is >= q, and q is
@@ -161,8 +236,6 @@ def _digit_adder(q: int, ndigits: int):
     """
     if q == 2:
         return operator.xor
-    w = _digit_width(q)
-    ones = _pack([1] * ndigits, w)
     bias = ones * ((1 << (w - 1)) - q)
     top = ones << (w - 1)
 
@@ -171,18 +244,6 @@ def _digit_adder(q: int, ndigits: int):
         return s - (((s + bias) & top) >> (w - 1)) * q
 
     return add
-
-
-def _combinations(add, generators: Sequence[Sequence[int]]) -> list[int]:
-    """All q^k sums of d_j * g_j over j < k, each d_j in F_q, packed.
-
-    generators[j] lists the packed multiples 1*g_j, ..., (q-1)*g_j. The sum
-    with coefficients (d_j) sits at index sum_j d_j * q^j.
-    """
-    sums = [0]
-    for multiples in generators:
-        sums += [add(s, b) for b in multiples for s in sums]
-    return sums
 
 
 def _shifted(p: Poly, k: int) -> Poly:
@@ -215,33 +276,133 @@ def _refuse_past_budget(what: str, q: int, e: int, budget: int) -> None:
 def _relation_columns(a: CoeffTuple, N: int, budget: int) -> list[Poly]:
     """The nN columns of x -> sum(a_i x_i) on V_N^n, once the q^(N(n-1))
     candidates of an enumeration fit the budget: column (n - i) * N + k
-    (1-based i) is a_i * t^k, the digit order of a packed row."""
+    (1-based i) is a_i * t^k, so a kernel vector lists x_n first."""
     n = a.n
     _refuse_past_budget("enumeration", a.field.q, N * (n - 1), budget)
     return [_shifted(a.coeffs[n - 1 - p // N], p % N) for p in range(n * N)]
 
 
-def _kernel_indices(a: CoeffTuple, N: int, budget: int) -> tuple[list[Poly], list[list[int]]]:
-    """T_N as V_N and, per coordinate, the V_N index of every row's value.
+@dataclass(frozen=True, slots=True)
+class _Packed:
+    """T_N as one int of count rows of n slots, each slot size bytes.
 
-    Rows run in lexicographic order of their value indices, the zero tuple
-    first. T_N is the kernel of x -> sum(a_i x_i) on V_N^n; each kernel
-    vector is a packed row, and the q^k rows are the sums of multiples of
-    the k basis vectors.
+    The slot at byte (r * n + i) * size holds x_(i+1) of row r as N digits
+    of w bits, coefficient k at bit k * w, so coordinate i is the strided
+    column of every n-th slot from slot i. Row sum_j d_j * q^j is the sum
+    of d_j times kernel basis vector j, so row 0 is the zero tuple.
     """
-    field, q, n = a.field, a.field.q, a.n
+
+    q: int
+    N: int
+    n: int
+    w: int
+    size: int
+    count: int
+    rows: int
+
+    def repeat(self, pattern: int) -> int:
+        """pattern in every slot."""
+        return _repeat(pattern, self.size, self.count * self.n)
+
+    def columns(self, x: int, size: int) -> list:
+        """Per coordinate, the low size bytes of x's slots as words."""
+        stride = self.n * self.size
+        raw = x.to_bytes(self.count * stride, "little")
+        return [_words(raw, stride, i * self.size, size) for i in range(self.n)]
+
+
+def _kernel_columns(a: CoeffTuple, N: int, budget: int) -> _Packed:
+    """T_N, the kernel of x -> sum(a_i x_i) on V_N^n, in slots.
+
+    Each basis vector brings q - 1 copies of the rows so far, each added
+    slot by slot to one multiple of the vector, so one SWAR add covers
+    every slot of a copy.
+    """
+    q, n = a.field.q, a.n
     columns = _relation_columns(a, N, budget)
     w = _digit_width(q)
-    # each basis vector is 1 at its free column and 0 at the others
-    generators = [[_pack([c * x % q for x in v], w) for c in range(1, q)]
-                  for v in _column_kernel(columns, N + a.height, q)]
-    rows = _combinations(_digit_adder(q, n * N), generators)
-    rows.sort()
-    vn = vn_elements(field, N)
-    index_of = {_pack(x.coeffs, w): k for k, x in enumerate(vn)}
-    mask = (1 << (w * N)) - 1
-    return vn, [[index_of[(r >> (w * N * (n - 1 - i))) & mask] for r in rows]
-                for i in range(n)]
+    size = _word_size(1 << N * w)
+    # the adder on one row makes the multiples 2v, ..., (q - 1)v of a row v
+    ones = _repeat(_pack([1] * N, w), size, n)
+    add_row = _slot_adder(q, w, ones)
+    rows, count = 0, 1
+    for v in _column_kernel(columns, N + a.height, q):
+        # coordinate i holds columns (n - 1 - i) * N, ..., (n - i) * N - 1
+        row = 0
+        for i in range(n):
+            row |= _pack([x % q for x in v[(n - 1 - i) * N:(n - i) * N]], w) << 8 * size * i
+        multiples = [row]
+        for _ in range(q - 2):
+            multiples.append(add_row(multiples[-1], row))
+        spread = _repeat(1, n * size, count)
+        add = _slot_adder(q, w, ones * spread)
+        shift = 8 * n * size * count
+        rows += sum(add(rows, multiple * spread) << shift * c
+                    for c, multiple in enumerate(multiples, 1))
+        count *= q
+    return _Packed(q, N, n, w, size, count, rows)
+
+
+def _index_columns(p: _Packed) -> tuple[list, int]:
+    """Each coordinate as the V_N indices of its slots, in row order, and
+    the bytes of one index word.
+
+    At q = 2 a slot's bits are its index. Otherwise neighbouring fields
+    merge pairwise: with s digits a field, field g becomes field 2g plus
+    q^s times field 2g + 1, a base-q number in 2s digits, until one field
+    holds all N digits. A field of s digits has w * s > s * log2(q) bits,
+    so the merged value fits where the pair stood, and as w and the slot
+    are powers of two, no field reaches past its slot.
+    """
+    q, x = p.q, p.rows
+    span, fields = 1, p.N
+    while q > 2 and fields > 1:
+        width = p.w * span
+        field = (1 << width) - 1
+        every = _pack([field] * fields, width)
+        even = _pack([field] * ((fields + 1) // 2), 2 * width)
+        x = (x & p.repeat(every & even)) + (x >> width & p.repeat(every >> width & even)) * q ** span
+        span, fields = 2 * span, (fields + 1) // 2
+    size = _word_size(q ** p.N)
+    return p.columns(x, size), size
+
+
+def _kronecker(p: Poly, size: int) -> int:
+    """p's coefficients as the size-byte digits of one int."""
+    return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in p.coeffs), "little")
+
+
+def _relations_hold(coeffs: Sequence[Poly], p: _Packed) -> bool:
+    """Whether every row of p meets sum(c_i x_i) = 0, all rows at once.
+
+    The digits of coordinate i, each a byte column of the slots read
+    through a translate table (or copied, for whole-byte digits), are laid
+    into lanes of lc + N - 1 digits of dsize bytes, one lane a row (lc the
+    longest coefficient), so that one product with c_i, packed in the same
+    digits, holds c_i * x_i of every row in its lane. The digits of the sum
+    of those products are the integer coefficients of the row sums, and
+    _row_relations' digit test reads off whether all of them are 0 mod q.
+    """
+    q, N, w = p.q, p.N, p.w
+    lc = max(len(c.coeffs) for c in coeffs)
+    # every coefficient of a row sum is below 2^h, and q * 2^h fits a digit
+    h = (len(coeffs) * min(lc, N) * (q - 1) ** 2).bit_length()
+    dsize = (h + q.bit_length() + 7) // 8
+    lane = (lc + N - 1) * dsize
+    lanes = [bytearray(p.count * lane) for _ in coeffs]
+    stride = p.n * p.size
+    raw = p.rows.to_bytes(p.count * stride, "little")
+    for k in range(N):
+        byte, shift = divmod(k * w, 8)
+        for i, col in enumerate(lanes):
+            for j in range(max(1, w // 8)):
+                words = raw[i * p.size + byte + j::stride]
+                col[k * dsize + j::lane] = words.translate(_digit_table(w, shift)) if w < 8 else words
+    total = sum(_kronecker(c, dsize) * int.from_bytes(col, "little")
+                for c, col in zip(coeffs, lanes))
+    high = _repeat((1 << 8 * dsize) - (1 << h), dsize, p.count * (lc + N - 1))
+    quotient, rest = divmod(total, q)
+    return not rest and not quotient & high
 
 
 def solution_dimensions(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> tuple[int, list[int]]:
@@ -262,8 +423,9 @@ def _check_N(a: CoeffTuple, N: int) -> None:
 
 
 def _solution_pool(a: CoeffTuple, N: int, budget: int) -> list[tuple[Poly, ...]]:
-    vn, coords = _kernel_indices(a, N, budget)
-    return list(zip(*([vn[k] for k in idx] for idx in coords)))
+    columns = _sorted_columns(*_index_columns(_kernel_columns(a, N, budget)))
+    vn = vn_elements(a.field, N)
+    return list(zip(*(map(vn.__getitem__, col) for col in columns)))
 
 
 def enumerate_solutions(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> list[tuple[Poly, ...]]:
@@ -312,7 +474,9 @@ def _balanced(columns: Sequence[Sequence]) -> Optional[Counter]:
     """The Counter every column shares, or None when two columns differ;
     columns[i][k] is row k's entry in coordinate i, any hashable."""
     first = Counter(columns[0])
-    return first if all(Counter(col) == first for col in columns[1:]) else None
+    # every count is positive, so dict equality is Counter equality without
+    # the Counter method's Python-level loop over the keys
+    return first if all(dict.__eq__(Counter(col), first) for col in columns[1:]) else None
 
 
 def _require_relations(coeffs: Sequence, values: Sequence, columns: Sequence[Sequence[int]]) -> None:
@@ -334,7 +498,9 @@ class BalancedMultiset:
     values, and rows is sorted, with multiplicity. Index order is sort_key
     order, so the rows run in the lexicographic order of their entries'
     sort keys, and two equal multisets compare equal structurally. members,
-    the rows as tuples of entries, is derived on first use and cached.
+    the rows as tuples of entries, and columns, the rows column by column,
+    are derived on first use and cached; balanced_multiset hands over the
+    columns it sorted.
     """
 
     coeffs: tuple
@@ -371,6 +537,11 @@ class BalancedMultiset:
         """The rows as tuples of entries, in the order of rows."""
         values = self.values
         return tuple(tuple(map(values.__getitem__, row)) for row in self.rows)
+
+    @functools.cached_property
+    def columns(self) -> tuple:
+        """Coordinate i of every row, in the order of rows, as columns[i]."""
+        return tuple(zip(*self.rows)) or ((),) * self.n
 
     @property
     def size(self) -> int:
@@ -411,15 +582,38 @@ def balanced_multiset(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> Ba
             "no balanced multiset exists for such a tuple"
         )
     _check_N(a, N)
-    vn, coords = _kernel_indices(a, N, budget)
-    coords = [idx[1:] for idx in coords]  # drop the zero tuple, which sorts first
+    packed = _kernel_columns(a, N, budget)
+    indices, size = _index_columns(packed)
     # every row meets the relation, checked apart from the elimination that
-    # produced the row
-    _require_relations(a.coeffs, vn, coords)
-    used = _balanced(coords)
+    # produced the row; the row check names the first failing row in
+    # lexicographic order
+    if not _relations_hold(a.coeffs, packed):
+        ordered = _sorted_columns(indices, size)
+        _require_relations(a.coeffs, vn_elements(a.field, N), [col[1:] for col in ordered])
+    columns = [col[1:] for col in indices]  # drop the zero tuple, row 0
+    used = _balanced(columns)
     if used is None:
         raise ValueError("coordinate value multisets differ: not balanced")
-    return _ranked_multiset(a.coeffs, vn, coords, used)
+    values = {k: poly_from_index(a.field, k) for k in used}
+    order = sorted(values, key=lambda k: values[k].sort_key)
+    columns = _sorted_columns(_ranked(columns, size, order), _word_size(len(order)))
+    b = BalancedMultiset(a.coeffs, tuple(map(values.__getitem__, order)), tuple(zip(*columns)))
+    object.__setattr__(b, "columns", tuple(columns))
+    return b
+
+
+def _ranked(columns: Sequence, size: int, order: Sequence[int]) -> list:
+    """Columns of size-byte index words with index order[r] replaced by r,
+    in words of _word_size(len(order)) bytes: one translate a column for
+    one-byte indices, a table lookup an entry otherwise."""
+    rank = [0] * (256 if size == 1 else max(order, default=0) + 1)
+    for r, k in enumerate(order):
+        rank[k] = r
+    if size == 1:
+        table = bytes(rank)
+        return [col.translate(table) for col in columns]
+    code = _WORD_CODES[_word_size(len(order))]
+    return [array(code, map(rank.__getitem__, col)) for col in columns]
 
 
 @dataclass(frozen=True)
@@ -442,27 +636,22 @@ def certificate_from_balanced(a: CoeffTuple, b: BalancedMultiset) -> Permutation
     Within each group of rows sharing a value, matching is in ascending row
     order, which makes the construction canonical and forces X_n = identity.
     """
-    rows = b.rows
-    m = len(rows)
-    n = b.n
-    last = [row[n - 1] for row in rows]
-    identity = tuple(range(m))  # each row is its own first free slot
+    columns = b.columns
+    last = columns[-1]
+    identity = tuple(range(len(b.rows)))  # each row is its own first free slot
     last_slots: list[list[int]] = [[] for _ in b.values]
     for k, v in zip(identity, last):
         last_slots[v].append(k)
     # balance gives each value as many rows in coordinate i as slots; the
     # rows are sorted, so coordinate 1 takes the values in ascending order
     # and its matching is the slot lists laid end to end
-    perms = []
-    for i in range(n - 1):
-        if i == 0:
-            perms.append(tuple(itertools.chain.from_iterable(last_slots)))
-            continue
+    perms = [tuple(itertools.chain.from_iterable(last_slots))][:b.n - 1]
+    for col in columns[1:-1]:
         avail = [iter(slots) for slots in last_slots]
-        perms.append(tuple([next(avail[row[i]]) for row in rows]))
+        perms.append(tuple([next(avail[v]) for v in col]))
     perms.append(identity)
     kernel = tuple(map(b.values.__getitem__, last))
-    return PermutationCertificate(m=m, perms=tuple(perms), kernel=kernel)
+    return PermutationCertificate(m=len(identity), perms=tuple(perms), kernel=kernel)
 
 
 def _validate_perms(perms: Sequence[Sequence[int]], m: int):
@@ -558,13 +747,8 @@ def _row_relations(coeffs: Sequence, values: Sequence, columns: Sequence[Sequenc
         h = (len(coeffs) * min(lc, lv) * (q - 1) ** 2).bit_length()
         size = (h + q.bit_length() + 7) // 8
         w = 8 * size
-
-        def pack(p: Poly) -> int:
-            return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in p.coeffs),
-                                  "little")
-
-        vs = [pack(v) if n else 0 for v, n in zip(values, lens)]
-        tables = [[c * v for v in vs] for c in map(pack, coeffs)]
+        vs = [_kronecker(v, size) if n else 0 for v, n in zip(values, lens)]
+        tables = [[k * v for v in vs] for k in (_kronecker(c, size) for c in coeffs)]
     else:
         tables = [[c * v for v in values] for c in coeffs]
     sums = None

@@ -410,15 +410,9 @@ def unimodular_extract(a: Sequence[Entry], b: BalancedMultiset,
 
 
 def _sqrt_upper(p: int, q: int) -> tuple[int, int]:
-    """(numerator, denominator) of frac_sqrt_upper(p/q), not reduced."""
+    """(numerator, denominator), not reduced, of a rational upper bound on
+    sqrt(p/q) for p >= 0 < q, tight to about 2^-64."""
     return math.isqrt(p * q << 128) + 1, q << 64
-
-
-def frac_sqrt_upper(f: Fraction) -> Fraction:
-    """A rational upper bound on sqrt(f), tight to about 2^-64."""
-    if f < 0:
-        raise ValueError("radicand must be nonnegative")
-    return Fraction(*_sqrt_upper(f.numerator, f.denominator))
 
 
 def _lagrange_reduce(Q, u: tuple[int, int], v: tuple[int, int]):
@@ -464,7 +458,7 @@ def covering_radius_squared(K: QuadField, alpha: QuadInt) -> Fraction:
 
 def _alpha_abs_upper(alpha: QuadInt) -> tuple[int, int]:
     """(numerator, denominator) of a rational upper bound on |alpha| at
-    every place, from frac_sqrt_upper's bounds on sqrt(norm) or sqrt(m)."""
+    every place, from _sqrt_upper's bounds on sqrt(norm) or sqrt(m)."""
     if alpha.is_rational:
         return abs(alpha.x), 1
     K = alpha.field

@@ -62,7 +62,7 @@ import gc
 import io
 import itertools
 import json
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import bounds, numfield, quadratic
 from .algebra import FieldParams, Poly, parse_poly
@@ -88,11 +88,16 @@ _STR = frozenset((str,))
 _SCALAR = json.JSONEncoder(allow_nan=False)
 
 
-def _plain(texts: list) -> bool:
+def _plain(texts: Iterable) -> bool:
     """Whether texts are all str that JSON writes unchanged between quotes;
-    each distinct text is checked once."""
-    return _STR.issuperset(map(type, texts)) and all(
-        len(json.encoder.encode_basestring_ascii(s)) == len(s) + 2 for s in set(texts))
+    each distinct text is checked once, and an unhashable entry is not
+    plain."""
+    try:
+        distinct = set(texts)
+    except TypeError:
+        return False
+    return _STR.issuperset(map(type, distinct)) and all(
+        len(json.encoder.encode_basestring_ascii(s)) == len(s) + 2 for s in distinct)
 
 
 def _joined(value, rows: bool, quote: str, pad: str) -> str:
@@ -102,7 +107,7 @@ def _joined(value, rows: bool, quote: str, pad: str) -> str:
         return f"[\n{inner}{quote}" + f"{quote},\n{inner}{quote}".join(value) + f"{quote}\n{pad}]"
     deeper = inner + "  "
     body = f"{quote}\n{inner}],\n{inner}[\n{deeper}{quote}".join(
-        [f"{quote},\n{deeper}{quote}".join(row) for row in value])
+        map(f"{quote},\n{deeper}{quote}".join, value))
     return f"[\n{inner}[\n{deeper}{quote}{body}{quote}\n{inner}]\n{pad}]"
 
 
@@ -120,7 +125,7 @@ def _indented(value, pad: str) -> str:
     if type(value) in _LISTS and value:
         rows = _LISTS.issuperset(map(type, value)) and all(value)
         first = type(value[0][0] if rows else value[0])
-        if first is str and _plain(list(itertools.chain.from_iterable(value)) if rows else value):
+        if first is str and _plain(itertools.chain.from_iterable(value) if rows else value):
             return _joined(value, rows, '"', pad)
         if first is int and _INT.issuperset(
                 map(type, itertools.chain.from_iterable(value) if rows else value)):
@@ -128,7 +133,7 @@ def _indented(value, pad: str) -> str:
                            rows, "", pad)
     elif type(value) is dict and value and all(type(k) is str for k in value):
         inner = pad + "  "
-        items = ",".join(f"\n{inner}{json.dumps(k)}: {_indented(value[k], inner)}"
+        items = ",".join(f"\n{inner}{_SCALAR.encode(k)}: {_indented(value[k], inner)}"
                          for k in sorted(value))
         return f"{{{items}\n{pad}}}"
     elif type(value) in _SCALARS:
@@ -244,7 +249,7 @@ def multiset_doc(b: BalancedMultiset, kind: str = "balanced",
     "certificate" the reverse. tuples are embedded either way, one tuple of
     entry texts per member, so a reader can inspect the members without
     running the kernel solver. Each distinct value is formatted once, and
-    the rows are built column by column from those texts.
+    the rows are built from b.columns, mapped through those texts.
     """
     if kind not in ("balanced", "certificate"):
         raise ValueError("kind must be balanced or certificate")
@@ -262,7 +267,7 @@ def multiset_doc(b: BalancedMultiset, kind: str = "balanced",
         text = list(b.values)
     else:
         raise ValueError("only polynomial and integer multisets serialize to this schema")
-    columns = [list(map(text.__getitem__, column)) for column in zip(*b.rows)]
+    columns = [list(map(text.__getitem__, column)) for column in b.columns]
     doc["tuples"] = list(zip(*columns))
     # the certificate's kernel is the last coordinate of each row
     doc["kernel_vector"] = columns[-1]

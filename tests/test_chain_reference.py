@@ -17,6 +17,9 @@
   nearest-point search for every ball point. The library's step must give
   the same `LatticeStep`, or raise the same exception with the same
   message, and its covering radius must equal the reference's.
+
+`frac_sqrt_upper` is the bound `numfield._sqrt_upper` returns as a pair,
+as one `Fraction`; the references here and in `test_numfield.py` use it.
 """
 import itertools
 import math
@@ -32,14 +35,24 @@ from smyth.numfield import (
     _ball_size_estimate,
     _points_near,
     _split,
+    _sqrt_upper,
     _times,
     birkhoff_decompose,
     covering_radius_squared,
-    frac_sqrt_upper,
     lattice_rounding_step,
     permutation_sum,
 )
 from smyth.quadratic import QuadField, SqrtSum, _squarefree_split, quadint_abs
+
+
+
+def frac_sqrt_upper(f: Fraction) -> Fraction:
+    """A rational upper bound on sqrt(f), tight to about 2^-64: the pair
+    numfield._sqrt_upper returns, as one Fraction."""
+    if f < 0:
+        raise ValueError("radicand must be nonnegative")
+    return Fraction(*_sqrt_upper(f.numerator, f.denominator))
+
 
 # ---------------------------------------------------------------------------
 # the dense split

@@ -29,7 +29,6 @@ from smyth.numfield import (
     _sccs,
     birkhoff_decompose,
     covering_radius_squared,
-    frac_sqrt_upper,
     lattice_rounding_step,
     numfield_pipeline,
     permutation_sum,
@@ -41,7 +40,7 @@ from smyth.numfield import (
     verify_numfield_certificate,
 )
 from smyth.quadratic import QuadField, SqrtSum, parse_quadint, quadint_abs
-from test_chain_reference import fraction_inner
+from test_chain_reference import frac_sqrt_upper, fraction_inner
 from test_numfield_reference import reference_matrix_fixes
 
 GAUSS = QuadField(-1)

@@ -127,11 +127,23 @@ class TestCanonicalJson:
             canonical_json({"a": value})
 
     def test_edge_layouts(self):
+        class Text(str):
+            pass
+
         for doc in ({}, {"a": []}, {"a": [[]]}, {"a": [1]}, {"a": [[1]]}, {"a": [["]\x00["]]},
                     {"a": [[1], []]}, {"a": [[1], 2]}, {"a": ({"b": ()},)}, {"": {"": "\x00"}},
                     {"a": ["1", 1]}, {"a": [["x"], [1]]}, {"a": [["x", ["y"]]]},
                     {"a": ["\x7f"]}, {"a": [True, 1]}, {"a": [[1], [True]]},
-                    {"a": [[1, 2], [3.5]]}, {"a": [-(2**70), 0]}, {"a": [(1, 2), [3]]}):
+                    {"a": [[1, 2], [3.5]]}, {"a": [-(2**70), 0]}, {"a": [(1, 2), [3]]},
+                    # unhashable entries in rows, which the set of texts refuses
+                    {"a": [["x", {"y": 1}]]}, {"a": [["x"], ["y", ["z"]]]}, {"a": ["x", []]},
+                    # str subclasses, plain or needing escapes, and True among ints
+                    {"a": [["x", Text("y")]]}, {"a": [[Text('"'), "x"]]}, {"a": [Text("\n")]},
+                    {"a": [["x", Text("x")]]}, {"a": [[1, True, 2]]}, {"a": [[True], [1]]},
+                    {"a": [[]]}, {"a": [[], []]}, {"a": [[], ["x"]]},
+                    # rows of mixed types
+                    {"a": [["x", 1], [2, "y"]]}, {"a": [[1, "x"]]}, {"a": [["x"], [None]]},
+                    {"a": [[1.5, "x"]]}, {"a": [["x", None], ["y", False]]}):
             assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def test_sorted_and_newline_terminated(self):
