@@ -368,12 +368,6 @@ def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return r0 * c, s0 * c, t0 * c
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero or b.is_zero:
-        return a.field.zero
-    return ((a * b) // poly_gcd(a, b)).monic()
-
-
 def many_gcd(polys: Sequence[Poly]) -> Poly:
     """Monic gcd of a nonempty sequence."""
     acc = polys[0]
@@ -472,12 +466,6 @@ def monic_polys(field: FieldParams, degree: int) -> Iterator[Poly]:
     lead = field.q**degree
     for k in range(lead):
         yield poly_from_index(field, lead + k)
-
-
-def monic_irreducibles(field: FieldParams, degree: int) -> Iterator[Poly]:
-    for f in monic_polys(field, degree):
-        if is_irreducible(f):
-            yield f
 
 
 def random_irreducible(q: int, degree: int, seed) -> Poly:

@@ -20,11 +20,14 @@ Conventions used throughout:
   defining property (X_i v)[k] = v[p_i[k]]; the certificate contract is
   sum_i a_i * v[p_i[k]] = 0 for every row k, with p_n the identity.
 * T_N is the kernel of the F_q-linear map V_N^n -> V_{N+d},
-  (x_i) -> sum(a_i x_i), with d the height. Enumeration takes a kernel
-  basis by kernel_basis over F_q and works on whole columns held in one
-  int of byte-aligned slots, one slot per row and coordinate, each value's
-  digits w bits apart (w = 1 for q = 2, else the least power of two above
-  bit_length(q)).
+  (x_i) -> sum(a_i x_i), with d the height: the syzygies of degree < N.
+  Its basis is the shifts t^j * s, j < N - deg s, of one minimal syzygy
+  basis, from one kernel_basis over F_q on the n(d + 1) columns a_i * t^k,
+  k <= d. dim T_N, the zero fibers and the fiber counts are read off such
+  bases, of the tuple and its sub-tuples, so no elimination grows with N.
+  Enumeration works on whole columns held in one int of byte-aligned
+  slots, one slot per row and coordinate, each value's digits w bits apart
+  (w = 1 for q = 2, else the least power of two above bit_length(q)).
   Each basis vector multiplies the rows by q with one digit-wise add mod q
   over every slot at once: XOR for q = 2, a SWAR add with one conditional
   subtract of q per digit otherwise. Whole-int steps turn the slots into
@@ -35,7 +38,9 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import itertools
 import operator
 import sys
@@ -54,6 +59,27 @@ from .errors import (
 )
 
 DEFAULT_BUDGET = 1 << 24
+
+
+@contextlib.contextmanager
+def cycle_collection_paused():
+    """Pause the cycle collector around work that builds no reference cycles.
+
+    Certify (balanced_multiset, multiset_doc, canonical_json), JSON decoding
+    and verification allocate containers in bulk, one or more per row, and
+    each collector pass would traverse all of them for nothing: about a
+    third of the time on a document of 10^5 rows. Pauses nest, and the
+    outermost one resumes collection, so a caller that drops a decoded
+    document inside its pause spares the collector a pass over it. Also a
+    decorator.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def vn_elements(field: FieldParams, N: int) -> list[Poly]:
@@ -246,18 +272,6 @@ def _slot_adder(q: int, w: int, ones: int):
     return add
 
 
-def _shifted(p: Poly, k: int) -> Poly:
-    """t^k * p for nonzero p."""
-    return Poly(p.field, (0,) * k + p.coeffs)
-
-
-def _column_kernel(columns: Sequence[Poly], length: int, q: int) -> list[list[int]]:
-    """kernel_basis over F_q of the matrix whose columns are the coefficient
-    vectors (length entries each) of the given polynomials."""
-    return kernel_basis([[c.coeffs[r] if r < len(c.coeffs) else 0 for c in columns]
-                         for r in range(length)], q)
-
-
 def _refuse_past_budget(what: str, q: int, e: int, budget: int) -> None:
     """Raise BudgetExceededError when the q^e candidates of what exceed the
     budget; e >= budget.bit_length() is refused before q^e is formed. A count
@@ -273,13 +287,35 @@ def _refuse_past_budget(what: str, q: int, e: int, budget: int) -> None:
     raise BudgetExceededError(f"{what} needs {q}^{e} candidates, budget is {budget}")
 
 
-def _relation_columns(a: CoeffTuple, N: int, budget: int) -> list[Poly]:
-    """The nN columns of x -> sum(a_i x_i) on V_N^n, once the q^(N(n-1))
-    candidates of an enumeration fit the budget: column (n - i) * N + k
-    (1-based i) is a_i * t^k, so a kernel vector lists x_n first."""
-    n = a.n
-    _refuse_past_budget("enumeration", a.field.q, N * (n - 1), budget)
-    return [_shifted(a.coeffs[n - 1 - p // N], p % N) for p in range(n * N)]
+def _syzygy_basis(coeffs: Sequence[Poly]) -> list[tuple[int, list[list[int]]]]:
+    """A minimal basis of the syzygies x of coeffs, sum(c_i x_i) = 0, which
+    need not be coprime: per generator its degree k and the coefficients of
+    each coordinate, lowest first, at most k + 1 of them.
+
+    kernel_basis runs once, on the columns c_i * t^k for k <= d (d the
+    largest degree), column k * n + i; its vector for free column (k, i)
+    ends there, a syzygy of degree k. t times the columns before a column
+    come before t times it, so the free columns are closed under shifts,
+    and the generators are the free (k, i) with k = 0 or (k - 1, i) a pivot.
+    Their last coordinates of top degree differ, so the basis has the
+    predictable degree property (Forney, SIAM J. Control 1975): the shifts
+    t^j * s, j < N - deg s, are a basis of the syzygies in V_N^n.
+    """
+    n, q = len(coeffs), coeffs[0].field.q
+    d = max(c.degree for c in coeffs)
+    # entry (r, k * n + i) is coefficient r - k of c_i
+    padded = [(0,) * d + c.coeffs + (0,) * (2 * d + 1 - len(c.coeffs)) for c in coeffs]
+    vectors = kernel_basis([[c[d + r - k] for k in range(d + 1) for c in padded]
+                            for r in range(2 * d + 1)], q)
+    ends = [max(itertools.compress(range(len(v)), v)) for v in vectors]
+    free = set(ends)
+    return [(f // n, [v[i:f + 1:n] for i in range(n)])
+            for v, f in zip(vectors, ends) if f < n or f - n not in free]
+
+
+def _dimension(coeffs: Sequence[Poly], N: int) -> int:
+    """dim over F_q of the syzygies of coeffs in V_N^n."""
+    return sum(max(N - k, 0) for k, _ in _syzygy_basis(coeffs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,32 +350,30 @@ class _Packed:
 def _kernel_columns(a: CoeffTuple, N: int, budget: int) -> _Packed:
     """T_N, the kernel of x -> sum(a_i x_i) on V_N^n, in slots.
 
-    Each basis vector brings q - 1 copies of the rows so far, each added
-    slot by slot to one multiple of the vector, so one SWAR add covers
-    every slot of a copy.
+    Each shift of the minimal syzygy basis brings q - 1 copies of the rows
+    so far, each added slot by slot to one multiple of the shift, so one
+    SWAR add covers every slot of a copy.
     """
     q, n = a.field.q, a.n
-    columns = _relation_columns(a, N, budget)
+    _refuse_past_budget("enumeration", q, N * (n - 1), budget)
     w = _digit_width(q)
     size = _word_size(1 << N * w)
     # the adder on one row makes the multiples 2v, ..., (q - 1)v of a row v
     ones = _repeat(_pack([1] * N, w), size, n)
     add_row = _slot_adder(q, w, ones)
     rows, count = 0, 1
-    for v in _column_kernel(columns, N + a.height, q):
-        # coordinate i holds columns (n - 1 - i) * N, ..., (n - i) * N - 1
-        row = 0
-        for i in range(n):
-            row |= _pack([x % q for x in v[(n - 1 - i) * N:(n - i) * N]], w) << 8 * size * i
-        multiples = [row]
+    for k, s in _syzygy_basis(a.coeffs):
+        # the multiples of s; those of t^j * s are the same j digits up
+        multiples = [sum(_pack(x, w) << 8 * size * i for i, x in enumerate(s))]
         for _ in range(q - 2):
-            multiples.append(add_row(multiples[-1], row))
-        spread = _repeat(1, n * size, count)
-        add = _slot_adder(q, w, ones * spread)
-        shift = 8 * n * size * count
-        rows += sum(add(rows, multiple * spread) << shift * c
-                    for c, multiple in enumerate(multiples, 1))
-        count *= q
+            multiples.append(add_row(multiples[-1], multiples[0]))
+        for j in range(N - k):
+            spread = _repeat(1, n * size, count)
+            add = _slot_adder(q, w, ones * spread)
+            shift = 8 * n * size * count
+            rows += sum(add(rows, multiple * spread << j * w) << shift * c
+                        for c, multiple in enumerate(multiples, 1))
+            count *= q
     return _Packed(q, N, n, w, size, count, rows)
 
 
@@ -406,15 +440,13 @@ def _relations_hold(coeffs: Sequence[Poly], p: _Packed) -> bool:
 
 
 def solution_dimensions(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> tuple[int, list[int]]:
-    """dim T_N over F_q and, per coordinate i, the dimension of T_N ∩ {x_i = 0}:
-    kernel dimensions of the relation's columns, without coordinate i's N
-    columns for the second. Refused as enumerate_solutions refuses."""
+    """dim T_N over F_q and, per coordinate i, the dimension of T_N ∩ {x_i = 0},
+    the syzygies in V_N^(n-1) of the tuple without a_i, each read off a
+    minimal syzygy basis. Refused as enumerate_solutions refuses."""
     _check_N(a, N)
-    columns = _relation_columns(a, N, budget)
-    q, n, length = a.field.q, a.n, N + a.height
-    return len(_column_kernel(columns, length, q)), [
-        len(_column_kernel(columns[:(n - 1 - i) * N] + columns[(n - i) * N:], length, q))
-        for i in range(n)]
+    _refuse_past_budget("enumeration", a.field.q, N * (a.n - 1), budget)
+    c = a.coeffs
+    return _dimension(c, N), [_dimension(c[:i] + c[i + 1:], N) for i in range(a.n)]
 
 
 def _check_N(a: CoeffTuple, N: int) -> None:
@@ -443,25 +475,23 @@ def fiber_count(a: CoeffTuple, N: int, j: int, x: Poly, budget: int = DEFAULT_BU
 
     Independent of j and x when the criteria pass, where it equals
     q^(N(n-2)-d). The fiber solves sum_{i != j} a_i x_i = -a_j x, so it is
-    empty when the column a_j x is a pivot column after the others, and
-    otherwise has q^(number of free columns among the others) elements.
+    empty or a coset of the zero fiber. With g the gcd of the other
+    coefficients and D their largest degree, their map from V_N^(n-1) is
+    onto g * V_(N+D-deg g) once N >= the height, so the fiber is nonempty
+    exactly when x = 0, or g divides a_j x and deg(a_j x) < N + D.
     """
-    q = a.field.q
     n = a.n
     if not 1 <= j <= n:
         raise ValueError(f"coordinate j must be in 1..{n}, got {j}")
     _check_N(a, N)
     if x.degree >= N:
         raise ValueError(f"{x} is outside V_{N}")
-    _refuse_past_budget("fiber count", q, N * (n - 2), budget)
-    columns = [_shifted(a.coeffs[i], k) for i in range(n) if i != j - 1 for k in range(N)]
-    columns.append(a.coeffs[j - 1] * x)
-    # the last column is free exactly when the last basis vector, whose
-    # last nonzero entry sits at its free column, is nonzero there
-    basis = _column_kernel(columns, N + a.height, q)
-    if not basis or not basis[-1][-1]:
+    _refuse_past_budget("fiber count", a.field.q, N * (n - 2), budget)
+    others = a.coeffs[:j - 1] + a.coeffs[j:]
+    image = a.coeffs[j - 1] * x
+    if image and (image % many_gcd(others) or image.degree >= N + max(c.degree for c in others)):
         return 0
-    return q ** (len(basis) - 1)
+    return a.field.q ** _dimension(others, N)
 
 
 def sort_key_of(value):
@@ -566,6 +596,7 @@ def _ranked_multiset(coeffs: tuple, values: Sequence, columns: Sequence[Sequence
     return BalancedMultiset(coeffs, tuple(map(values.__getitem__, used)), tuple(rows))
 
 
+@cycle_collection_paused()
 def balanced_multiset(a: CoeffTuple, N: int, budget: int = DEFAULT_BUDGET) -> BalancedMultiset:
     """T_N with the zero tuple removed, verified balanced.
 

@@ -201,10 +201,6 @@ class QuadInt:
             return None
         return QuadInt(self.field, num.x // d, num.y // d)
 
-    def abs_squared(self) -> int:
-        """Sum over archimedean places of |self|^2 (the ambient form), an int."""
-        return self.field.ambient_q(self.x, self.y)
-
     def embedding_coords(self, place: int) -> tuple[Fraction, Fraction]:
         """self at the given place as (rational, sqrt(m)-coefficient)."""
         base, coeff = self.field.omega_coords(place)

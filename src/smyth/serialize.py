@@ -55,10 +55,8 @@ one by one beyond an int's repr.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
-import gc
 import io
 import itertools
 import json
@@ -74,6 +72,7 @@ from .core import (
     _certificate_holds,
     _ranked_multiset,
     certificate_from_balanced,
+    cycle_collection_paused,
 )
 from .errors import NonUnitError, ParseError
 
@@ -141,30 +140,11 @@ def _indented(value, pad: str) -> str:
     return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad)
 
 
+@cycle_collection_paused()
 def canonical_json(doc: dict) -> str:
     """The bytes of json.dumps(doc, sort_keys=True, indent=2) plus a newline;
     a NaN or infinite float, which JSON lacks, raises ValueError."""
     return _indented(doc, "") + "\n"
-
-
-@contextlib.contextmanager
-def cycle_collection_paused():
-    """Pause the cycle collector around work that builds no reference cycles.
-
-    JSON decoding and verification allocate containers in bulk, one or more
-    per row, and each collector pass would traverse all of them for nothing.
-    On a document of 10^5 rows those passes cost about a third of the time.
-    Pauses nest; the outermost one resumes collection. A caller that drops
-    a decoded document before its pause ends spares the collector the pass
-    over it that would otherwise follow.
-    """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def parse_json(text: str) -> dict:
@@ -240,6 +220,7 @@ def _zero_based(perms: Sequence[Sequence[int]], m: int) -> Optional[list[tuple[i
     return out
 
 
+@cycle_collection_paused()
 def multiset_doc(b: BalancedMultiset, kind: str = "balanced",
                  N: Optional[int] = None) -> dict:
     """Schema document for a balanced multiset or its certificate.

@@ -22,13 +22,11 @@ from smyth.algebra import (
     is_probable_prime,
     kernel_basis,
     many_gcd,
-    monic_irreducibles,
     monic_polys,
     multiplicative_order_int,
     parse_poly,
     poly_ext_gcd,
     poly_gcd,
-    poly_lcm,
     random_irreducible,
     unit_group_order,
 )
@@ -42,6 +40,18 @@ from smyth.core import (
 )
 from smyth.errors import BudgetExceededError, NoRelationError, ParseError
 from smyth.quadratic import QuadField
+
+
+def poly_lcm(a, b):
+    """Monic lcm of two polynomials, zero when either is zero."""
+    if a.is_zero or b.is_zero:
+        return a.field.zero
+    return ((a * b) // poly_gcd(a, b)).monic()
+
+
+def monic_irreducibles(field, degree):
+    """The monic irreducibles of the given degree, in base-q counting order."""
+    return (f for f in monic_polys(field, degree) if is_irreducible(f))
 
 F2 = FieldParams(2)
 F3 = FieldParams(3)

@@ -271,6 +271,16 @@ class TestMinimalSearch:
         a = CoeffTuple.make(F2, [P(F2, "1"), P(F2, "1"), P(F2, "t")])
         assert min_balanced_search(a, 2, 5) is None
 
+    def test_zero_N_has_only_the_zero_tuple(self):
+        # T_0 and the radius-0 box hold the zero tuple alone, so neither ring
+        # has a balanced multiset there; below the height, T_N is still the
+        # span of the minimal basis's shifts that fit
+        a = CoeffTuple.make(F2, [P(F2, "t^2+1"), P(F2, "t^2"), P(F2, "1")])
+        assert min_balanced_search(a, 0, 3) is None
+        assert min_balanced_search((1, 1, -2), 0, 3) is None
+        found = min_balanced_search(a, 1, 3)
+        assert found is not None and found.members == ((F2.one,) * 3,)
+
     def test_integer_tuple_search(self):
         found = min_balanced_search((1, 1, -2), 1, 3)
         assert found is not None

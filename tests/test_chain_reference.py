@@ -46,6 +46,12 @@ from smyth.quadratic import QuadField, SqrtSum, _squarefree_split, quadint_abs
 
 
 
+def abs_squared(z) -> int:
+    """Sum over the archimedean places of |z|^2 for a QuadInt z, an int: the
+    field's ambient form on z's coordinates."""
+    return z.field.ambient_q(z.x, z.y)
+
+
 def frac_sqrt_upper(f: Fraction) -> Fraction:
     """A rational upper bound on sqrt(f), tight to about 2^-64: the pair
     numfield._sqrt_upper returns, as one Fraction."""
@@ -310,16 +316,16 @@ class TestTwoTermSign:
 
 def fraction_inner(u, v):
     """<u, v> under the ambient form, as a Fraction."""
-    return (Fraction((u + v).abs_squared()) - u.abs_squared() - v.abs_squared()) / 2
+    return (Fraction(abs_squared(u + v)) - abs_squared(u) - abs_squared(v)) / 2
 
 
 def fraction_lagrange_reduce(u1, u2):
-    if u2.abs_squared() < u1.abs_squared():
+    if abs_squared(u2) < abs_squared(u1):
         u1, u2 = u2, u1
     while True:
-        r = math.floor(fraction_inner(u1, u2) / u1.abs_squared() + Fraction(1, 2))
+        r = math.floor(fraction_inner(u1, u2) / abs_squared(u1) + Fraction(1, 2))
         u2 = u2 - r * u1
-        if u2.abs_squared() < u1.abs_squared():
+        if abs_squared(u2) < abs_squared(u1):
             u1, u2 = u2, u1
         else:
             break
@@ -333,11 +339,11 @@ def fraction_covering_radius_squared(K, alpha):
     QuadInts with Fraction inner products, then the circumradius."""
     one = K.one
     if alpha.is_rational:
-        return Fraction(one.abs_squared(), 4)
+        return Fraction(abs_squared(one), 4)
     u1, u2 = fraction_lagrange_reduce(one, alpha)
-    A = Fraction(u1.abs_squared())
-    B = Fraction(u2.abs_squared())
-    C = Fraction((u1 + u2).abs_squared())
+    A = Fraction(abs_squared(u1))
+    B = Fraction(abs_squared(u2))
+    C = Fraction(abs_squared(u1 + u2))
     return A * B * C / (2 * (A * B + B * C + C * A) - A * A - B * B - C * C)
 
 

@@ -7,13 +7,19 @@ vectors (`_combinations`, `_digit_adder`), sorted as ints and cut into the
 V_N index of each coordinate. `reference_balanced_multiset` runs it with the
 per-row relation check, the balance check and the old rank-and-sort
 (`reference_ranked`), and `reference_enumerate` is the old `_solution_pool`.
-Both still take the relation's columns, the budget refusal and the kernel
-basis from `smyth.core`, looked up at call time, so a test that patches
-`core._column_kernel` corrupts the reference and the library alike.
+Their basis of T_N is the per-N elimination the library ran before it read
+T_N off one minimal syzygy basis: the nN columns a_i * t^k of the relation
+(`reference_relation_columns`), reduced over F_q by a reduced row echelon
+form of this file's own (`reference_kernel`). Only the budget refusal comes
+from `smyth.core`. A test may hand the reference a basis instead, as the
+corrupted-basis test does with the shifts of the generators it patches into
+`core._syzygy_basis`.
 
 The library must give the same multiset (values and rows), the same
 document bytes and the same enumeration, or raise the same exception with
-the same message, member and count. `_relations_hold`, the check of every
+the same message, member and count. Its minimal syzygy bases must give the
+elimination's dim T_N, span and zero-fiber dimensions, non-coprime
+sub-tuples included, and `fiber_count` the elimination's fiber counts. `_relations_hold`, the check of every
 row's relation at once, must agree with the per-row `_row_relations`.
 """
 import json
@@ -23,7 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smyth import core
-from smyth.algebra import FieldParams, parse_poly
+from smyth.algebra import FieldParams, many_gcd, parse_poly, poly_from_index
 from smyth.core import (
     DEFAULT_BUDGET,
     BalancedMultiset,
@@ -31,6 +37,7 @@ from smyth.core import (
     balanced_multiset,
     check_criteria,
     enumerate_solutions,
+    fiber_count,
     sort_key_of,
 )
 from smyth.errors import NotSmythTupleError
@@ -76,14 +83,64 @@ def _combinations(add, generators):
     return sums
 
 
-def reference_kernel_indices(a, N, budget):
+def reference_echelon(rows, q):
+    """The reduced row echelon form over F_q of rows, and its pivot columns."""
+    rows = [[x % q for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        inv = pow(rows[r][c], -1, q)
+        rows[r] = [x * inv % q for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [(x - row[c] * y) % q for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def reference_kernel(columns, q):
+    """A basis over F_q of the right kernel of the matrix with these columns,
+    each a list of ints: one vector per free column of the echelon form."""
+    rows, pivots = reference_echelon(list(map(list, zip(*columns))), q)
+    basis = []
+    for f in range(len(columns)):
+        if f not in pivots:
+            v = [0] * len(columns)
+            v[f] = 1
+            for r, c in enumerate(pivots):
+                v[c] = -rows[r][f] % q
+            basis.append(v)
+    return basis
+
+
+def padded(p, length):
+    return list(p.coeffs) + [0] * (length - len(p.coeffs))
+
+
+def reference_relation_columns(coeffs, N):
+    """The nN columns of x -> sum(c_i x_i) on V_N^n as N + d coefficients
+    (d the largest degree): column (n - 1 - i) * N + k is c_i * t^k, so a
+    kernel vector lists x_n first."""
+    n = len(coeffs)
+    length = N + max(c.degree for c in coeffs)
+    return [padded(coeffs[n - 1 - p // N] * coeffs[0].field.poly([0] * (p % N) + [1]), length)
+            for p in range(n * N)]
+
+
+def reference_kernel_indices(a, N, budget, basis=None):
     """V_N and, per coordinate, the V_N index of every row's value, rows in
-    lexicographic order of their value indices, the zero tuple first."""
+    lexicographic order of their value indices, the zero tuple first; the
+    rows are the span of basis, by default the elimination's basis of T_N."""
     field, q, n = a.field, a.field.q, a.n
-    columns = core._relation_columns(a, N, budget)
+    core._refuse_past_budget("enumeration", q, N * (n - 1), budget)
+    if basis is None:
+        basis = reference_kernel(reference_relation_columns(a.coeffs, N), q)
     w = _ref_digit_width(q)
-    generators = [[_ref_pack([c * x % q for x in v], w) for c in range(1, q)]
-                  for v in core._column_kernel(columns, N + a.height, q)]
+    generators = [[_ref_pack([c * x % q for x in v], w) for c in range(1, q)] for v in basis]
     rows = _combinations(_digit_adder(q, n * N), generators)
     rows.sort()
     vn = core.vn_elements(field, N)
@@ -102,7 +159,7 @@ def reference_ranked(coeffs, values, columns, used):
     return BalancedMultiset(coeffs, tuple(map(values.__getitem__, used)), tuple(rows))
 
 
-def reference_balanced_multiset(a, N, budget=DEFAULT_BUDGET):
+def reference_balanced_multiset(a, N, budget=DEFAULT_BUDGET, basis=None):
     report = check_criteria(a)
     if not report.passes:
         raise NotSmythTupleError(
@@ -112,7 +169,7 @@ def reference_balanced_multiset(a, N, budget=DEFAULT_BUDGET):
             "no balanced multiset exists for such a tuple"
         )
     core._check_N(a, N)
-    vn, coords = reference_kernel_indices(a, N, budget)
+    vn, coords = reference_kernel_indices(a, N, budget, basis)
     coords = [idx[1:] for idx in coords]
     core._require_relations(a.coeffs, vn, coords)
     used = core._balanced(coords)
@@ -286,6 +343,19 @@ def test_column_check_refuses_every_single_entry_tamper(q, texts, N):
                     assert not column_check_agrees(a.coeffs, vn, tampered), (i, r, other)
 
 
+def shifts(generators, n, N):
+    """The vectors t^j * s, j < N - deg s, of generators as _syzygy_basis
+    gives them, in the reference's layout of nN coefficients, x_n first."""
+    vectors = []
+    for k, s in generators:
+        for j in range(N - k):
+            v = [0] * (n * N)
+            for i, coords in enumerate(s):
+                v[(n - 1 - i) * N + j:(n - 1 - i) * N + j + len(coords)] = coords
+            vectors.append(v)
+    return vectors
+
+
 @pytest.mark.parametrize("q, texts, N", [
     (2, ("1", "t", "t+1"), 2),
     (3, ("t+1", "2*t", "2"), 2),
@@ -293,12 +363,89 @@ def test_column_check_refuses_every_single_entry_tamper(q, texts, N):
 ])
 def test_corrupted_basis_names_the_reference_member(monkeypatch, q, texts, N):
     a = tup(q, *texts)
-    basis = core._column_kernel(core._relation_columns(a, N, DEFAULT_BUDGET), N + a.height, q)
-    for j, vector in enumerate(basis):
-        for e in range(len(vector)):
-            bad = [list(v) for v in basis]
-            bad[j][e] = (bad[j][e] + 1) % q
-            monkeypatch.setattr(core, "_column_kernel", lambda *args, bad=bad: bad)
-            want = outcome(reference_balanced_multiset, a, N)
-            assert want[0] == "RelationViolationError"
-            assert outcome(balanced_multiset, a, N) == want, (j, e)
+    generators = core._syzygy_basis(a.coeffs)
+    for g, (_, s) in enumerate(generators):
+        for i, coords in enumerate(s):
+            for e in range(len(coords)):
+                bad = [(k, [list(c) for c in t]) for k, t in generators]
+                bad[g][1][i][e] = (bad[g][1][i][e] + 1) % q
+                monkeypatch.setattr(core, "_syzygy_basis", lambda coeffs, bad=bad: bad)
+                want = outcome(reference_balanced_multiset, a, N, DEFAULT_BUDGET,
+                               shifts(bad, a.n, N))
+                assert want[0] == "RelationViolationError"
+                assert outcome(balanced_multiset, a, N) == want, (g, i, e)
+
+
+# ---------------------------------------------------------------------------
+# the minimal syzygy basis against the per-N elimination
+
+
+@st.composite
+def syzygy_cases(draw):
+    """A coprime tuple of height 0 to 3 and N from the height up. In most
+    cases all coefficients but one share a factor, so that a sub-tuple
+    without one coefficient is not coprime."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(3, 5))
+    field = FieldParams(q)
+    height = draw(st.integers(0, 3))
+
+    def poly(degree):
+        low = draw(st.lists(st.integers(0, q - 1), min_size=degree, max_size=degree))
+        return field.poly(low + [draw(st.integers(1, q - 1))])
+
+    common = poly(draw(st.integers(0, height)))
+    rest = height - common.degree
+    coeffs = [common * poly(rest)]
+    coeffs += [common * poly(draw(st.integers(0, rest))) for _ in range(n - 2)]
+    coeffs.append(poly(draw(st.integers(0, height))))
+    order = draw(st.permutations(range(n)))
+    a = CoeffTuple.make(field, [coeffs[i] for i in order])
+    return a, a.height + draw(st.integers(0, 3))
+
+
+def assert_basis_spans_kernel(coeffs, N):
+    """The shifts of coeffs' minimal basis lie in the elimination's kernel on
+    V_N^n and are as many as its dimension and independent, so they span
+    it; returns that dimension."""
+    q, n = coeffs[0].field.q, len(coeffs)
+    generators = core._syzygy_basis(coeffs)
+    assert len(generators) == n - 1
+    assert sum(k for k, _ in generators) == max(c.degree for c in coeffs) - many_gcd(coeffs).degree
+    columns = reference_relation_columns(coeffs, N)
+    dimension = len(reference_kernel(columns, q))
+    vectors = shifts(generators, n, N)
+    for v in vectors:
+        assert not any(sum(x * col[r] for x, col in zip(v, columns)) % q
+                       for r in range(len(columns[0])))
+    assert len(vectors) == len(reference_echelon(vectors, q)[1]) == dimension
+    assert core._dimension(coeffs, N) == dimension
+    return dimension
+
+
+def reference_fiber_count(a, N, j, x):
+    """q^(dimension of the zero fiber) when -a_j * x is in the span of the
+    other coordinates' columns, else 0."""
+    q, n = a.field.q, a.n
+    columns = reference_relation_columns(a.coeffs, N)
+    others = columns[:(n - j) * N] + columns[(n - j + 1) * N:]
+    zero = len(reference_kernel(others, q))
+    reached = len(reference_kernel(others + [padded(a.coeffs[j - 1] * x, len(columns[0]))], q))
+    return q ** zero if reached > zero else 0
+
+
+@given(syzygy_cases(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_syzygy_basis_matches_elimination(case, data):
+    a, N = case
+    q, n, c = a.field.q, a.n, a.coeffs
+    k = assert_basis_spans_kernel(c, N)
+    zero_fibers = [assert_basis_spans_kernel(c[:i] + c[i + 1:], N) for i in range(n)]
+    if N < 1:
+        return
+    budget = q ** (N * n)
+    assert core.solution_dimensions(a, N, budget) == (k, zero_fibers)
+    for j in range(1, n + 1):
+        for index in (0, data.draw(st.integers(0, q ** N - 1))):
+            x = poly_from_index(a.field, index)
+            assert fiber_count(a, N, j, x, budget) == reference_fiber_count(a, N, j, x)

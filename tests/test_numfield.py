@@ -40,7 +40,7 @@ from smyth.numfield import (
     verify_numfield_certificate,
 )
 from smyth.quadratic import QuadField, SqrtSum, parse_quadint, quadint_abs
-from test_chain_reference import frac_sqrt_upper, fraction_inner
+from test_chain_reference import abs_squared, frac_sqrt_upper, fraction_inner
 from test_numfield_reference import reference_matrix_fixes
 
 GAUSS = QuadField(-1)
@@ -176,13 +176,13 @@ def reference_ball_points(K, alpha, r_squared):
     """Reference ball: the points of Z[alpha] with ambient form at most
     r_squared, row by row about 0, sorted by (form, sort_key)."""
     one = K.one
-    q1 = Fraction(one.abs_squared())
+    q1 = Fraction(abs_squared(one))
     if alpha.is_rational:
         kmax = math.isqrt(math.floor(r_squared / q1))
         pts = [K.element(k) for k in range(-kmax, kmax + 1)]
     else:
         g01 = fraction_inner(one, alpha)
-        det = q1 * Fraction(alpha.abs_squared()) - g01 * g01
+        det = q1 * Fraction(abs_squared(alpha)) - g01 * g01
         smax = math.isqrt(math.floor(r_squared * q1 / det))
         pts = []
         for s in range(-smax, smax + 1):
@@ -190,9 +190,9 @@ def reference_ball_points(K, alpha, r_squared):
             for p in range(math.ceil((-g01 * s - up) / q1),
                            math.floor((-g01 * s + up) / q1) + 1):
                 z = K.element(p + s * alpha.x, s * alpha.y)
-                if z.abs_squared() <= r_squared:
+                if abs_squared(z) <= r_squared:
                     pts.append(z)
-    pts.sort(key=lambda z: (z.abs_squared(), z.sort_key))
+    pts.sort(key=lambda z: (abs_squared(z), z.sort_key))
     return pts
 
 
@@ -219,11 +219,11 @@ def fraction_points_near(K, alpha, r_squared):
     distances moved to integers: maps a centre tx + ty*w = a + b*alpha to
     entries (distance^2, sort_key, point). In rank 1 (rational alpha) the
     only row is s = 0 and ty must be 0."""
-    q1 = Fraction(K.one.abs_squared())
+    q1 = Fraction(abs_squared(K.one))
     width = r_squared * q1
     ax, ay = alpha.x, alpha.y
     g01 = fraction_inner(K.one, alpha)
-    det = q1 * alpha.abs_squared() - g01 * g01
+    det = q1 * abs_squared(alpha) - g01 * g01
     s_half = frac_sqrt_upper(width / det) if ay else 0
 
     def near(tx, ty):
@@ -302,7 +302,7 @@ def reference_perron_bridge(C, alpha, z):
                               matrix=matrix)
         return BridgeResult(matrix=matrix, eigenvector=points, strategy="as-given")
     index = {p: i for i, p in enumerate(points)}
-    norms = {i: p.abs_squared() for i, p in enumerate(points) if p}
+    norms = {i: abs_squared(p) for i, p in enumerate(points) if p}
     scaled = {i: (n - 2) * points[i] for i in norms}
 
     def find_decomp(i: int, order: list, allowed: set) :

@@ -465,3 +465,33 @@ class TestCsvTable:
         assert lines[0] == "a,b"
         assert lines[1] == "1,2"
         assert '"x,y"' in lines[2]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_certify_path_pauses_the_cycle_collector(monkeypatch, collecting):
+    # balanced_multiset, multiset_doc and canonical_json each run with the
+    # collector paused, and leave it as they found it
+    import gc
+
+    from smyth import core, serialize
+
+    seen = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: seen.append((name, gc.isenabled())) or real(*args))
+
+    spy(core, "_balanced")
+    spy(serialize, "certificate_from_balanced")
+    spy(serialize, "_indented")
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        b = balanced_multiset(CoeffTuple.make(FieldParams(2), ["1", "t", "t+1"]), 2)
+        canonical_json(multiset_doc(b, kind="certificate", N=2))
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert {name for name, _ in seen} == {"_balanced", "certificate_from_balanced", "_indented"}
+    assert not any(enabled for _, enabled in seen)
